@@ -1,17 +1,17 @@
 // bench_kernels: throughput of the tensor kernel layer.
 //
 // For representative CTR shapes (batch x embed-concat x hidden) it reports
-// GFLOP/s of three MatMul variants:
-//   serial    — the growth seed's single-threaded unblocked kernel
-//               (ops::MatMulNaive), the trajectory baseline;
-//   blocked   — the cache-blocked kernel pinned to 1 thread;
-//   parallel  — the cache-blocked kernel on the kernel pool.
-// Plus the transposed variants and an elementwise bandwidth probe at the
-// paper-scale shape. Results go to stdout and to a machine-readable
-// BENCH_kernels.json so later PRs can track the trajectory.
+// GFLOP/s of two MatMul variants:
+//   serial    — the growth seed's unblocked kernel (ops::MatMulNaive), the
+//               trajectory baseline;
+//   blocked   — the cache-blocked kernel (ops::MatMul).
+// Plus the blocked transposed variants and an elementwise bandwidth probe.
+// Every kernel runs on the calling thread: kernels are serial by design
+// (parallelism lives in independent units, see common/parallel_for.h).
+// Results go to stdout and to a machine-readable BENCH_kernels.json so
+// later changes can track the trajectory.
 //
 // Flags:
-//   --threads N   pool size for the parallel variant (0 = auto, default)
 //   --repeats N   timing repetitions per variant (default 5, best-of)
 //   --out PATH    JSON output path (default BENCH_kernels.json)
 // Plus the global observability flags (--metrics-out/--trace-out), so a
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/parallel_for.h"
 #include "common/random.h"
 #include "obs/clock.h"
 #include "obs/telemetry.h"
@@ -40,7 +39,6 @@ struct Entry {
   std::string kernel;
   std::string variant;
   int64_t m, k, n;
-  int64_t threads;
   double ms;
   double gflops;
 };
@@ -68,28 +66,25 @@ double TimeBest(const std::function<void()>& fn, int repeats) {
 }
 
 Entry Measure(const std::string& kernel, const std::string& variant,
-              int64_t m, int64_t k, int64_t n, int64_t threads, int repeats,
+              int64_t m, int64_t k, int64_t n, int repeats,
               const std::function<void()>& fn) {
   const double secs = TimeBest(fn, repeats);
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
                        static_cast<double>(n);
-  Entry e{kernel, variant, m, k, n, threads, secs * 1e3, flops / secs / 1e9};
+  Entry e{kernel, variant, m, k, n, secs * 1e3, flops / secs / 1e9};
   std::printf("  %-14s %-9s %5" PRId64 " x %4" PRId64 " x %4" PRId64
-              "  threads=%-2" PRId64 "  %8.3f ms  %7.2f GFLOP/s\n",
-              e.kernel.c_str(), e.variant.c_str(), m, k, n, threads, e.ms,
-              e.gflops);
+              "  %8.3f ms  %7.2f GFLOP/s\n",
+              e.kernel.c_str(), e.variant.c_str(), m, k, n, e.ms, e.gflops);
   return e;
 }
 
-void WriteJson(const std::string& path, int64_t parallel_threads,
-               const std::vector<Entry>& entries) {
+void WriteJson(const std::string& path, const std::vector<Entry>& entries) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"kernels\",\n");
-  std::fprintf(f, "  \"parallel_threads\": %" PRId64 ",\n", parallel_threads);
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"entries\": [\n");
@@ -98,11 +93,9 @@ void WriteJson(const std::string& path, int64_t parallel_threads,
     std::fprintf(f,
                  "    {\"kernel\": \"%s\", \"variant\": \"%s\", "
                  "\"m\": %" PRId64 ", \"k\": %" PRId64 ", \"n\": %" PRId64
-                 ", \"threads\": %" PRId64
                  ", \"ms\": %.4f, \"gflops\": %.4f}%s\n",
-                 e.kernel.c_str(), e.variant.c_str(), e.m, e.k, e.n,
-                 e.threads, e.ms, e.gflops,
-                 i + 1 == entries.size() ? "" : ",");
+                 e.kernel.c_str(), e.variant.c_str(), e.m, e.k, e.n, e.ms,
+                 e.gflops, i + 1 == entries.size() ? "" : ",");
   }
   // Where the measured time went, per kernel.variant summed over shapes —
   // the timing breakdown consumers diff across PRs.
@@ -132,16 +125,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 2;
   }
-  const int64_t threads_flag = flags.GetInt("threads", 0);
   const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
   const std::string out = flags.GetString("out", "BENCH_kernels.json");
-
-  // The bench-specific --threads flag wins over --kernel-threads.
-  SetKernelThreads(threads_flag);
-  const int64_t parallel_threads = KernelThreads();
-  std::printf("=== kernel bench (parallel variant: %" PRId64
-              " threads, hw=%u) ===\n\n",
-              parallel_threads, std::thread::hardware_concurrency());
+  std::printf("=== kernel bench (serial kernels, hw=%u) ===\n\n",
+              std::thread::hardware_concurrency());
 
   // Representative CTR shapes: batch x concatenated-embedding x hidden for
   // the MLP towers, plus the paper-scale acceptance shape 512x256x256.
@@ -151,7 +138,7 @@ int main(int argc, char** argv) {
 
   Rng rng(42);
   std::vector<Entry> entries;
-  double serial_512 = 0.0, parallel_512 = 0.0;
+  double serial_512 = 0.0, blocked_512 = 0.0;
   for (const auto& s : shapes) {
     const int64_t m = s[0], k = s[1], n = s[2];
     Tensor a = RandomTensor(m, k, &rng);
@@ -159,24 +146,17 @@ int main(int argc, char** argv) {
     Tensor at = ops::Transpose(a);  // [k, m] for MatMulTransA
     Tensor bt = ops::Transpose(b);  // [n, k] for MatMulTransB
 
-    entries.push_back(Measure("matmul", "serial", m, k, n, 1, repeats,
+    entries.push_back(Measure("matmul", "serial", m, k, n, repeats,
                               [&] { ops::MatMulNaive(a, b); }));
-    SetKernelThreads(1);
-    entries.push_back(Measure("matmul", "blocked", m, k, n, 1, repeats,
+    entries.push_back(Measure("matmul", "blocked", m, k, n, repeats,
                               [&] { ops::MatMul(a, b); }));
-    SetKernelThreads(threads_flag);
-    entries.push_back(Measure("matmul", "parallel", m, k, n,
-                              parallel_threads, repeats,
-                              [&] { ops::MatMul(a, b); }));
-    entries.push_back(Measure("matmul_ta", "parallel", m, k, n,
-                              parallel_threads, repeats,
+    entries.push_back(Measure("matmul_ta", "blocked", m, k, n, repeats,
                               [&] { ops::MatMulTransA(at, b); }));
-    entries.push_back(Measure("matmul_tb", "parallel", m, k, n,
-                              parallel_threads, repeats,
+    entries.push_back(Measure("matmul_tb", "blocked", m, k, n, repeats,
                               [&] { ops::MatMulTransB(a, bt); }));
     if (m == 512 && k == 256 && n == 256) {
-      serial_512 = entries[entries.size() - 5].gflops;
-      parallel_512 = entries[entries.size() - 3].gflops;
+      serial_512 = entries[entries.size() - 4].gflops;
+      blocked_512 = entries[entries.size() - 3].gflops;
       // Cross-variant sanity: the rewrite must agree with the seed kernel.
       Tensor ref = ops::MatMulNaive(a, b);
       Tensor got = ops::MatMul(a, b);
@@ -193,24 +173,19 @@ int main(int argc, char** argv) {
     const int64_t size = 1 << 22;
     Tensor x = RandomTensor(1, size, &rng);
     Tensor y = RandomTensor(1, size, &rng);
-    SetKernelThreads(1);
-    const double s1 = TimeBest([&] { ops::AxpyInPlace(&y, x, 0.5f); }, repeats);
-    SetKernelThreads(threads_flag);
-    const double sp = TimeBest([&] { ops::AxpyInPlace(&y, x, 0.5f); }, repeats);
+    const double secs =
+        TimeBest([&] { ops::AxpyInPlace(&y, x, 0.5f); }, repeats);
     const double bytes = 12.0 * static_cast<double>(size);
-    std::printf("  axpy            serial    %" PRId64
-                " elems            %8.3f ms  %7.2f GB/s\n",
-                size, s1 * 1e3, bytes / s1 / 1e9);
-    std::printf("  axpy            parallel  %" PRId64
-                " elems  threads=%-2" PRId64 " %8.3f ms  %7.2f GB/s\n",
-                size, parallel_threads, sp * 1e3, bytes / sp / 1e9);
+    std::printf("  axpy           serial    %" PRId64
+                " elems  %8.3f ms  %7.2f GB/s\n",
+                size, secs * 1e3, bytes / secs / 1e9);
   }
 
   if (serial_512 > 0.0) {
-    std::printf("\n512x256x256 speedup (parallel vs seed serial): %.2fx\n",
-                parallel_512 / serial_512);
+    std::printf("\n512x256x256 speedup (blocked vs seed serial): %.2fx\n",
+                blocked_512 / serial_512);
   }
-  WriteJson(out, parallel_threads, entries);
+  WriteJson(out, entries);
   if (std::string obs_error; !obs::WriteConfiguredOutputs(&obs_error)) {
     std::fprintf(stderr, "observability output: %s\n", obs_error.c_str());
     return 1;

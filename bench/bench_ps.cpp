@@ -1,22 +1,16 @@
 // bench_ps: parameter-server op round trips, direct vs networked.
 //
 // Measures the four PS ops every training step issues — dense pull/push and
-// sparse embedding-row pull/push — against five backends sharing one
+// sparse embedding-row pull/push — against three backends sharing one
 // parameter layout:
 //
 //   direct    DirectPsClient -> in-process ParameterServer (the lower
 //             bound: one mutex and a memcpy, no serialization)
-//   net1-cpo  NetPsClient -> 1-shard ShardGroup over loopback TCP with
-//             pool_connections=false (the PR 8 transport: framing, CRC,
-//             and a fresh connect per op)
-//   net1      same shard group, pooled: one persistent connection reused
-//             across ops — the connect/teardown cost drops out
-//   net4-cpo  4-shard ShardGroup, connect-per-op (fan-out: a dense op is
-//             one RPC per shard; a row op hits only the owners)
-//   net4      4-shard, pooled (the production configuration)
-//
-// The pooled/-cpo pairs are the regression gate for the connection pool:
-// pooled rtt must stay well under connect-per-op rtt.
+//   net1      NetPsClient -> 1-shard ShardGroup over loopback TCP: framing,
+//             CRC, and one pooled persistent connection reused across ops
+//   net4      4-shard ShardGroup (the production configuration; fan-out:
+//             a dense op is one pipelined RPC per shard, a row op hits only
+//             the owners)
 //
 // Reported per (backend, op): mean round-trip microseconds (`rtt_us`,
 // lower-better for perfdiff) and throughput (`qps`: rows/s for the row
@@ -35,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -148,7 +143,10 @@ void WriteJson(const std::string& path, const std::vector<Entry>& entries) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"ps\",\n  \"entries\": [\n");
+  std::fprintf(f, "{\n  \"bench\": \"ps\",\n");
+  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"entries\": [\n");
   for (size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     std::fprintf(f,
@@ -197,18 +195,12 @@ int main(int argc, char** argv) {
     gc.num_shards = num_shards;
     ps::net::ShardGroup group(gc, MakeLayout(), IsEmbedding());
     MAMDR_CHECK(group.Start().ok());
-    // Connect-per-op first, then pooled, against the same live group: the
-    // pair isolates exactly the transport difference.
-    for (const bool pooled : {false, true}) {
-      ps::net::NetPsClientConfig cc;
-      cc.num_shards = num_shards;
-      cc.pool_connections = pooled;
-      ps::net::NetPsClient client(cc, group.directory(), MakeLayout(),
-                                  IsEmbedding());
-      BenchClient(&client,
-                  "net" + std::to_string(num_shards) + (pooled ? "" : "-cpo"),
-                  iters, rows, &entries);
-    }
+    ps::net::NetPsClientConfig cc;
+    cc.num_shards = num_shards;
+    ps::net::NetPsClient client(cc, group.directory(), MakeLayout(),
+                                IsEmbedding());
+    BenchClient(&client, "net" + std::to_string(num_shards), iters, rows,
+                &entries);
   }
 
   WriteJson(out, entries);

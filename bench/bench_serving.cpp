@@ -4,22 +4,15 @@
 // synthetic dataset, untrained MLP replica, round-robin user/domain
 // requests) under a sweep of SERVING threads — concurrent request
 // threads calling into one shared Recommender — and reports QPS, exact
-// sample latency quantiles, and scaling efficiency. The kernel pool is
-// pinned serial (SetKernelThreads(1)): requests are embarrassingly
-// parallel across serving threads, so the right axis to scale is
-// request concurrency, not intra-request kernel fan-out. Two modes run
-// per thread count:
+// sample latency quantiles, and scaling efficiency. Each serving thread
+// loops Recommender::TopK, one model forward per request. Kernels are
+// serial: requests are embarrassingly parallel across serving threads, so
+// the axis to scale is request concurrency.
 //
-//   per_request  each serving thread loops Recommender::TopK — the
-//                reference path, one model forward per request
-//   batched      each serving thread groups kBatch requests and calls
-//                Recommender::TopKBatched — one coalesced forward per
-//                domain group (bit-identical results by construction)
-//
-// scaling_efficiency = qps@N / (min(N, hw_threads) * qps@1) for the
-// same mode. The min() clamp keeps the metric meaningful on machines
-// with fewer cores than the sweep's widest point: with 1 hardware
-// thread, perfect scaling is flat QPS, not Nx. Results go to stdout and
+// scaling_efficiency = qps@N / (min(N, hw_threads) * qps@1). The min()
+// clamp keeps the metric meaningful on machines with fewer cores than the
+// sweep's widest point: with 1 hardware thread, perfect scaling is flat
+// QPS, not Nx. Results go to stdout and
 // to a machine-readable BENCH_serving.json that tools/mamdr_perfdiff.py
 // diffs against the checked-in baseline in CI (perfdiff also enforces
 // QPS monotonicity across the thread sweep — the regression gate for
@@ -28,10 +21,8 @@
 // Quantiles in the JSON are nearest-rank over the per-request sample
 // vector, NOT read back from the obs latency histogram: the log2 bucket
 // layout quantizes by up to 2x, which would rival the perfdiff fail
-// gate. In batched mode each sample is one TopKBatched call (the
-// user-perceived latency of every request in that batch). The
-// histogram-derived summary is still printed (dogfooding the /metrics
-// pipeline) but never gated on.
+// gate. The histogram-derived summary is still printed (dogfooding the
+// /metrics pipeline) but never gated on.
 //
 // Flags:
 //   --requests N  requests per sweep entry (default 1024; keep it high
@@ -40,9 +31,8 @@
 //                 trip the 2x perfdiff hard gate — but short enough
 //                 that a whole cycle fits inside one speed regime)
 //   --k N         top-K size per request (default 10)
-//   --batch N     requests coalesced per TopKBatched call (default 8)
 //   --repeats N   full sweep cycles to run (default 33). Each cycle
-//                 measures EVERY (mode, threads) entry back to back; the
+//                 measures EVERY thread-count entry back to back; the
 //                 reported wall time per entry is the trimmed mean of the
 //                 middle third of its cycles (33 cycles -> middle 11).
 //                 Many short cycles beat few long ones: each cycle fits
@@ -72,7 +62,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/parallel_for.h"
 #include "data/synthetic.h"
 #include "models/registry.h"
 #include "obs/clock.h"
@@ -85,7 +74,6 @@ using namespace mamdr;
 namespace {
 
 struct Entry {
-  std::string mode;
   int64_t threads;
   int64_t domains;
   int64_t requests;
@@ -140,9 +128,9 @@ double TimedServe(int64_t threads,
 /// Runs `requests` TopK calls split across `threads` serving threads
 /// against the shared Recommender. Returns wall seconds; appends each
 /// request's latency (us) to `lat_us` (order is per-thread, merged).
-double RunPerRequest(serve::Recommender& rec, int64_t threads,
-                     int64_t requests, int64_t domains, int64_t users,
-                     int64_t topk, std::vector<double>* lat_us) {
+double RunTopK(serve::Recommender& rec, int64_t threads, int64_t requests,
+               int64_t domains, int64_t users, int64_t topk,
+               std::vector<double>* lat_us) {
   const int64_t per_thread = requests / threads;
   std::vector<std::vector<double>> lats(static_cast<size_t>(threads));
   const double secs = TimedServe(threads, [&](int64_t t) {
@@ -161,33 +149,6 @@ double RunPerRequest(serve::Recommender& rec, int64_t threads,
   return secs;
 }
 
-/// Same workload, but each serving thread coalesces `batch` consecutive
-/// requests into one TopKBatched call. One latency sample per batch.
-double RunBatched(serve::Recommender& rec, int64_t threads,
-                  int64_t requests, int64_t domains, int64_t users,
-                  int64_t topk, int64_t batch, std::vector<double>* lat_us) {
-  const int64_t per_thread = requests / threads;
-  std::vector<std::vector<double>> lats(static_cast<size_t>(threads));
-  const double secs = TimedServe(threads, [&](int64_t t) {
-    auto& mine = lats[static_cast<size_t>(t)];
-    mine.reserve(static_cast<size_t>((per_thread + batch - 1) / batch));
-    std::vector<serve::Recommender::TopKRequest> reqs;
-    for (int64_t i = 0; i < per_thread; i += batch) {
-      reqs.clear();
-      const int64_t n = std::min(batch, per_thread - i);
-      for (int64_t j = 0; j < n; ++j) {
-        const int64_t g = t * per_thread + i + j;
-        reqs.push_back({(g * 7919) % users, g % domains, topk});
-      }
-      const int64_t r0 = obs::MonotonicMicros();
-      rec.TopKBatched(reqs);
-      mine.push_back(static_cast<double>(obs::MonotonicMicros() - r0));
-    }
-  });
-  for (auto& v : lats) lat_us->insert(lat_us->end(), v.begin(), v.end());
-  return secs;
-}
-
 void WriteJson(const std::string& path, int64_t requests,
                const std::vector<Entry>& entries) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -197,16 +158,18 @@ void WriteJson(const std::string& path, int64_t requests,
   }
   std::fprintf(f, "{\n  \"bench\": \"serving\",\n");
   std::fprintf(f, "  \"requests_per_sweep\": %" PRId64 ",\n", requests);
+  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"entries\": [\n");
   for (size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"threads\": %" PRId64
+                 "    {\"threads\": %" PRId64
                  ", \"domains\": %" PRId64 ", \"requests\": %" PRId64
                  ", \"qps\": %.2f, \"scaling_efficiency\": %.3f"
                  ", \"mean_us\": %.2f, \"p50_us\": %.2f, "
                  "\"p95_us\": %.2f, \"p99_us\": %.2f}%s\n",
-                 e.mode.c_str(), e.threads, e.domains, e.requests, e.qps,
+                 e.threads, e.domains, e.requests, e.qps,
                  e.scaling_efficiency, e.mean_us, e.p50_us, e.p95_us,
                  e.p99_us, i + 1 == entries.size() ? "" : ",");
   }
@@ -230,13 +193,8 @@ int main(int argc, char** argv) {
   }
   const int64_t requests = flags.GetInt("requests", 1024);
   const int64_t topk = flags.GetInt("k", 10);
-  const int64_t batch = flags.GetInt("batch", 8);
   const int64_t repeats = flags.GetInt("repeats", 33);
   const std::string out = flags.GetString("out", "BENCH_serving.json");
-
-  // The sweep scales serving threads; intra-request kernels stay serial so
-  // two requests never contend for the same fork/join pool.
-  SetKernelThreads(1);
 
   // Fixed-seed workload: same dataset, same (untrained) replica weights,
   // same request sequence on every run and every machine.
@@ -259,21 +217,19 @@ int main(int argc, char** argv) {
   const unsigned hw_raw = std::thread::hardware_concurrency();
   const int64_t hw = hw_raw == 0 ? 1 : static_cast<int64_t>(hw_raw);
   std::printf("=== serving bench (%" PRId64 " requests/sweep, top-%" PRId64
-              ", %" PRId64 " domains, batch %" PRId64
-              ", %" PRId64 " hw threads) ===\n\n",
-              requests, topk, ds.num_domains(), batch, hw);
+              ", %" PRId64 " domains, %" PRId64 " hw threads) ===\n\n",
+              requests, topk, ds.num_domains(), hw);
 
   // Warmup: touch every domain once so snapshot growth and metric
   // registration happen off the timed path.
   for (int64_t d = 0; d < ds.num_domains(); ++d) rec.TopK(0, d, topk);
 
-  // One config per (threads, mode). Every cycle measures every config;
+  // One config per thread count. Every cycle measures every config;
   // each entry then reports the trimmed mean of its middle-third cycle
   // wall times, with latencies from the median cycle (see the --repeats
   // comment for why).
   struct Config {
     int64_t threads = 1;
-    bool batched = false;
     double best_secs = 0.0;
     std::vector<double> lat_us;
     std::vector<double> cycle_secs;
@@ -282,12 +238,9 @@ int main(int argc, char** argv) {
   std::vector<Config> configs;
   for (const int64_t threads :
        {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8}}) {
-    for (const bool batched : {false, true}) {
-      Config c;
-      c.threads = threads;
-      c.batched = batched;
-      configs.push_back(std::move(c));
-    }
+    Config c;
+    c.threads = threads;
+    configs.push_back(std::move(c));
   }
   // Serpentine cycle order: even cycles sweep configs forward, odd ones
   // backward. A slow monotone speed drift WITHIN a cycle otherwise always
@@ -301,11 +254,8 @@ int main(int argc, char** argv) {
       Config& c = configs[ci];
       std::vector<double> rep_lat;
       const double secs =
-          c.batched ? RunBatched(rec, c.threads, requests, ds.num_domains(),
-                                 ds.num_users(), topk, batch, &rep_lat)
-                    : RunPerRequest(rec, c.threads, requests,
-                                    ds.num_domains(), ds.num_users(), topk,
-                                    &rep_lat);
+          RunTopK(rec, c.threads, requests, ds.num_domains(), ds.num_users(),
+                  topk, &rep_lat);
       c.cycle_secs.push_back(secs);
       c.cycle_lat.push_back(std::move(rep_lat));
     }
@@ -343,25 +293,19 @@ int main(int argc, char** argv) {
   // Efficiency is computed from the final best-of-N numbers so both sides
   // of the ratio come from quiet-window measurements.
   std::vector<Entry> entries;
-  double qps1_per_request = 0.0;
-  double qps1_batched = 0.0;
+  double qps1 = 0.0;
   for (const Config& c : configs) {
-    if (c.threads == 1) {
-      (c.batched ? qps1_batched : qps1_per_request) =
-          static_cast<double>(requests) / c.best_secs;
-    }
+    if (c.threads == 1) qps1 = static_cast<double>(requests) / c.best_secs;
   }
   for (Config& c : configs) {
     std::sort(c.lat_us.begin(), c.lat_us.end());
     double sum = 0.0;
     for (double v : c.lat_us) sum += v;
     Entry e;
-    e.mode = c.batched ? "batched" : "per_request";
     e.threads = c.threads;
     e.domains = ds.num_domains();
     e.requests = requests;
     e.qps = static_cast<double>(requests) / c.best_secs;
-    const double qps1 = c.batched ? qps1_batched : qps1_per_request;
     const double ideal =
         static_cast<double>(std::min(c.threads, hw)) * qps1;
     e.scaling_efficiency = ideal > 0.0 ? e.qps / ideal : 0.0;
@@ -370,9 +314,9 @@ int main(int argc, char** argv) {
     e.p95_us = SampleQuantile(c.lat_us, 0.95);
     e.p99_us = SampleQuantile(c.lat_us, 0.99);
     entries.push_back(e);
-    std::printf("  %-11s threads=%-2" PRId64 " %8.1f qps  eff %.3f  "
+    std::printf("  threads=%-2" PRId64 " %8.1f qps  eff %.3f  "
                 "mean %8.1f us  p50 %8.1f  p95 %8.1f  p99 %8.1f\n",
-                e.mode.c_str(), e.threads, e.qps, e.scaling_efficiency,
+                e.threads, e.qps, e.scaling_efficiency,
                 e.mean_us, e.p50_us, e.p95_us, e.p99_us);
   }
 

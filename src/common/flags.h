@@ -47,9 +47,10 @@ class FlagParser {
 };
 
 /// Applies process-wide flags shared by every CLI tool and bench. Currently:
-///   --kernel-threads N     kernel pool size (0 = hardware_concurrency,
-///                          1 = serial kernels; also accepts
-///                          --kernel_threads). See common/parallel_for.h.
+///   --kernel-threads N     size of the pool that fans evaluation out over
+///                          domains (0 = hardware_concurrency, 1 = serial;
+///                          also accepts --kernel_threads). Tensor kernels
+///                          are always serial. See common/parallel_for.h.
 ///   --metrics-out PATH     install a telemetry sink and write the
 ///                          deterministic metrics JSON there at exit
 ///                          (obs::WriteConfiguredOutputs).

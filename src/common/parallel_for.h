@@ -1,5 +1,9 @@
-// Process-wide kernel threading: a lazily-created shared ThreadPool plus a
-// ParallelFor range splitter used by the tensor kernels and the evaluator.
+// Process-wide pool for independent units of work: a lazily-created shared
+// ThreadPool plus a ParallelFor range splitter. Its one caller today is
+// metrics::EvaluateAllDomains, which fans domains out over it. The tensor
+// kernels are serial on purpose (bench_kernels and perfbench measured the
+// intra-op split slower at this repo's shapes), and tools/mamdr_lint.py's
+// kernel-parallel rule keeps ParallelFor out of tensor/autograd/nn/optim.
 //
 // Determinism contract: ParallelFor partitions [begin, end) into contiguous
 // chunks and every chunk computes exactly what the serial loop would compute
@@ -17,28 +21,28 @@
 
 namespace mamdr {
 
-/// Sets the kernel thread count. 0 = auto (hardware_concurrency); 1 runs
-/// every kernel serially on the calling thread (the pre-parallel behavior).
-/// The shared pool is torn down / rebuilt lazily on the next parallel call.
-/// Not meant to be called concurrently with running kernels.
+/// Sets the pool's thread count. 0 = auto (hardware_concurrency); 1 runs
+/// every ParallelFor inline on the calling thread. The shared pool is torn
+/// down / rebuilt lazily on the next parallel call. Not meant to be called
+/// concurrently with a running ParallelFor.
 void SetKernelThreads(int64_t n);
 
-/// Resolved kernel thread count (always >= 1).
+/// Resolved pool thread count (always >= 1).
 int64_t KernelThreads();
 
-/// The shared kernel pool, created on first use. Returns nullptr when
+/// The shared pool, created on first use. Returns nullptr when
 /// KernelThreads() == 1 (serial mode).
 std::shared_ptr<ThreadPool> KernelPool();
 
 namespace detail {
 
 /// True when the calling thread should run the range inline: serial mode,
-/// a range not worth splitting, or already inside a kernel-pool worker
+/// a range not worth splitting, or already inside a pool worker
 /// (nested ParallelFor must not block on the pool that is running it).
 bool ShouldSerialize(int64_t total, int64_t grain);
 
 /// Slow path: split [begin, end) into chunks of at least `grain` indices,
-/// run them on the kernel pool, and rethrow the first chunk exception.
+/// run them on the pool, and rethrow the first chunk exception.
 void ParallelForImpl(int64_t begin, int64_t end, int64_t grain,
                      const std::function<void(int64_t, int64_t)>& fn);
 

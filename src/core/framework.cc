@@ -15,6 +15,24 @@
 namespace mamdr {
 namespace core {
 
+Status TrainConfig::Validate() const {
+  if (epochs < 1) {
+    return Status::InvalidArgument("epochs must be >= 1, got " +
+                                   std::to_string(epochs));
+  }
+  if (batch_size < 1) {
+    return Status::InvalidArgument("batch_size must be >= 1, got " +
+                                   std::to_string(batch_size));
+  }
+  if (inner_optimizer != "adam" && inner_optimizer != "sgd" &&
+      inner_optimizer != "adagrad") {
+    return Status::InvalidArgument("unknown inner optimizer '" +
+                                   inner_optimizer +
+                                   "' (want adam|sgd|adagrad)");
+  }
+  return Status::OK();
+}
+
 Framework::Framework(models::CtrModel* model,
                      const data::MultiDomainDataset* dataset,
                      TrainConfig config)

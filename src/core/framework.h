@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "data/dataset.h"
 #include "metrics/conflict_probe.h"
 #include "metrics/evaluator.h"
@@ -53,6 +54,11 @@ struct TrainConfig {
   int64_t cdr_transfer_batches = 2;
   uint64_t seed = 42;
   bool verbose = false;
+
+  /// InvalidArgument naming the first field a framework would abort on:
+  /// epochs or batch_size below 1, or an unknown inner_optimizer. CLI
+  /// front ends call this once after reading their flags.
+  Status Validate() const;
 };
 
 class Framework {

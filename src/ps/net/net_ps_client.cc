@@ -219,58 +219,48 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
                                " is down");
   }
 
-  std::vector<std::string> responses;
-  Status st;
-  bool cut = false;
-  if (config_.pool_connections) {
-    Result<ConnectionPool::Lease> acquired = [&] {
-      obs::ContextSpan acquire_span(std::string("ps.client.pool.acquire"),
-                                    "ps.client");
-      acquire_span.AddTag("shard", std::to_string(shard));
-      Result<ConnectionPool::Lease> a = pool_.Acquire(shard, port);
-      if (a.ok()) {
-        acquire_span.AddTag("reused", a.value().reused ? "true" : "false");
-      } else {
-        acquire_span.SetError(a.status().message());
-      }
-      return a;
-    }();
-    if (!acquired.ok()) return acquired.status();
-    ConnectionPool::Lease lease = std::move(acquired).value();
-    const bool was_reused = lease.reused;
-    st = AttemptOnFd(lease.fd.get(), requests, &responses, &cut);
-    pool_.Release(std::move(lease), /*healthy=*/st.ok());
-    if (!st.ok() && was_reused && !cut) {
-      // A reused connection that fails on first use may simply have gone
-      // stale in the cache (server idle-close whose FIN raced the probe).
-      // Redial fresh and re-run the attempt once WITHOUT charging the
-      // retry budget: both outcomes of that race then consume identical
-      // retry schedules, which keeps same-seed chaos runs bit-identical.
-      // Like any transport retry, this can double-apply a push whose
-      // response was lost — the bounded loss class ARCHITECTURE.md
-      // documents for retried pushes. A watchdog cut is excluded: the
-      // deadline already spent this attempt's time budget.
-      redial_counter_->Add();
-      obs::ContextSpan redial_span(std::string("ps.client.redial"),
-                                   "ps.client");
-      redial_span.AddTag("shard", std::to_string(shard));
-      Result<ConnectionPool::Lease> fresh =
-          pool_.Acquire(shard, directory_->GetPort(shard));
-      if (!fresh.ok()) {
-        st = fresh.status();
-      } else {
-        ConnectionPool::Lease retry_lease = std::move(fresh).value();
-        st = AttemptOnFd(retry_lease.fd.get(), requests, &responses, &cut);
-        pool_.Release(std::move(retry_lease), /*healthy=*/st.ok());
-      }
-      if (!st.ok()) redial_span.SetError(st.message());
+  Result<ConnectionPool::Lease> acquired = [&] {
+    obs::ContextSpan acquire_span(std::string("ps.client.pool.acquire"),
+                                  "ps.client");
+    acquire_span.AddTag("shard", std::to_string(shard));
+    Result<ConnectionPool::Lease> a = pool_.Acquire(shard, port);
+    if (a.ok()) {
+      acquire_span.AddTag("reused", a.value().reused ? "true" : "false");
+    } else {
+      acquire_span.SetError(a.status().message());
     }
-  } else {
-    // Connect-per-op: the PR 8 transport, kept as the bench baseline.
-    Result<int> conn = cnet::ConnectLoopback(port);
-    if (!conn.ok()) return conn.status();
-    cnet::ScopedFd fd(conn.value());
-    st = AttemptOnFd(fd.get(), requests, &responses, &cut);
+    return a;
+  }();
+  if (!acquired.ok()) return acquired.status();
+  ConnectionPool::Lease lease = std::move(acquired).value();
+  const bool was_reused = lease.reused;
+  std::vector<std::string> responses;
+  bool cut = false;
+  Status st = AttemptOnFd(lease.fd.get(), requests, &responses, &cut);
+  pool_.Release(std::move(lease), /*healthy=*/st.ok());
+  if (!st.ok() && was_reused && !cut) {
+    // A reused connection that fails on first use may simply have gone
+    // stale in the cache (server idle-close whose FIN raced the probe).
+    // Redial fresh and re-run the attempt once WITHOUT charging the
+    // retry budget: both outcomes of that race then consume identical
+    // retry schedules, which keeps same-seed chaos runs bit-identical.
+    // Like any transport retry, this can double-apply a push whose
+    // response was lost — the bounded loss class ARCHITECTURE.md
+    // documents for retried pushes. A watchdog cut is excluded: the
+    // deadline already spent this attempt's time budget.
+    redial_counter_->Add();
+    obs::ContextSpan redial_span(std::string("ps.client.redial"), "ps.client");
+    redial_span.AddTag("shard", std::to_string(shard));
+    Result<ConnectionPool::Lease> fresh =
+        pool_.Acquire(shard, directory_->GetPort(shard));
+    if (!fresh.ok()) {
+      st = fresh.status();
+    } else {
+      ConnectionPool::Lease retry_lease = std::move(fresh).value();
+      st = AttemptOnFd(retry_lease.fd.get(), requests, &responses, &cut);
+      pool_.Release(std::move(retry_lease), /*healthy=*/st.ok());
+    }
+    if (!st.ok()) redial_span.SetError(st.message());
   }
 
   if (rpc_us != nullptr) {
@@ -440,7 +430,7 @@ Status NetPsClient::FanoutCall(const std::vector<int>& shards, PsOp op,
   fanout_span.AddTag("shards", std::to_string(n));
   ok_bodies->assign(n, std::string());
   std::vector<bool> done(n, false);
-  if (config_.pool_connections && n > 1) {
+  if (n > 1) {
     const int64_t start_us = obs::MonotonicMicros();
     // One child span per target shard; each shard's request frame carries
     // its child's context, so the server handler span for shard i links
@@ -529,13 +519,12 @@ Status NetPsClient::FanoutCall(const std::vector<int>& shards, PsOp op,
     // already failed.
     shard_spans.clear();
   }
-  // Serial pass: whatever the pipelined phase did not finish — every shard
-  // in connect-per-op mode, a single target, or a shard whose exchange
-  // failed. Call() owns the retry budget, stale-redial, and error mapping,
-  // so fallback failure semantics are exactly the single-shard path's. A
-  // shard that answered with a remote error is re-asked once here; PS ops
-  // are idempotent under validation errors and a retried push is the same
-  // bounded loss class as any transport retry.
+  // Serial pass: whatever the pipelined phase did not finish — a single target,
+  // or a shard whose exchange failed. Call() owns the retry budget,
+  // stale-redial, and error mapping, so fallback failure semantics are exactly
+  // the single-shard path's. A shard that answered with a remote error is
+  // re-asked once here; PS ops are idempotent under validation errors and a
+  // retried push is the same bounded loss class as any transport retry.
   for (size_t i = 0; i < n; ++i) {
     if (done[i]) continue;
     MAMDR_ASSIGN_OR_RETURN((*ok_bodies)[i],

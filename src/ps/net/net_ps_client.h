@@ -15,9 +15,9 @@
 // instead of paying a round trip per frame. Ops that fan out across
 // shards (dense pull/push, row pull/push) pipeline the other way too:
 // every shard's request frame goes out before any response is read, so a
-// fan-out costs roughly one round trip instead of one per shard. Set
-// NetPsClientConfig::pool_connections=false to get the PR 8
-// connect-per-op behavior (kept as the bench comparison baseline).
+// fan-out costs roughly one round trip instead of one per shard. There is
+// no connect-per-op mode: on loopback, bench_ps measured pooling 1.6-3.3x
+// faster than a fresh dial per op, on every op.
 //
 // Robustness model (the point of this class):
 //
@@ -90,9 +90,6 @@ struct NetPsClientConfig {
   uint64_t retry_seed = 0;
   /// Upper bound on a single frame payload (request or response).
   size_t max_frame_bytes = size_t{64} << 20;
-  /// Keep one persistent connection per shard and pipeline multi-request
-  /// ops over it. false = PR 8 connect-per-op (the bench baseline).
-  bool pool_connections = true;
 };
 
 class NetPsClient : public PsClient {

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "serve/batched_scorer.h"
 
 namespace mamdr {
 namespace serve {
@@ -28,10 +27,9 @@ void ResolveDomainMetrics(int64_t domain, obs::Counter** topk,
   *pool = reg.gauge("serve.candidates" + label);
 }
 
-/// Deterministic sort + truncate shared by the per-request and batched
-/// paths. Total order: descending score, ties broken by ascending item id,
-/// so golden/bench runs are bit-stable across platforms and sort
-/// implementations.
+/// Deterministic sort of scored candidates. Total order: descending score,
+/// ties broken by ascending item id, so golden/bench runs are bit-stable
+/// across platforms and sort implementations.
 std::vector<RankedItem> SortRanked(const std::vector<int64_t>& items,
                                    const std::vector<float>& scores) {
   MAMDR_CHECK_EQ(scores.size(), items.size());
@@ -55,9 +53,7 @@ Recommender::Recommender(models::CtrModel* model, metrics::ScoreFn scorer)
       topk_latency_(obs::LatencyHistogram(&obs::Registry::Global(),
                                           "serve.topk.latency_micros")),
       rank_latency_(obs::LatencyHistogram(&obs::Registry::Global(),
-                                          "serve.rank.latency_micros")),
-      batch_latency_(obs::LatencyHistogram(
-          &obs::Registry::Global(), "serve.topk_batch.latency_micros")) {
+                                          "serve.rank.latency_micros")) {
   MAMDR_CHECK(model != nullptr);
   MutexLock lock(&setup_mu_);  // mamdr-lint: allow(hot-path-lock) ctor
   Publish(std::make_unique<const Snapshot>());
@@ -150,30 +146,6 @@ std::vector<RankedItem> Recommender::TopK(int64_t user, int64_t domain,
     ranked.resize(static_cast<size_t>(k));
   }
   return ranked;
-}
-
-std::vector<std::vector<RankedItem>> Recommender::TopKBatched(
-    const std::vector<TopKRequest>& requests) const {
-  obs::ScopedLatencyTimer timer(batch_latency_);
-  std::vector<BatchedScorer::Request> score_reqs(requests.size());
-  for (size_t r = 0; r < requests.size(); ++r) {
-    const DomainState& state = EnsureDomain(requests[r].domain);
-    state.topk_requests->Add();
-    score_reqs[r] = {requests[r].user, requests[r].domain,
-                     &state.candidates};
-  }
-  BatchedScorer scorer(model_, scorer_);
-  std::vector<std::vector<float>> scores = scorer.Score(score_reqs);
-
-  std::vector<std::vector<RankedItem>> out(requests.size());
-  for (size_t r = 0; r < requests.size(); ++r) {
-    if (scores[r].empty()) continue;  // empty candidate pool
-    out[r] = SortRanked(*score_reqs[r].items, scores[r]);
-    if (static_cast<int64_t>(out[r].size()) > requests[r].k) {
-      out[r].resize(static_cast<size_t>(requests[r].k));
-    }
-  }
-  return out;
 }
 
 TopKReport EvaluateTopK(const Recommender& rec,

@@ -33,7 +33,7 @@ struct RankedItem {
 ///
 /// The per-domain state (candidate pool + resolved metric pointers) lives
 /// in an immutable snapshot published through one atomic pointer.
-/// `TopK`/`Rank`/`TopKBatched` are safe to call from any number of threads
+/// `TopK`/`Rank` are safe to call from any number of threads
 /// concurrently and take NO lock in the steady state: a request is one
 /// acquire-load of the snapshot pointer, a hash lookup, relaxed atomic
 /// metric bumps, and the scoring pass. Writers (`SetCandidates`, plus the
@@ -80,23 +80,6 @@ class Recommender {
   std::vector<RankedItem> Rank(int64_t user, int64_t domain,
                                const std::vector<int64_t>& items) const;
 
-  /// One element of a TopKBatched micro-batch.
-  struct TopKRequest {
-    int64_t user = 0;
-    int64_t domain = 0;
-    int64_t k = 0;
-  };
-
-  /// Micro-batched TopK: answers every request with ONE scoring pass per
-  /// distinct domain in the batch (embedding gather → single blocked GEMM
-  /// → scatter scores) instead of one model call per request. Results are
-  /// bit-identical to calling TopK per request — model inference is
-  /// row-independent in eval mode — in the same order as `requests`.
-  /// Throughput knob for high-QPS serving; the per-request path remains
-  /// the reference implementation.
-  std::vector<std::vector<RankedItem>> TopKBatched(
-      const std::vector<TopKRequest>& requests) const;
-
  private:
   /// Immutable per-domain serving state. Metric pointers are resolved once
   /// per domain (registry-lifetime) and carried from snapshot to snapshot.
@@ -136,7 +119,6 @@ class Recommender {
 
   obs::Histogram* topk_latency_;  // registry-lifetime, cached at ctor
   obs::Histogram* rank_latency_;
-  obs::Histogram* batch_latency_;
 
   /// Writers serialize here; readers never touch it.
   mutable Mutex setup_mu_{MAMDR_LOCK_CLASS("serve.recommender.setup")};

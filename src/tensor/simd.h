@@ -60,9 +60,9 @@ const char* LevelName(Level level);
 /// The blocked-matmul panel kernel: C[r0:r1, :] += A' * B where element
 /// (i, kk) of A' sits at pa[i * sa_i + kk * sa_k] (sa_i=k, sa_k=1 for the
 /// plain product; sa_i=1, sa_k=m for the transposed-A product). B is row
-/// major [k, n], C row major [m, n]. Row range [r0, r1) lets ParallelFor
-/// callers hand each worker disjoint output rows. Dispatches to AVX2 when
-/// active; both bodies produce bit-identical C (see file comment).
+/// major [k, n], C row major [m, n]; only rows [r0, r1) of C are written.
+/// Dispatches to AVX2 when active; both bodies produce bit-identical C (see
+/// file comment).
 void MatMulPanel(const float* pa, int64_t sa_i, int64_t sa_k,
                  const float* pb, float* pc, int64_t k, int64_t n,
                  int64_t r0, int64_t r1);

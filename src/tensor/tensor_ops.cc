@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/parallel_for.h"
 #include "tensor/simd.h"
 
 // Per-kernel spans and duration histograms, compiled in only with
@@ -56,17 +55,6 @@ namespace {
 void CheckSameShape(const Tensor& a, const Tensor& b) {
   MAMDR_CHECK(a.shape() == b.shape())
       << ShapeToString(a.shape()) << " vs " << ShapeToString(b.shape());
-}
-
-// Minimum elements per chunk for parallel elementwise kernels; below this
-// the fork/join overhead outweighs the loop.
-constexpr int64_t kElemGrain = 1 << 15;
-
-// Row grain for the matmul kernels: aim for >= ~64K multiply-adds per
-// chunk so tiny matrices stay serial.
-int64_t RowGrain(int64_t work_per_row) {
-  if (work_per_row <= 0) return 1;
-  return std::max<int64_t>(1, (1 << 16) / work_per_row);
 }
 
 // Register-tiled core shared by MatMul and MatMulTransA: accumulates
@@ -133,9 +121,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  ParallelFor(0, m, RowGrain(k * n), [=](int64_t r0, int64_t r1) {
-    MatMulCore(pa, /*sa_i=*/k, /*sa_k=*/1, pb, pc, k, n, r0, r1);
-  });
+  MatMulCore(pa, /*sa_i=*/k, /*sa_k=*/1, pb, pc, k, n, 0, m);
   return c;
 }
 
@@ -173,9 +159,7 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  ParallelFor(0, m, RowGrain(k * n), [=](int64_t r0, int64_t r1) {
-    MatMulCore(pa, /*sa_i=*/1, /*sa_k=*/m, pb, pc, k, n, r0, r1);
-  });
+  MatMulCore(pa, /*sa_i=*/1, /*sa_k=*/m, pb, pc, k, n, 0, m);
   return c;
 }
 
@@ -195,17 +179,13 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
     const float* pa = a.data();
     const float* pb = bt.data();
     float* pc = c.data();
-    ParallelFor(0, m, RowGrain(k * n), [=](int64_t r0, int64_t r1) {
-      MatMulCore(pa, /*sa_i=*/k, /*sa_k=*/1, pb, pc, k, n, r0, r1);
-    });
+    MatMulCore(pa, /*sa_i=*/k, /*sa_k=*/1, pb, pc, k, n, 0, m);
     return c;
   }
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  ParallelFor(0, m, RowGrain(k * n), [=](int64_t r0, int64_t r1) {
-    MatMulTransBRange(pa, pb, pc, k, n, r0, r1);
-  });
+  MatMulTransBRange(pa, pb, pc, k, n, 0, m);
   return c;
 }
 
@@ -237,9 +217,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  ParallelFor(0, a.size(), kElemGrain, [=](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) po[i] = pa[i] + pb[i];
-  });
+  for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] + pb[i];
   return out;
 }
 
@@ -249,9 +227,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  ParallelFor(0, a.size(), kElemGrain, [=](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) po[i] = pa[i] - pb[i];
-  });
+  for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] - pb[i];
   return out;
 }
 
@@ -261,9 +237,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  ParallelFor(0, a.size(), kElemGrain, [=](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) po[i] = pa[i] * pb[i];
-  });
+  for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] * pb[i];
   return out;
 }
 
@@ -273,9 +247,7 @@ Tensor Axpy(const Tensor& a, const Tensor& b, float alpha) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  ParallelFor(0, a.size(), kElemGrain, [=](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) po[i] = pa[i] + alpha * pb[i];
-  });
+  for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] + alpha * pb[i];
   return out;
 }
 
@@ -283,25 +255,19 @@ void AxpyInPlace(Tensor* y, const Tensor& x, float alpha) {
   CheckSameShape(*y, x);
   float* py = y->data();
   const float* px = x.data();
-  ParallelFor(0, y->size(), kElemGrain, [=](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) py[i] += alpha * px[i];
-  });
+  for (int64_t i = 0, n = y->size(); i < n; ++i) py[i] += alpha * px[i];
 }
 
 void ScaleInPlace(Tensor* y, float alpha) {
   float* py = y->data();
-  ParallelFor(0, y->size(), kElemGrain, [=](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) py[i] *= alpha;
-  });
+  for (int64_t i = 0, n = y->size(); i < n; ++i) py[i] *= alpha;
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
   Tensor out(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  ParallelFor(0, a.size(), kElemGrain, [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) po[i] = pa[i] + s;
-  });
+  for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] + s;
   return out;
 }
 
@@ -309,9 +275,7 @@ Tensor MulScalar(const Tensor& a, float s) {
   Tensor out(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  ParallelFor(0, a.size(), kElemGrain, [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) po[i] = pa[i] * s;
-  });
+  for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] * s;
   return out;
 }
 
@@ -323,13 +287,11 @@ Tensor AddRowVector(const Tensor& a, const Tensor& row) {
   const float* pa = a.data();
   const float* pr = row.data();
   float* po = out.data();
-  ParallelFor(0, m, RowGrain(n), [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* arow = pa + i * n;
-      float* orow = po + i * n;
-      for (int64_t j = 0; j < n; ++j) orow[j] = arow[j] + pr[j];
-    }
-  });
+  for (int64_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * n;
+    float* orow = po + i * n;
+    for (int64_t j = 0; j < n; ++j) orow[j] = arow[j] + pr[j];
+  }
   return out;
 }
 
@@ -341,21 +303,18 @@ Tensor MulColVector(const Tensor& a, const Tensor& col) {
   const float* pa = a.data();
   const float* pc = col.data();
   float* po = out.data();
-  ParallelFor(0, m, RowGrain(n), [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* arow = pa + i * n;
-      float* orow = po + i * n;
-      const float cv = pc[i];
-      for (int64_t j = 0; j < n; ++j) orow[j] = arow[j] * cv;
-    }
-  });
+  for (int64_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * n;
+    float* orow = po + i * n;
+    const float cv = pc[i];
+    for (int64_t j = 0; j < n; ++j) orow[j] = arow[j] * cv;
+  }
   return out;
 }
 
-// Reductions stay serial: their summation order is part of the numerical
-// contract (bit-identical results at any thread count), and they are
-// memory-bound anyway. Raw-pointer loops let the compiler vectorize the
-// independent per-column accumulations.
+// Reductions: the summation order is part of the numerical contract
+// (bit-identical results at any thread count). Raw-pointer loops let the
+// compiler vectorize the independent per-column accumulations.
 Tensor SumRows(const Tensor& a) {
   MAMDR_CHECK_EQ(a.rank(), 2);
   const int64_t m = a.rows(), n = a.cols();

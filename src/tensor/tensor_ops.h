@@ -9,10 +9,9 @@ namespace mamdr {
 namespace ops {
 
 /// C = A * B for 2-D matrices ([m,k] x [k,n] -> [m,n]). Cache-blocked and
-/// row-parallel over the kernel pool (see common/parallel_for.h); each
-/// worker owns disjoint output rows and accumulates k-terms in the same
-/// ascending order as the serial kernel, so results are bit-identical for
-/// any thread count.
+/// serial (parallelism lives in independent units such as evaluation
+/// domains, never inside a kernel); every output accumulates its k-terms
+/// in the same ascending order as MatMulNaive.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
 /// The original single-threaded unblocked MatMul (the growth seed's

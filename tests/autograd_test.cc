@@ -1,5 +1,6 @@
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -90,6 +91,10 @@ struct OpCase {
   Shape a_shape{2, 3};
   Shape b_shape{2, 3};
 };
+
+// Without a printer gtest lists the raw bytes of the case, including heap
+// pointers, so the discovered test names would change from run to run.
+void PrintTo(const OpCase& oc, std::ostream* os) { *os << oc.name; }
 
 class OpGradTest : public ::testing::TestWithParam<OpCase> {};
 

@@ -1,3 +1,4 @@
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -152,6 +153,10 @@ struct NamedConfigCase {
   SyntheticConfig config;
   int64_t expected_domains;
 };
+
+// Prints the label instead of the raw bytes (heap pointers included), so the
+// discovered test names stay the same from run to run.
+void PrintTo(const NamedConfigCase& c, std::ostream* os) { *os << c.label; }
 
 class NamedConfigTest : public ::testing::TestWithParam<NamedConfigCase> {};
 

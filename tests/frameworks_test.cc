@@ -98,6 +98,42 @@ TEST(FrameworkRegistryTest, UnknownNameFails) {
   EXPECT_EQ(fw.status().code(), StatusCode::kNotFound);
 }
 
+TEST(TrainConfigTest, DefaultsAndFastConfigValidate) {
+  EXPECT_TRUE(TrainConfig().Validate().ok());
+  EXPECT_TRUE(FastConfig().Validate().ok());
+  for (const char* opt : {"adam", "sgd", "adagrad"}) {
+    TrainConfig tc;
+    tc.inner_optimizer = opt;
+    EXPECT_TRUE(tc.Validate().ok()) << opt;
+  }
+}
+
+TEST(TrainConfigTest, ValidateRejectsValuesFrameworksAbortOn) {
+  for (int64_t epochs : {int64_t{0}, int64_t{-1}}) {
+    TrainConfig tc;
+    tc.epochs = epochs;
+    const Status s = tc.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << epochs;
+    EXPECT_NE(s.message().find("epochs"), std::string::npos) << s.message();
+  }
+  for (int64_t batch : {int64_t{0}, int64_t{-5}}) {
+    TrainConfig tc;
+    tc.batch_size = batch;
+    const Status s = tc.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << batch;
+    EXPECT_NE(s.message().find("batch_size"), std::string::npos)
+        << s.message();
+  }
+  for (const char* opt : {"bogus", "", "Adam"}) {
+    TrainConfig tc;
+    tc.inner_optimizer = opt;
+    const Status s = tc.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << opt;
+    EXPECT_NE(s.message().find("inner optimizer"), std::string::npos)
+        << s.message();
+  }
+}
+
 TEST(FrameworkRegistryTest, ListsThirteenFrameworks) {
   EXPECT_EQ(KnownFrameworks().size(), 13u);
 }

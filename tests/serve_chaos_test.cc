@@ -6,7 +6,7 @@
 // snapshot, in-flight requests finish against the snapshot they started
 // with, and subsequent requests see either the old or the new pool,
 // never a mix. These tests drive exactly that carve-out: serving threads
-// hammer TopK/TopKBatched/Rank across domains while a mutator thread
+// hammer TopK/Rank across domains while a mutator thread
 // republishes candidate pools the whole time. Assertions are structural
 // (every response is well-formed and drawn from one of the published
 // pools) because under concurrent mutation there is no single expected
@@ -104,9 +104,9 @@ TEST_F(ServeChaosTest, ConcurrentTopKUnderLiveSetCandidates) {
         const int64_t k = 1 + g % 6;
         std::vector<std::vector<RankedItem>> responses;
         if (g % 4 == 0) {
-          responses = rec.TopKBatched({{user, domain, k},
-                                       {user + 1, (domain + 1) % domains, k},
-                                       {user, domain, k + 1}});
+          responses.push_back(rec.TopK(user, domain, k));
+          responses.push_back(rec.TopK(user + 1, (domain + 1) % domains, k));
+          responses.push_back(rec.TopK(user, domain, k + 1));
         } else if (g % 4 == 1) {
           responses.push_back(rec.Rank(user, domain, PoolForGeneration(
               g % kGenerations)));
@@ -114,11 +114,11 @@ TEST_F(ServeChaosTest, ConcurrentTopKUnderLiveSetCandidates) {
           responses.push_back(rec.TopK(user, domain, k));
         }
         for (const auto& resp : responses) {
-          for (size_t i = 0; i < resp.size(); ++i) {
-            if (i > 0 && resp[i - 1].score < resp[i].score) {
+          for (size_t r = 0; r < resp.size(); ++r) {
+            if (r > 0 && resp[r - 1].score < resp[r].score) {
               errors[t] = "scores not sorted descending";
             }
-            if (valid.count(resp[i].item) == 0) {
+            if (valid.count(resp[r].item) == 0) {
               errors[t] = "item outside every published pool";
             }
           }

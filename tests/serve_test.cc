@@ -168,15 +168,7 @@ TEST_F(ServeTest, EvaluateTopKBoundsAndCases) {
   EXPECT_LE(report.ndcg, report.hit_rate + 1e-12);  // ndcg discounts hits
 }
 
-// --- Micro-batched TopK: bitwise equivalence with the per-request path ---
-//
-// TopKBatched coalesces requests into one forward pass per domain group;
-// the contract is that every (item, score) pair — score BITS included —
-// matches what per-request TopK returns. These tests sweep the shapes
-// where a batching bug would hide: odd batch sizes, repeated
-// (user, domain) pairs, domains with no candidates, k larger than the
-// pool, and an empty request list.
-
+// Every (item, score) pair must match — score BITS included.
 void ExpectSameRanking(const std::vector<RankedItem>& a,
                        const std::vector<RankedItem>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -186,70 +178,11 @@ void ExpectSameRanking(const std::vector<RankedItem>& a,
   }
 }
 
-TEST_F(ServeTest, TopKBatchedMatchesPerRequestBitwise) {
-  Recommender rec(model_.get());
-  rec.SetCandidates(0, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13});
-  rec.SetCandidates(1, {20, 21, 22});
-
-  // Odd batch sizes, interleaved domains, repeated requests.
-  for (const int64_t batch : {int64_t{1}, int64_t{3}, int64_t{7},
-                              int64_t{13}}) {
-    std::vector<Recommender::TopKRequest> reqs;
-    for (int64_t i = 0; i < batch; ++i) {
-      reqs.push_back({/*user=*/i % 5, /*domain=*/i % 2, /*k=*/4});
-    }
-    const auto got = rec.TopKBatched(reqs);
-    ASSERT_EQ(got.size(), reqs.size());
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      ExpectSameRanking(
-          got[i], rec.TopK(reqs[i].user, reqs[i].domain, reqs[i].k));
-    }
-  }
-}
-
-TEST_F(ServeTest, TopKBatchedEdgeCases) {
-  Recommender rec(model_.get());
-  rec.SetCandidates(0, {4, 9, 2});
-
-  // Empty request list.
-  EXPECT_TRUE(rec.TopKBatched({}).empty());
-
-  // k > pool size clamps; unknown domain yields an empty ranking in the
-  // right slot; both behaviors identical to the per-request path.
-  std::vector<Recommender::TopKRequest> reqs = {
-      {/*user=*/1, /*domain=*/0, /*k=*/50},
-      {/*user=*/2, /*domain=*/7, /*k=*/5},  // domain never registered
-      {/*user=*/1, /*domain=*/0, /*k=*/1},
-  };
-  const auto got = rec.TopKBatched(reqs);
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].size(), 3u);
-  EXPECT_TRUE(got[1].empty());
-  EXPECT_EQ(got[2].size(), 1u);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    ExpectSameRanking(
-        got[i], rec.TopK(reqs[i].user, reqs[i].domain, reqs[i].k));
-  }
-}
-
-TEST_F(ServeTest, TopKBatchedHonorsScorerOverride) {
-  metrics::ScoreFn inverted = [this](const data::Batch& b, int64_t d) {
-    auto s = model_->Score(b, d);
-    for (auto& v : s) v = 1.0f - v;
-    return s;
-  };
-  Recommender rec(model_.get(), inverted);
-  rec.SetCandidates(0, {1, 2, 3, 4, 5, 6});
-  const auto got = rec.TopKBatched({{/*user=*/2, /*domain=*/0, /*k=*/6}});
-  ASSERT_EQ(got.size(), 1u);
-  ExpectSameRanking(got[0], rec.TopK(2, 0, 6));
-}
-
 // --- Determinism under concurrent serving threads ---
 //
 // The serving contract says results are a pure function of (user, domain,
 // candidates, weights): N threads hammering one Recommender must produce
-// exactly the bits a serial run produces, for both request paths.
+// exactly the bits a serial run produces.
 
 TEST_F(ServeTest, ConcurrentTopKMatchesSerialBitwise) {
   Recommender rec(model_.get());
@@ -273,12 +206,7 @@ TEST_F(ServeTest, ConcurrentTopKMatchesSerialBitwise) {
     for (int64_t t = 0; t < threads; ++t) {
       pool.emplace_back([&, t] {
         for (int64_t g = t; g < kRequests; g += threads) {
-          if (g % 3 == 0) {  // mix both request paths under concurrency
-            got[g] = rec.TopKBatched(
-                {{user_of(g), domain_of(g), 5}})[0];
-          } else {
-            got[g] = rec.TopK(user_of(g), domain_of(g), 5);
-          }
+          got[g] = rec.TopK(user_of(g), domain_of(g), 5);
         }
       });
     }

@@ -9,8 +9,8 @@ the offending line):
                   raw ``data()`` pointers (the public kernel entry points
                   validate shapes once).
   kernel-double   a ``double`` variable/parameter declaration in src/tensor.
-                  Kernels accumulate in float32 so blocked/parallel paths
-                  stay bit-identical to the serial contract; widening an
+                  Kernels accumulate in float32 so the blocked paths stay
+                  bit-identical to the naive reference; widening an
                   accumulator silently changes results across code paths.
                   Intentional high-precision serial reductions carry the
                   allow comment.
@@ -74,6 +74,14 @@ the offending line):
                   ps/net fault proxy a faithful model of all real traffic.
                   A deliberate raw client (e.g. a test probing pre-frame
                   behavior) carries the allow comment.
+  kernel-parallel ``ParallelFor(`` or ``#include "common/parallel_for.h"``
+                  in src/tensor, src/autograd, src/nn or src/optim. Kernels
+                  and the layers built on them are serial by decision:
+                  bench_kernels and perfbench measured the intra-op split
+                  slower than one thread at this repo's shapes, with
+                  identical bits. Parallelism belongs to independent units
+                  (evaluation domains, DR targets, serving requests, PS
+                  workers). Absolute: no allow comment is honored.
   header-guard    headers must use the canonical include guard
                   ``MAMDR_<PATH>_H_`` (path relative to the repo root with a
                   leading ``src/`` dropped), not ``#pragma once``.
@@ -148,6 +156,10 @@ RAW_SOCKET_RE = re.compile(
     r"|recvmsg|sendmsg|setsockopt|shutdown)\s*\(")
 RAW_SOCKET_EXEMPT = ("src/common/net.cc",)
 MUTEX_LOCK_RE = re.compile(r"\bMutexLock\b")
+# Intra-op parallelism in the numeric layers; see kernel-parallel above.
+KERNEL_PARALLEL_RE = re.compile(
+    r"\bParallelFor\s*\(|^\s*#\s*include\s*\"common/parallel_for\.h\"")
+KERNEL_PARALLEL_DIRS = ("src/tensor", "src/autograd", "src/nn", "src/optim")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)")
 DEFINE_RE = re.compile(r"^\s*#\s*define\s+(\w+)")
@@ -258,6 +270,7 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
     clock_blessed_file = _in_dir(rel_path, "src/obs", "src/common")
     clock_comment_ok = rel_path in RAW_CLOCK_COMMENT_ALLOWED
     net_clock_file = _in_dir(rel_path, "src/ps/net")
+    serial_kernel_file = _in_dir(rel_path, *KERNEL_PARALLEL_DIRS)
     mutex_wrapper_file = rel_path in NATIVE_MUTEX_EXEMPT
     socket_wrapper_file = rel_path in RAW_SOCKET_EXEMPT
     hot_path_file = HOT_PATH_MARKER_RE.search(text) is not None
@@ -306,6 +319,14 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
                             "timing must flow through obs::MonotonicMicros() "
                             "so merged traces share one timeline (no allow "
                             "comment honored)"))
+        if serial_kernel_file:
+            # Deliberately ignores `allowed`: this rule has no escape hatch.
+            if KERNEL_PARALLEL_RE.search(line):
+                findings.append(
+                    Finding(rel_path, i, "kernel-parallel",
+                            "kernels are serial; parallelize independent "
+                            "units (domains, targets, requests) instead of "
+                            "splitting one op (no allow comment honored)"))
         if not mutex_wrapper_file and "native-mutex" not in allowed:
             if NATIVE_MUTEX_RE.search(line):
                 findings.append(

@@ -220,14 +220,52 @@ class NetRawClockRule(unittest.TestCase):
         self.assertEqual(rules(findings), [])
 
 
+class KernelParallelRule(unittest.TestCase):
+    def test_flags_parallel_for_in_every_numeric_layer(self):
+        for path in ("src/tensor/tensor_ops.cc", "src/autograd/ops.cc",
+                     "src/nn/layers.cc", "src/optim/optimizers.cc"):
+            findings = mamdr_lint.lint_text(
+                path, "  ParallelFor(0, m, 1, [&](int64_t s, int64_t e) {\n")
+            self.assertEqual(rules(findings), ["kernel-parallel"], path)
+
+    def test_flags_the_include(self):
+        findings = mamdr_lint.lint_text(
+            "src/tensor/tensor_ops.cc", '#include "common/parallel_for.h"\n')
+        self.assertEqual(rules(findings), ["kernel-parallel"])
+
+    def test_allow_comment_is_not_honored(self):
+        findings = mamdr_lint.lint_text(
+            "src/nn/layers.cc",
+            "  ParallelFor(0, n, 1, fn);"
+            "  // mamdr-lint: allow(kernel-parallel)\n")
+        self.assertEqual(rules(findings), ["kernel-parallel"])
+
+    def test_evaluator_and_common_are_not_covered(self):
+        # The pool's remaining users fan out independent units.
+        for path in ("src/metrics/evaluator.cc", "src/common/flags.cc"):
+            findings = mamdr_lint.lint_text(
+                path,
+                '#include "common/parallel_for.h"\n'
+                "  ParallelFor(0, d, 1, fn);\n")
+            self.assertEqual(rules(findings), [], path)
+
+    def test_comment_mention_and_other_names_are_fine(self):
+        findings = mamdr_lint.lint_text(
+            "src/tensor/tensor_ops.cc",
+            "// no ParallelFor( here: kernels are serial\n"
+            "  detail::ParallelForImpl(0, n, 1, fn);\n"
+            "  MyParallelFor(0, n);\n")
+        self.assertEqual(rules(findings), [])
+
+
 class NativeMutexRule(unittest.TestCase):
     def test_flags_std_mutex_member(self):
         findings = mamdr_lint.lint_text(
-            "src/serve/batched_scorer.h",
-            "#ifndef MAMDR_SERVE_BATCHED_SCORER_H_\n"
-            "#define MAMDR_SERVE_BATCHED_SCORER_H_\n"
+            "src/serve/recommender.h",
+            "#ifndef MAMDR_SERVE_RECOMMENDER_H_\n"
+            "#define MAMDR_SERVE_RECOMMENDER_H_\n"
             "  std::mutex mu_;\n"
-            "#endif  // MAMDR_SERVE_BATCHED_SCORER_H_\n")
+            "#endif  // MAMDR_SERVE_RECOMMENDER_H_\n")
         self.assertEqual(rules(findings), ["native-mutex"])
         self.assertEqual(findings[0].line, 3)
 

@@ -49,8 +49,8 @@ void PrintUsage(const char* prog) {
       "  --seed N           model/training seed (default 7)\n"
       "  --patience N       stop when val AUC stalls for N epochs "
       "(0 = off)\n"
-      "  --kernel-threads N kernel pool size (0 = hardware_concurrency, "
-      "1 = serial)\n"
+      "  --kernel-threads N evaluation fan-out pool size, one domain per "
+      "task (0 = hardware_concurrency, 1 = serial)\n"
       "  --metrics-out PATH write deterministic metrics/telemetry JSON "
       "(schema mamdr.metrics.v1) at exit\n"
       "  --metrics-port N   serve live /metrics (Prometheus text) and "
@@ -155,6 +155,10 @@ int main(int argc, char** argv) {
   tc.dr_sample_k = flags.GetInt("k", 5);
   tc.inner_optimizer = flags.GetString("inner-opt", "adam");
   tc.seed = mc.seed + 1;
+  if (Status s = tc.Validate(); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 2;
+  }
   const int64_t patience = flags.GetInt("patience", 0);
 
   const std::string model_name = flags.GetString("model", "MLP");
