@@ -196,26 +196,33 @@ Status Listener::Bind(int port) {
   return Status::OK();
 }
 
-Result<int> Listener::PollAccept(int timeout_ms) {
+Result<int> Listener::Poll(int timeout_ms, const std::vector<int>& sessions,
+                           std::vector<int>* ready) {
   if (!fd_.valid()) {
     return Status::FailedPrecondition("net::Listener: not bound");
   }
-  pollfd pfds[2];
+  std::vector<pollfd> pfds(2 + sessions.size());
   pfds[0].fd = fd_.get();
-  pfds[0].events = POLLIN;
-  pfds[0].revents = 0;
   pfds[1].fd = wake_rd_.get();
-  pfds[1].events = POLLIN;
-  pfds[1].revents = 0;
-  const int rc = ::poll(pfds, 2, timeout_ms);
+  for (size_t i = 0; i < sessions.size(); ++i) pfds[2 + i].fd = sessions[i];
+  for (pollfd& p : pfds) {
+    p.events = POLLIN;
+    p.revents = 0;
+  }
+  const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
   if (rc < 0 && errno != EINTR) {
     return Status::Internal(std::string("poll(): ") + std::strerror(errno));
   }
   if (rc <= 0) return -1;  // timeout (or EINTR): caller re-polls
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    // POLLHUP/POLLERR count too: the reader of a hung-up session sees the
+    // EOF or error and ends it.
+    if (pfds[2 + i].revents != 0) ready->push_back(sessions[i]);
+  }
   if ((pfds[1].revents & POLLIN) != 0) {
     // Wake(): drain whatever tokens have accumulated and yield to the
     // caller's stop check. A connection that raced in alongside the wake
-    // is picked up by the next PollAccept (or dropped at Close, which a
+    // is picked up by the next Poll (or dropped at Close, which a
     // stopping server wants anyway).
     char buf[64];
     while (::read(wake_rd_.get(), buf, sizeof(buf)) > 0) {

@@ -85,7 +85,7 @@ void ShardGroup::Stop() {
     }
   }
   for (int i = 0; i < config_.num_shards; ++i) directory_.SetPort(i, 0);
-  // Joining accept threads happens outside the group lock.
+  // Joining shard threads happens outside the group lock.
   for (auto& shard : stopping) shard->Stop();
 }
 
@@ -126,7 +126,7 @@ Status ShardGroup::KillShard(int shard) {
                                       " is already down");
   }
   // Unpublish first so clients stop routing here, then stop (joins the
-  // accept thread) and drop the in-memory state.
+  // shard's threads) and drop the in-memory state.
   directory_.SetPort(shard, 0);
   victim->Stop();
   return Status::OK();

@@ -15,7 +15,7 @@
 // Threading: the group is driven by one controller at a time (the
 // orchestrator between epochs, or the chaos hook on the serialized worker
 // thread); a small mutex serializes overlapping administrative calls, and
-// blocking work (joining a shard's accept thread, checkpoint file I/O)
+// blocking work (joining a shard's threads, checkpoint file I/O)
 // happens outside it.
 #ifndef MAMDR_PS_NET_SHARD_GROUP_H_
 #define MAMDR_PS_NET_SHARD_GROUP_H_
@@ -44,9 +44,11 @@ struct ShardGroupConfig {
   /// disables checkpointing — a respawned shard then restarts from the
   /// initial parameter values.
   std::string checkpoint_dir;
-  /// Per-connection kernel read deadline on every shard (<= 0 disables).
+  /// Kernel I/O deadline on every shard's sessions. It bounds only a peer
+  /// that stalls mid-frame; idle sessions are never cut (<= 0 disables).
   int64_t read_deadline_us = 2'000'000;
-  /// Connections served in parallel per shard.
+  /// Worker threads per shard: how many ready frames a shard handles at
+  /// once. It does not cap how many clients can be connected.
   int num_workers = 4;
   size_t max_frame_bytes = size_t{64} << 20;
   /// Directory for per-shard Chrome-trace files ("shard-<i>.trace.json");

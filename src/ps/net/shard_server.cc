@@ -1,5 +1,6 @@
 #include "ps/net/shard_server.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "checkpoint/checkpoint.h"
@@ -170,41 +171,45 @@ Status ShardServer::Start(int port) {
   up_gauge_->Set(1.0);
   const int num_workers = config_.num_workers > 0 ? config_.num_workers : 1;
   {
-    MutexLock lock(&queue_mu_);
+    MutexLock lock(&sessions_mu_);
     workers_stop_ = false;
-    queue_.clear();
-    active_fds_.assign(static_cast<size_t>(num_workers), -1);
   }
   workers_.reserve(static_cast<size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  poll_thread_ = std::thread([this] { PollLoop(); });
   return Status::OK();
 }
 
 void ShardServer::Stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   stopping_.store(true, std::memory_order_release);
-  // Event-driven shutdown: the self-pipe pops the accept thread out of its
-  // indefinite PollAccept immediately — no poll period, no accept timeout.
+  // Event-driven shutdown: the self-pipe pops the poller out of its
+  // indefinite Poll immediately — no poll period, no accept timeout.
   listener_.Wake();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (poll_thread_.joinable()) poll_thread_.join();
   {
-    MutexLock lock(&queue_mu_);
+    MutexLock lock(&sessions_mu_);
     workers_stop_ = true;
-    // Cut every in-flight session so a worker blocked in recv/send returns
-    // now instead of waiting out a read deadline; queued-but-unserved
-    // connections are dropped (their clients see a torn connection and
-    // retry against the respawned shard).
-    for (const int fd : active_fds_) cnet::ShutdownFd(fd);
-    queue_.clear();
-    queue_cv_.NotifyAll();
+    // Cut every open session, idle or busy, so a worker blocked mid-frame
+    // returns now instead of waiting out a read deadline; the clients see
+    // a torn connection and retry against the respawned shard.
+    for (const auto& [fd, owned] : sessions_) cnet::ShutdownFd(fd);
+    ready_.clear();
+    ready_cv_.NotifyAll();
   }
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
   workers_.clear();
+  {
+    MutexLock lock(&sessions_mu_);
+    sessions_.clear();
+    returned_.clear();
+    active_sessions_gauge_->Set(0.0);
+    queue_depth_gauge_->Set(0.0);
+  }
   listener_.Close();
   port_ = 0;
   running_.store(false, std::memory_order_release);
@@ -224,9 +229,13 @@ void ShardServer::Stop() {
   up_gauge_->Set(0.0);
 }
 
-void ShardServer::AcceptLoop() {
+void ShardServer::PollLoop() {
+  std::vector<int> idle;  // the poll set; only this thread touches it
+  std::vector<int> ready;
   for (;;) {
-    const Result<int> accepted = listener_.PollAccept(/*timeout_ms=*/-1);
+    ready.clear();
+    const Result<int> accepted =
+        listener_.Poll(/*timeout_ms=*/-1, idle, &ready);
     if (stopping_.load(std::memory_order_acquire)) {
       if (accepted.ok() && accepted.value() >= 0) {
         cnet::ScopedFd drop(accepted.value());
@@ -234,65 +243,77 @@ void ShardServer::AcceptLoop() {
       return;
     }
     if (!accepted.ok()) return;  // listener broken; Stop() still joins
-    if (accepted.value() < 0) continue;
     cnet::ScopedFd fd(accepted.value());
     // Arm the kernel read deadline before any worker touches the fd: a
     // peer that stalls mid-frame costs one worker at most the deadline.
-    if (config_.read_deadline_us > 0) {
+    if (fd.valid() && config_.read_deadline_us > 0) {
       (void)cnet::SetIoTimeout(fd.get(), config_.read_deadline_us);
     }
-    MutexLock lock(&queue_mu_);
-    queue_.push_back({std::move(fd), obs::MonotonicMicros()});
-    queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-    queue_cv_.NotifyOne();
+    for (const int r : ready) {
+      idle.erase(std::find(idle.begin(), idle.end(), r));
+    }
+    const int64_t now_us = obs::MonotonicMicros();
+    MutexLock lock(&sessions_mu_);
+    idle.insert(idle.end(), returned_.begin(), returned_.end());
+    returned_.clear();
+    for (const int r : ready) {
+      ready_.push_back({r, now_us});
+      ready_cv_.NotifyOne();
+    }
+    queue_depth_gauge_->Set(static_cast<double>(ready_.size()));
+    if (fd.valid()) {
+      idle.push_back(fd.get());
+      sessions_.emplace(fd.get(), std::move(fd));
+      sessions_counter_->Add();
+      active_sessions_gauge_->Set(static_cast<double>(sessions_.size()));
+    }
   }
 }
 
-void ShardServer::WorkerLoop(int slot) {
+void ShardServer::WorkerLoop() {
   for (;;) {
-    cnet::ScopedFd fd;
-    int64_t enqueue_us = 0;
+    ReadySession session;
     {
-      MutexLock lock(&queue_mu_);
-      while (queue_.empty() && !workers_stop_) queue_cv_.Wait(&queue_mu_);
+      MutexLock lock(&sessions_mu_);
+      while (ready_.empty() && !workers_stop_) ready_cv_.Wait(&sessions_mu_);
       if (workers_stop_) return;
-      fd = std::move(queue_.front().fd);
-      enqueue_us = queue_.front().enqueue_us;
-      queue_.pop_front();
-      queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-      active_fds_[static_cast<size_t>(slot)] = fd.get();
+      session = ready_.front();
+      ready_.pop_front();
+      queue_depth_gauge_->Set(static_cast<double>(ready_.size()));
     }
     const int64_t pickup_us = obs::MonotonicMicros();
-    queue_wait_us_->Observe(static_cast<double>(pickup_us - enqueue_us));
+    queue_wait_us_->Observe(static_cast<double>(pickup_us - session.ready_us));
     if (recorder_.enabled()) {
-      // The queue wait predates any request frame, so it carries no trace
+      // The wait predates reading the request frame, so it carries no trace
       // context — it renders as a free-standing span on the shard's row.
       obs::TraceEvent e;
       e.name = "ps.shard.queue_wait";
       e.category = "ps.shard";
-      e.ts_us = enqueue_us;
-      e.dur_us = pickup_us - enqueue_us;
+      e.ts_us = session.ready_us;
+      e.dur_us = pickup_us - session.ready_us;
       recorder_.Record(std::move(e));
     }
-    ServeSession(fd.get());
-    busy_us_.fetch_add(obs::MonotonicMicros() - pickup_us,
-                       std::memory_order_relaxed);
-    UpdateUtilization(obs::MonotonicMicros());
+    const bool idle = ServeReadyFrames(session.fd);
+    const int64_t done_us = obs::MonotonicMicros();
+    busy_us_.fetch_add(done_us - pickup_us, std::memory_order_relaxed);
+    UpdateUtilization(done_us);
     {
-      // Deregister and close under the queue lock, so Stop() can never cut
-      // a recycled fd number (see the header comment on queue_mu_).
-      MutexLock lock(&queue_mu_);
-      active_fds_[static_cast<size_t>(slot)] = -1;
-      fd.reset();
+      MutexLock lock(&sessions_mu_);
+      if (idle) {
+        returned_.push_back(session.fd);
+      } else {
+        // Close under the lock, so Stop() can never cut a recycled fd
+        // number (see the header comment on sessions_mu_).
+        sessions_.erase(session.fd);
+        active_sessions_gauge_->Set(static_cast<double>(sessions_.size()));
+      }
     }
+    if (idle) listener_.Wake();
   }
 }
 
-void ShardServer::ServeSession(int fd) {
-  sessions_counter_->Add();
-  active_sessions_gauge_->Set(static_cast<double>(
-      active_sessions_.fetch_add(1, std::memory_order_relaxed) + 1));
-  for (;;) {
+bool ShardServer::ServeReadyFrames(int fd) {
+  do {
     bool clean_close = false;
     Result<std::string> request =
         cnet::ReadFrame(fd, config_.max_frame_bytes, &clean_close);
@@ -309,15 +330,17 @@ void ShardServer::ServeSession(int fd) {
         MutexLock lock(&mu_);
         ++stats_.bad_requests;
       }
-      break;
+      return false;
     }
     bytes_in_counter_->Add(request.value().size());
     const std::string response = HandleRequest(request.value());
     bytes_out_counter_->Add(response.size());
-    if (!cnet::WriteFrame(fd, response).ok()) break;
-  }
-  active_sessions_gauge_->Set(static_cast<double>(
-      active_sessions_.fetch_sub(1, std::memory_order_relaxed) - 1));
+    if (!cnet::WriteFrame(fd, response).ok()) return false;
+    // Keep serving while bytes (a pipelined frame, or the peer's EOF) are
+    // already pending; otherwise the session goes back to the poller. The
+    // probe never blocks, so no worker ever waits on an idle fd.
+  } while (!cnet::ProbeConnAlive(fd));
+  return true;
 }
 
 std::string ShardServer::HandleRequest(const std::string& request) {

@@ -85,15 +85,6 @@ class NetHarness {
     pnet::ShardGroupConfig gc;
     gc.num_shards = kShards;
     gc.checkpoint_dir = tmp_.str();
-    // No kernel read deadline: pooled client connections idle between ops
-    // to a shard, and an idle timeout would turn machine-load timing into
-    // session churn — each extra redial consumes a proxy refuse draw and
-    // shifts the whole seeded damage schedule. Reproducibility requires
-    // every session end to be a pure function of the op/draw sequence.
-    // Stalls can't wedge a shard anyway: the proxy always relays complete
-    // frames or closes, and deadline behavior has dedicated coverage in
-    // net_stress_test.
-    gc.read_deadline_us = 0;
     group_ = std::make_unique<pnet::ShardGroup>(gc, layout_, is_embedding_);
     MAMDR_CHECK(group_->Start().ok());
     for (int s = 0; s < kShards; ++s) {

@@ -9,6 +9,7 @@
 // kill/respawn recovery, the per-RPC deadline watchdog, and the seeded
 // network fault proxy.
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -451,7 +452,9 @@ TEST(ShardOwnershipTest, RejectsKeysOwnedByOtherShards) {
   ASSERT_LT(foreign_row, 64);
 
   auto code = [&](const std::string& req) {
-    PayloadReader r(server.HandleRequest(req));
+    // PayloadReader keeps a view of its input: bind the response first.
+    const std::string response = server.HandleRequest(req);
+    PayloadReader r(response);
     return DecodeResponseHeader(&r).code();
   };
   PayloadWriter w;
@@ -773,10 +776,6 @@ TEST(FaultProxyTest, SameSeedSameDamageSchedule) {
   auto run = [](uint64_t seed) {
     ShardGroupConfig gc;
     gc.num_shards = 1;
-    // No idle deadline: a load-timing-dependent idle close on the pooled
-    // connection would add a session (and a refuse draw), shifting the
-    // schedule this test asserts is seed-pure.
-    gc.read_deadline_us = 0;
     ShardGroup group(gc, TinyParams(), TinyIsEmb());
     MAMDR_CHECK(group.Start().ok());
     FaultProxyConfig pc;
@@ -916,10 +915,33 @@ TEST(MultiFrameMatrixTest, SecondFrameDamageClosesCleanlyServerStaysUp) {
     ++want_bad;
   };
 
-  // Every strict prefix of frame 2 strands the worker mid-frame (n == 0:
-  // an idle connection) until the read deadline cuts it — a stream
-  // failure, so each counts against bad_requests.
-  for (size_t n = 0; n < frame.size(); ++n) {
+  // The empty prefix of frame 2 is an idle connection. The server keeps it
+  // open past the read deadline, counts nothing against it, and answers a
+  // third intact frame on it.
+  {
+    const Result<int> conn = cnet::ConnectLoopback(server.port());
+    ASSERT_TRUE(conn.ok());
+    cnet::ScopedFd fd(conn.value());
+    auto exchange = [&](const std::string& label) {
+      ASSERT_TRUE(cnet::SendAll(fd.get(), frame.data(), frame.size()).ok())
+          << label;
+      const Result<std::string> resp =
+          cnet::ReadFrame(fd.get(), size_t{1} << 20);
+      ASSERT_TRUE(resp.ok()) << label << ": " << resp.status().ToString();
+      PayloadReader r(resp.value());
+      EXPECT_EQ(DecodeResponseHeader(&r).code(), StatusCode::kOk) << label;
+    };
+    exchange("prefix 0, frame 1");
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(3 * c.read_deadline_us));
+    EXPECT_TRUE(cnet::ProbeConnAlive(fd.get())) << "idle session was cut";
+    exchange("prefix 0, frame 3");
+    EXPECT_EQ(server.stats().bad_requests, 0u);
+  }
+  // Every non-empty strict prefix of frame 2 strands the worker mid-frame
+  // until the read deadline cuts it — a stream failure, so each counts
+  // against bad_requests.
+  for (size_t n = 1; n < frame.size(); ++n) {
     run_case(frame.substr(0, n), "prefix " + std::to_string(n));
   }
   // Every flipped byte of frame 2: dies at magic/length/CRC validation.

@@ -9,11 +9,13 @@
 //   2. No head-of-line blocking: a peer stalled mid-frame occupies one
 //      worker until the kernel read deadline kills it, and a concurrent
 //      fast client's RPC latency never approaches that deadline.
-//   3. Prompt shutdown: Stop() under live load (idle pooled connections
-//      parked in blocking reads, a mid-frame straggler, deadlines set far
-//      in the future) returns in milliseconds, not deadlines — the
-//      event-driven shutdown path (self-pipe accept wakeup + active-fd
-//      shutdown), not a poll cycle or a timeout expiry.
+//   3. Prompt shutdown: Stop() under live load (idle pooled connections,
+//      a mid-frame straggler, deadlines set far in the future) returns in
+//      milliseconds, not deadlines — the event-driven shutdown path
+//      (self-pipe poller wakeup + shutdown of every open session fd), not
+//      a poll cycle or a timeout expiry.
+//   4. Capacity: more idle pooled clients than a shard has worker threads
+//      neither delay a fresh client nor lose their connections.
 //
 // Determinism note: everything here asserts on *sums* and *statuses*, never
 // on interleavings, so the suite is load-tolerant by construction; all
@@ -94,9 +96,6 @@ TEST(NetStressTest, ConcurrentPooledClientsConvergeExactly) {
   ShardGroupConfig gc;
   gc.num_shards = kShards;
   gc.num_workers = 4;
-  // No idle deadline: pooled connections park between ops, and sanitizer
-  // slowdowns must not convert idle time into reconnect churn.
-  gc.read_deadline_us = 0;
   ShardGroup group(gc, StressParams(), StressIsEmb());
   ASSERT_TRUE(group.Start().ok());
 
@@ -270,6 +269,67 @@ TEST(NetStressTest, StopReturnsPromptlyUnderLoad) {
 
   // The group is down, not wedged: ops now fail with the retryable code.
   EXPECT_EQ(client.Ping(0).code(), StatusCode::kUnavailable);
+}
+
+// ---------------------------------------------------------------------------
+// 4. Capacity: idle pooled sessions do not pin shard workers.
+
+TEST(NetStressTest, IdlePooledClientsDoNotPinShardWorkers) {
+  ShardGroupConfig gc;  // default read_deadline_us
+  gc.num_shards = 1;
+  gc.num_workers = 2;
+  ShardGroup group(gc, StressParams(), StressIsEmb());
+  ASSERT_TRUE(group.Start().ok());
+
+  // More pooled clients than the shard has worker threads, each doing one
+  // op and then leaving its connection open and idle. With at least
+  // num_workers clients beyond the first num_workers, a server that tied
+  // a thread to each connection would have every worker pinned by an idle
+  // session when the fresh client arrives.
+  const int num_idle = gc.num_workers + 2;
+  std::vector<std::unique_ptr<NetPsClient>> idle;
+  for (int i = 0; i < num_idle; ++i) {
+    idle.push_back(std::make_unique<NetPsClient>(
+        StressClientConfig(1), group.directory(), StressParams(),
+        StressIsEmb()));
+    ASSERT_TRUE(idle.back()->Ping(0).ok()) << "idle client " << i;
+  }
+
+  // A fresh client's request is picked up as soon as it is readable. Were
+  // idle sessions pinning the workers, it would wait in the queue until an
+  // idle session hit the read deadline.
+  obs::Registry& reg = obs::Registry::Global();
+  obs::Histogram* queue_wait = reg.histogram(
+      "ps.net.shard.queue_wait_us{shard=\"0\"}",
+      obs::Histogram::ExponentialBounds(10.0, 2.0, 20),
+      obs::Stability::kRuntime);
+  const obs::Histogram::Snapshot before = queue_wait->snapshot();
+  NetPsClient fresh(StressClientConfig(1), group.directory(), StressParams(),
+                    StressIsEmb());
+  ASSERT_TRUE(fresh.Ping(0).ok());
+  const obs::Histogram::Snapshot after = queue_wait->snapshot();
+  EXPECT_GE(after.count - before.count, 1u);
+  EXPECT_LT(after.sum - before.sum,
+            static_cast<double>(gc.read_deadline_us) / 4);
+  EXPECT_EQ(reg.gauge("ps.net.shard.active_sessions{shard=\"0\"}",
+                      obs::Stability::kRuntime)
+                ->value(),
+            static_cast<double>(num_idle + 1));
+
+  // Every idle session is still open: each client's next op reuses its
+  // pooled connection, with neither a redial nor a fresh dial.
+  obs::Counter* redials =
+      reg.counter("ps.net.client.redials", obs::Stability::kRuntime);
+  obs::Counter* dials =
+      reg.counter("ps.net.client.pool.dials", obs::Stability::kRuntime);
+  const uint64_t redials_before = redials->value();
+  const uint64_t dials_before = dials->value();
+  for (int i = 0; i < num_idle; ++i) {
+    EXPECT_TRUE(idle[static_cast<size_t>(i)]->Ping(0).ok())
+        << "idle client " << i;
+  }
+  EXPECT_EQ(redials->value(), redials_before);
+  EXPECT_EQ(dials->value(), dials_before);
 }
 
 }  // namespace

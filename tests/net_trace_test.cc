@@ -228,10 +228,6 @@ TEST(NetTraceTest, InjectedFaultsTagClientSpansAndLinkIntoServerTraces) {
   ShardGroupConfig gc;
   gc.num_shards = kShards;
   gc.trace_dir = tmp.str();
-  // No kernel read deadline: pooled connections idle between ops, and the
-  // fault schedule must stay a pure function of the op sequence (the same
-  // reasoning as net_chaos_test).
-  gc.read_deadline_us = 0;
   ShardGroup group(gc, TraceParams(), TraceIsEmb());
   ASSERT_TRUE(group.Start().ok());
 
@@ -340,7 +336,6 @@ SeededRunResult RunSeededFaultedOps(const std::string& tmp_prefix) {
   mamdr::testing::ScopedTempDir tmp(tmp_prefix);
   ShardGroupConfig gc;
   gc.num_shards = kShards;
-  gc.read_deadline_us = 0;
   gc.trace_dir = tmp.str();
   ShardGroup group(gc, TraceParams(), TraceIsEmb());
   MAMDR_CHECK(group.Start().ok());
