@@ -335,10 +335,14 @@ Result<int64_t> DistributedMamdr::RestoreFromCheckpoint() {
 std::vector<double> DistributedMamdr::EvaluateTest() {
   std::vector<double> out;
   out.reserve(static_cast<size_t>(dataset_->num_domains()));
-  // Without DR: score with the PS parameters through the reference replica.
-  auto snapshot = admin_client_->Snapshot();
-  MAMDR_CHECK(snapshot.ok()) << snapshot.status().ToString();
-  optim::Restore(reference_params_, snapshot.value());
+  if (!config_.run_dr) {
+    // Without DR: score with the PS parameters through the reference
+    // replica. With DR every score comes from an owner worker's replica,
+    // so the PS is not read at all.
+    auto snapshot = admin_client_->Snapshot();
+    MAMDR_CHECK(snapshot.ok()) << snapshot.status().ToString();
+    optim::Restore(reference_params_, snapshot.value());
+  }
   for (int64_t d = 0; d < dataset_->num_domains(); ++d) {
     data::Batch batch = data::Batcher::All(dataset_->domain(d).test);
     std::vector<float> scores;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "models/registry.h"
+#include "optim/param_snapshot.h"
 #include "ps/distributed_mamdr.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
@@ -7,6 +9,53 @@
 namespace mamdr {
 namespace ps {
 namespace {
+
+/// Forwards every op to `inner` and counts it in `*ops`.
+class CountingPsClient : public PsClient {
+ public:
+  CountingPsClient(std::unique_ptr<PsClient> inner, int64_t* ops)
+      : inner_(std::move(inner)), ops_(ops) {}
+
+  int64_t num_params() const override { return inner_->num_params(); }
+  bool is_embedding(int64_t idx) const override {
+    return inner_->is_embedding(idx);
+  }
+  Status PullDense(std::vector<Tensor>* out) override {
+    ++*ops_;
+    return inner_->PullDense(out);
+  }
+  Status PullRows(int64_t idx, const std::vector<int64_t>& rows,
+                  Tensor* into) override {
+    ++*ops_;
+    return inner_->PullRows(idx, rows, into);
+  }
+  Status PullFullTable(int64_t idx, Tensor* into) override {
+    ++*ops_;
+    return inner_->PullFullTable(idx, into);
+  }
+  Status PushDenseDelta(const std::vector<Tensor>& delta,
+                        float beta) override {
+    ++*ops_;
+    return inner_->PushDenseDelta(delta, beta);
+  }
+  Status PushRowDeltas(int64_t idx, const std::vector<int64_t>& rows,
+                       const Tensor& delta, float beta) override {
+    ++*ops_;
+    return inner_->PushRowDeltas(idx, rows, delta, beta);
+  }
+  Result<std::vector<Tensor>> Snapshot() override {
+    ++*ops_;
+    return inner_->Snapshot();
+  }
+  Status Restore(const std::vector<Tensor>& params) override {
+    ++*ops_;
+    return inner_->Restore(params);
+  }
+
+ private:
+  std::unique_ptr<PsClient> inner_;
+  int64_t* ops_;
+};
 
 TEST(ParameterServerTest, PullDenseSkipsEmbeddings) {
   std::vector<Tensor> params{Tensor({2, 2}, 1.0f), Tensor({4, 3}, 2.0f)};
@@ -188,6 +237,41 @@ TEST_F(DistributedTest, RunDrGivesPerDomainParameters) {
   }
   const auto aucs = dist.EvaluateTest();
   EXPECT_EQ(aucs.size(), static_cast<size_t>(ds_.num_domains()));
+}
+
+TEST_F(DistributedTest, DrEvaluationIssuesNoAdminOps) {
+  // The PS the factory's clients share, with the layout and initial values
+  // DistributedMamdr derives from its reference replica (same model, seed).
+  Rng rng(mc_.seed);
+  auto model = models::CreateModel("MLP", mc_, &rng);
+  ASSERT_TRUE(model.ok());
+  std::vector<bool> is_embedding;
+  MakeDefaultRowExtractor(model.value().get(), mc_, &is_embedding);
+  ParameterServer server(optim::Snapshot(model.value()->Parameters()),
+                         is_embedding);
+
+  // Evaluation with DR scores from the owner workers' replicas, so the
+  // admin client (factory id -1) stays silent; without DR it snapshots the
+  // PS into the reference replica once.
+  for (const bool run_dr : {true, false}) {
+    int64_t admin_ops = 0;
+    auto dc = MakeConfig(2, true);
+    dc.run_dr = run_dr;
+    dc.train.epochs = 1;
+    dc.train.dr_sample_k = 1;
+    dc.train.dr_max_batches = 1;
+    dc.ps_client_factory = [&](int64_t id) -> std::unique_ptr<PsClient> {
+      auto direct = std::make_unique<DirectPsClient>(&server);
+      if (id >= 0) return direct;
+      return std::make_unique<CountingPsClient>(std::move(direct), &admin_ops);
+    };
+    DistributedMamdr dist(mc_, &ds_, dc);
+    ASSERT_TRUE(dist.Train().ok());
+    admin_ops = 0;
+    const double auc = dist.AverageTestAuc();
+    EXPECT_GT(auc, 0.0);
+    EXPECT_EQ(admin_ops, run_dr ? 0 : 1) << "run_dr=" << run_dr;
+  }
 }
 
 TEST_F(DistributedTest, AsyncModeLearnsWithoutBarriers) {
