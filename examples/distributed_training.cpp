@@ -7,8 +7,7 @@
 // the trainer process writes traces/trainer.trace.json, every shard writes
 // its own traces/shard-<i>.trace.json, and
 //
-//   python3 tools/mamdr_tracemerge.py --align ping \
-//       -o traces/merged.trace.json traces/*.trace.json
+//   python3 tools/mamdr_tracemerge.py --align ping -o traces/merged.trace.json traces/*.trace.json
 //
 // stitches them into one chrome://tracing timeline where each cross-shard
 // FanoutCall's client span links to the four server handler spans it

@@ -22,7 +22,7 @@
 //   * same-class nesting — acquiring a lock of a class while already
 //     holding a lock of that same class (self-deadlock with one instance;
 //     unprovable order with two).
-//   * blocking under lock — CondVar::Wait/WaitFor entered while a mutex
+//   * blocking under lock — CondVar::Wait entered while a mutex
 //     *other than the one being waited on* is held, and any code path that
 //     calls AssertNoLocksHeld() (the retry/backoff runner and the fault
 //     injector's latency sleep do) while any instrumented lock is held.
@@ -98,7 +98,7 @@ void OnTryLock(const Mutex* mu, const LockClass* cls);
 /// Called by Mutex::Unlock before releasing: pops the held-set entry.
 void OnUnlock(const Mutex* mu);
 
-/// Called by CondVar::Wait/WaitFor on entry: reports blocking-under-lock if
+/// Called by CondVar::Wait on entry: reports blocking-under-lock if
 /// any mutex other than `mu` is held by this thread. `mu` itself stays in
 /// the held set across the wait, matching the caller's view of the world.
 void OnCondVarWait(const Mutex* mu);

@@ -20,9 +20,7 @@
 #ifndef MAMDR_COMMON_MUTEX_H_
 #define MAMDR_COMMON_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 
 #include "common/lockdep.h"
@@ -115,23 +113,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu->native(), std::adopt_lock);
     cv_.wait(lock);
     lock.release();
-  }
-
-  /// Timed wait: blocks for at most `timeout_us` microseconds. Returns true
-  /// when notified, false on timeout; either way the mutex is held again on
-  /// return. A spurious wakeup reports as a notification (returns true), so
-  /// callers keep the usual predicate loop:
-  ///   while (!predicate) if (!cv.WaitFor(&mu, budget_us)) { /* timed out */ }
-  bool WaitFor(Mutex* mu, int64_t timeout_us) MAMDR_REQUIRES(mu)
-      MAMDR_NO_THREAD_SAFETY_ANALYSIS {
-#if MAMDR_LOCKDEP_IS_ON()
-    lockdep::OnCondVarWait(mu);
-#endif
-    std::unique_lock<std::mutex> lock(mu->native(), std::adopt_lock);
-    const std::cv_status status =
-        cv_.wait_for(lock, std::chrono::microseconds(timeout_us));
-    lock.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

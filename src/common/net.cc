@@ -10,11 +10,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <thread>
 
 #include "common/crc32.h"
 #include "common/lockdep.h"
-#include "common/mutex.h"
 
 namespace mamdr {
 namespace net {
@@ -64,7 +62,8 @@ Status SendAll(int fd, const void* data, size_t size) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // SO_SNDTIMEO (SetIoTimeout) expired: the peer stopped draining.
-        return Status::Unavailable("net::SendAll: i/o deadline exceeded");
+        return Status::DeadlineExceeded(
+            "net::SendAll: i/o deadline exceeded");
       }
       return Status::Unavailable(std::string("net::SendAll: ") +
                                  std::strerror(errno));
@@ -85,7 +84,8 @@ Status RecvAll(int fd, void* data, size_t size) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // SO_RCVTIMEO (SetIoTimeout) expired: the peer stalled mid-frame.
-        return Status::Unavailable("net::RecvAll: i/o deadline exceeded");
+        return Status::DeadlineExceeded(
+            "net::RecvAll: i/o deadline exceeded");
       }
       return Status::Unavailable(std::string("net::RecvAll: ") +
                                  std::strerror(errno));
@@ -107,6 +107,10 @@ Result<size_t> RecvSome(int fd, void* buf, size_t cap) {
     const ssize_t n = ::recv(fd, buf, cap, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return Status::DeadlineExceeded(
+            "net::RecvSome: i/o deadline exceeded");
+      }
       return Status::Unavailable(std::string("net::RecvSome: ") +
                                  std::strerror(errno));
     }
@@ -285,37 +289,6 @@ Result<int> ConnectLoopback(int port) {
   return fd;
 }
 
-bool RunWithStallGuard(int64_t stall_timeout_us,
-                       const std::function<void()>& op,
-                       const std::function<void()>& on_stall) {
-  lockdep::AssertNoLocksHeld("net.stall_guard");
-  Mutex mu{MAMDR_LOCK_CLASS("common.net.stall_guard")};
-  CondVar cv;
-  bool done = false;
-  std::thread worker([&] {
-    op();
-    MutexLock lock(&mu);
-    done = true;
-    cv.NotifyAll();
-  });
-  bool stalled = false;
-  {
-    MutexLock lock(&mu);
-    while (!done) {
-      if (!cv.WaitFor(&mu, stall_timeout_us)) {
-        // Timed out: fire the stall action (typically ShutdownFd, which
-        // unblocks the worker's recv/send), then wait for the worker to
-        // acknowledge so its fd is not closed under its feet.
-        stalled = true;
-        on_stall();
-        while (!done) cv.Wait(&mu);
-      }
-    }
-  }
-  worker.join();
-  return !stalled;
-}
-
 std::string EncodeFrame(const std::string& payload) {
   std::string out;
   out.reserve(payload.size() + kFrameOverhead);
@@ -385,7 +358,8 @@ Status WriteFrame(int fd, const std::string& payload) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // SO_SNDTIMEO (SetIoTimeout) expired: the peer stopped draining.
-        return Status::Unavailable("net::WriteFrame: i/o deadline exceeded");
+        return Status::DeadlineExceeded(
+            "net::WriteFrame: i/o deadline exceeded");
       }
       return Status::Unavailable(std::string("net::WriteFrame: ") +
                                  std::strerror(errno));
@@ -423,7 +397,8 @@ Result<std::string> ReadFrame(int fd, size_t max_payload, bool* clean_close) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::Unavailable("net::ReadFrame: i/o deadline exceeded");
+        return Status::DeadlineExceeded(
+            "net::ReadFrame: i/o deadline exceeded");
       }
       return Status::Unavailable(std::string("net::ReadFrame: ") +
                                  std::strerror(errno));

@@ -3,11 +3,11 @@
 // Extracted from serve/metrics_server so the sharded parameter server
 // (ps/net) and the metrics endpoint run on one reviewed implementation of
 // the fiddly parts: EINTR-safe send/recv loops, a loopback listener with a
-// stoppable poll loop over new and idle connections, a per-connection
-// stall guard built on CondVar::WaitFor (no raw clock arithmetic), and a
-// length-prefixed, CRC32-footed frame codec (common/crc32) that converts
-// every torn or bit-flipped message into a clean Status instead of
-// deserialized garbage.
+// stoppable poll loop over new and idle connections, the one stall guard
+// every endpoint uses (a kernel I/O deadline per fd, SetIoTimeout, which
+// needs no thread), and a length-prefixed, CRC32-footed frame codec
+// (common/crc32) that converts every torn or bit-flipped message into a
+// clean Status instead of deserialized garbage.
 //
 // The mamdr_lint `raw-socket` rule bans direct ::socket()/::connect()/...
 // calls outside common/net.cc, so every byte that leaves the process goes
@@ -17,6 +17,8 @@
 //
 // Error mapping contract (relied on by the ps/net wire-format tests):
 //   * peer closed / reset / cut mid-frame  -> kUnavailable (retryable)
+//   * SetIoTimeout deadline expired        -> kDeadlineExceeded (callers
+//     decide: the PS client maps it to a retryable kUnavailable)
 //   * bad magic, oversize length, CRC mismatch -> kInvalidArgument
 //   * local programming errors (bad fd)    -> kInternal
 #ifndef MAMDR_COMMON_NET_H_
@@ -24,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,28 +64,35 @@ class ScopedFd {
 };
 
 /// Send exactly `size` bytes (EINTR-safe, SIGPIPE-suppressed). A peer that
-/// closed or reset the connection yields kUnavailable.
+/// closed or reset the connection yields kUnavailable; an expired
+/// SetIoTimeout deadline yields kDeadlineExceeded.
 Status SendAll(int fd, const void* data, size_t size);
 
 /// Receive exactly `size` bytes. EOF or an error before `size` bytes have
 /// arrived yields kUnavailable ("truncated"), the signature of a connection
-/// cut mid-message.
+/// cut mid-message; an expired SetIoTimeout deadline yields
+/// kDeadlineExceeded.
 Status RecvAll(int fd, void* data, size_t size);
 
 /// One recv() of at most `cap` bytes (EINTR-safe), for delimiter-terminated
 /// protocols (the HTTP metrics endpoint). Returns the byte count — 0 means
-/// orderly EOF; a connection error yields kUnavailable.
+/// orderly EOF; a connection error yields kUnavailable, an expired
+/// SetIoTimeout deadline kDeadlineExceeded.
 Result<size_t> RecvSome(int fd, void* buf, size_t cap);
 
 /// shutdown(fd, SHUT_RDWR): forces any thread blocked in recv()/send() on
-/// this fd to return. The watchdog half of every stall guard.
+/// this fd to return. Stop() paths use it to unblock a session thread.
 void ShutdownFd(int fd);
 
 /// Arm a kernel-level I/O deadline on `fd` (SO_RCVTIMEO + SO_SNDTIMEO):
 /// a recv()/send() that makes no progress for `timeout_us` fails, which
-/// RecvAll/SendAll surface as the retryable "i/o deadline exceeded"
-/// kUnavailable. This is how a server session bounds a stalled peer
-/// without a watchdog thread per connection. 0 disables the deadline.
+/// every helper here surfaces as kDeadlineExceeded ("i/o deadline
+/// exceeded"). The bound is per call: a peer that keeps trickling bytes
+/// restarts it, so a caller that needs a total budget re-arms with what
+/// is left before each call (the metrics server does). This is the only
+/// stall guard in the tree: the shard server, the PS client and the
+/// metrics server all use it, and none needs a thread to enforce it.
+/// 0 disables the deadline.
 Status SetIoTimeout(int fd, int64_t timeout_us);
 
 /// Cheap liveness probe for an *idle* connection about to be reused
@@ -154,19 +162,6 @@ class Listener {
 /// yield kUnavailable (the retry layer's cue).
 Result<int> ConnectLoopback(int port);
 
-/// Run `op` on a worker thread while the calling thread stands watchdog:
-/// if `op` has not finished after `stall_timeout_us` of waiting (a timed
-/// CondVar::WaitFor — no deadline arithmetic, no raw clock reads),
-/// `on_stall` is invoked exactly once from the watchdog thread — typically
-/// ShutdownFd on the socket `op` is blocked on — and the call keeps
-/// waiting for `op` to acknowledge. Returns true when `op` finished
-/// without the guard firing. (A spurious wakeup restarts the full budget;
-/// that only ever extends the deadline for a peer that is still making
-/// progress.)
-bool RunWithStallGuard(int64_t stall_timeout_us,
-                       const std::function<void()>& op,
-                       const std::function<void()>& on_stall);
-
 // --- Frame codec ----------------------------------------------------------
 //
 // Wire layout (all little-endian):
@@ -181,8 +176,9 @@ Status WriteFrame(int fd, const std::string& payload);
 
 /// Read one frame and return its payload. `max_payload` bounds the length
 /// field before any allocation (an attacker-controlled or corrupted length
-/// must not OOM the server). Truncation -> kUnavailable; bad magic,
-/// oversize length, or CRC mismatch -> kInvalidArgument.
+/// must not OOM the server). Truncation -> kUnavailable; an expired
+/// SetIoTimeout deadline -> kDeadlineExceeded; bad magic, oversize length,
+/// or CRC mismatch -> kInvalidArgument.
 Result<std::string> ReadFrame(int fd, size_t max_payload);
 
 /// Like ReadFrame, but on failure also reports *where* the stream ended:

@@ -1,6 +1,7 @@
 #include "core/framework.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "data/batch.h"
@@ -23,6 +24,19 @@ Status TrainConfig::Validate() const {
   if (batch_size < 1) {
     return Status::InvalidArgument("batch_size must be >= 1, got " +
                                    std::to_string(batch_size));
+  }
+  if (dr_sample_k < 1) {
+    return Status::InvalidArgument("dr_sample_k must be >= 1, got " +
+                                   std::to_string(dr_sample_k));
+  }
+  const std::pair<const char*, float> rates[] = {
+      {"inner_lr", inner_lr}, {"outer_lr", outer_lr}, {"dr_lr", dr_lr}};
+  for (const auto& [name, lr] : rates) {
+    if (!std::isfinite(lr) || lr < 0.0f) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " must be finite and >= 0, got " +
+                                     std::to_string(lr));
+    }
   }
   if (inner_optimizer != "adam" && inner_optimizer != "sgd" &&
       inner_optimizer != "adagrad") {

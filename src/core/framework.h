@@ -55,9 +55,11 @@ struct TrainConfig {
   uint64_t seed = 42;
   bool verbose = false;
 
-  /// InvalidArgument naming the first field a framework would abort on:
-  /// epochs or batch_size below 1, or an unknown inner_optimizer. CLI
-  /// front ends call this once after reading their flags.
+  /// InvalidArgument naming the first field a framework would abort on
+  /// or silently misbehave with: epochs, batch_size or dr_sample_k below 1,
+  /// a negative or non-finite inner_lr/outer_lr/dr_lr, or an unknown
+  /// inner_optimizer. CLI front ends call this once after reading their
+  /// flags.
   Status Validate() const;
 };
 

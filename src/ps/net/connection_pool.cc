@@ -10,7 +10,8 @@ namespace net {
 
 namespace cnet = ::mamdr::net;
 
-ConnectionPool::ConnectionPool(int num_shards) {
+ConnectionPool::ConnectionPool(int num_shards, int64_t io_timeout_us)
+    : io_timeout_us_(io_timeout_us) {
   MAMDR_CHECK_GT(num_shards, 0);
   obs::Registry& reg = obs::Registry::Global();
   dials_counter_ =
@@ -71,6 +72,9 @@ Result<ConnectionPool::Lease> ConnectionPool::Acquire(int shard, int port) {
   Result<int> conn = cnet::ConnectLoopback(port);
   if (!conn.ok()) return conn.status();
   lease.fd.reset(conn.value());
+  if (io_timeout_us_ > 0) {
+    MAMDR_RETURN_IF_ERROR(cnet::SetIoTimeout(lease.fd.get(), io_timeout_us_));
+  }
   lease.reused = false;
   dials_counter_->Add();
   MutexLock lock(&mu_);

@@ -19,7 +19,9 @@
 //     * cached fd exists, same port, ProbeConnAlive -> reuse (reused=true)
 //     * cached fd exists but the shard respawned on a new port, or the
 //       probe says dead/desynced -> drop it (stale_drops) and dial fresh
-//     * no cached fd -> dial fresh (dials)
+//     * no cached fd -> dial fresh (dials); a fresh fd gets the pool's
+//       kernel I/O deadline (net::SetIoTimeout) once, which bounds every
+//       later exchange on it
 //   ... caller runs one or more framed exchanges on lease.fd ...
 //   Release(lease, healthy)
 //     * healthy -> back into the slot for the next Acquire
@@ -82,7 +84,10 @@ class ConnectionPool {
     uint64_t stale_port_change = 0;
   };
 
-  explicit ConnectionPool(int num_shards);
+  /// `io_timeout_us` > 0 arms that kernel I/O deadline on every fd the
+  /// pool dials (NetPsClientConfig::rpc_deadline_us); <= 0 leaves sockets
+  /// fully blocking.
+  ConnectionPool(int num_shards, int64_t io_timeout_us);
   ~ConnectionPool() { CloseAll(); }
 
   ConnectionPool(const ConnectionPool&) = delete;
@@ -115,6 +120,7 @@ class ConnectionPool {
   };
   std::vector<Slot> slots_ MAMDR_GUARDED_BY(mu_);
   Stats stats_ MAMDR_GUARDED_BY(mu_);
+  const int64_t io_timeout_us_;
 
   // Registry mirrors (registry-lifetime pointers; find-or-created in the
   // ctor, shared by every pool in the process).

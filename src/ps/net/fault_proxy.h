@@ -33,8 +33,11 @@
 // shards.
 //
 // Each session runs on its own thread (the accept thread reaps finished
-// ones), so a stalled session never blocks new connections; the
-// client-side deadline watchdog bounds how long any exchange can take.
+// ones), so a stalled session never blocks new connections; the client's
+// kernel I/O deadline (NetPsClientConfig::rpc_deadline_us) bounds how long
+// it waits on any send or receive through the proxy. The proxy itself arms
+// no deadline: it tests every relay step's Status with ok(), so a
+// kDeadlineExceeded would end a session like any other relay error.
 #ifndef MAMDR_PS_NET_FAULT_PROXY_H_
 #define MAMDR_PS_NET_FAULT_PROXY_H_
 

@@ -55,7 +55,7 @@ NetPsClient::NetPsClient(NetPsClientConfig config, ShardDirectory* directory,
       ring_(config.num_shards, config.vnodes_per_shard, config.ring_seed),
       directory_(directory),
       is_embedding_(std::move(is_embedding)),
-      pool_(config.num_shards) {
+      pool_(config.num_shards, config.rpc_deadline_us) {
   MAMDR_CHECK(directory_ != nullptr);
   MAMDR_CHECK_EQ(directory_->num_shards(), config_.num_shards);
   MAMDR_CHECK_EQ(layout.size(), is_embedding_.size());
@@ -95,24 +95,6 @@ NetPsClient::NetPsClient(NetPsClientConfig config, ShardDirectory* directory,
       "ps.net.client.redials", obs::Stability::kRuntime);
   fanout_serial_counter_ = obs::Registry::Global().counter(
       "ps.net.client.fanout_serial_fallbacks", obs::Stability::kRuntime);
-
-  if (config_.rpc_deadline_us > 0) {
-    wd_thread_ = std::thread([this] { WatchdogLoop(); });
-  }
-}
-
-NetPsClient::~NetPsClient() {
-  {
-    MutexLock lock(&wd_mu_);
-    wd_stop_ = true;
-    wd_cv_.NotifyAll();
-  }
-  if (wd_thread_.joinable()) wd_thread_.join();
-}
-
-uint64_t NetPsClient::deadline_cuts() const {
-  MutexLock lock(&wd_mu_);
-  return wd_cuts_;
 }
 
 void NetPsClient::EnterOp() {
@@ -122,70 +104,26 @@ void NetPsClient::EnterOp() {
   if (op_hook_) op_hook_();
 }
 
-// --- Watchdog --------------------------------------------------------------
-
-void NetPsClient::WatchdogLoop() {
-  MutexLock lock(&wd_mu_);
-  while (!wd_stop_) {
-    if (!wd_active_) {
-      wd_cv_.Wait(&wd_mu_);
-      continue;
-    }
-    const uint64_t gen = wd_generation_;
-    // Armed: run down the attempt budget. A notification (disarm, stop, or
-    // a spurious wakeup) re-checks state; a spurious wakeup restarts the
-    // full budget, which only ever extends the deadline of an attempt that
-    // is still in flight.
-    if (wd_cv_.WaitFor(&wd_mu_, config_.rpc_deadline_us)) continue;
-    if (wd_active_ && wd_generation_ == gen) {
-      // Deadline blown: cut the connection. The op thread's recv/send
-      // fails with the torn-connection kUnavailable and the retry layer
-      // takes over. shutdown(2) does not block, so calling it under wd_mu_
-      // is safe.
-      for (const int fd : wd_fds_) cnet::ShutdownFd(fd);
-      wd_fired_ = true;
-      ++wd_cuts_;
-      deadline_cut_counter_->Add();
-      while (wd_active_ && wd_generation_ == gen && !wd_stop_) {
-        wd_cv_.Wait(&wd_mu_);
-      }
-    }
-  }
+NetPsClient::ExchangeScope::ExchangeScope(std::atomic<bool>* busy)
+    : busy_(busy) {
+  const bool already_busy = busy_->exchange(true, std::memory_order_acquire);
+  // One in-flight exchange per client: the pool holds one connection per
+  // shard, and a second exchange would interleave frames on it.
+  MAMDR_CHECK(!already_busy);
 }
 
-void NetPsClient::ArmWatchdog(int fd) { ArmWatchdog(std::vector<int>{fd}); }
-
-void NetPsClient::ArmWatchdog(std::vector<int> fds) {
-  if (config_.rpc_deadline_us <= 0) return;
-  MutexLock lock(&wd_mu_);
-  // One in-flight attempt per client: the watchdog tracks one fd set.
-  MAMDR_CHECK(!wd_active_);
-  wd_fds_ = std::move(fds);
-  wd_fired_ = false;
-  wd_active_ = true;
-  ++wd_generation_;
-  wd_cv_.NotifyAll();
-}
-
-bool NetPsClient::DisarmWatchdog() {
-  if (config_.rpc_deadline_us <= 0) return false;
-  MutexLock lock(&wd_mu_);
-  wd_active_ = false;
-  wd_fds_.clear();
-  ++wd_generation_;
-  const bool fired = wd_fired_;
-  wd_fired_ = false;
-  wd_cv_.NotifyAll();
-  return fired;
+void NetPsClient::CountIfDeadline(const Status& st) {
+  if (st.code() != StatusCode::kDeadlineExceeded) return;
+  deadline_cuts_.fetch_add(1, std::memory_order_relaxed);
+  deadline_cut_counter_->Add();
 }
 
 // --- Transport -------------------------------------------------------------
 
 Status NetPsClient::AttemptOnFd(int fd,
                                 const std::vector<const std::string*>& requests,
-                                std::vector<std::string>* responses,
-                                bool* cut) {
-  ArmWatchdog(fd);
+                                std::vector<std::string>* responses) {
+  const ExchangeScope exchange(&in_exchange_);
   // Pipelined: every request frame goes out before any response is read,
   // so a batch costs one round trip instead of one per frame.
   Status st = Status::OK();
@@ -205,7 +143,6 @@ Status NetPsClient::AttemptOnFd(int fd,
       responses->push_back(std::move(r).value());
     }
   }
-  *cut = DisarmWatchdog();
   return st;
 }
 
@@ -235,10 +172,10 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
   ConnectionPool::Lease lease = std::move(acquired).value();
   const bool was_reused = lease.reused;
   std::vector<std::string> responses;
-  bool cut = false;
-  Status st = AttemptOnFd(lease.fd.get(), requests, &responses, &cut);
+  Status st = AttemptOnFd(lease.fd.get(), requests, &responses);
   pool_.Release(std::move(lease), /*healthy=*/st.ok());
-  if (!st.ok() && was_reused && !cut) {
+  if (!st.ok() && was_reused &&
+      st.code() != StatusCode::kDeadlineExceeded) {
     // A reused connection that fails on first use may simply have gone
     // stale in the cache (server idle-close whose FIN raced the probe).
     // Redial fresh and re-run the attempt once WITHOUT charging the
@@ -246,7 +183,7 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
     // retry schedules, which keeps same-seed chaos runs bit-identical.
     // Like any transport retry, this can double-apply a push whose
     // response was lost — the bounded loss class ARCHITECTURE.md
-    // documents for retried pushes. A watchdog cut is excluded: the
+    // documents for retried pushes. A deadline cut is excluded: the
     // deadline already spent this attempt's time budget.
     redial_counter_->Add();
     obs::ContextSpan redial_span(std::string("ps.client.redial"), "ps.client");
@@ -257,7 +194,7 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
       st = fresh.status();
     } else {
       ConnectionPool::Lease retry_lease = std::move(fresh).value();
-      st = AttemptOnFd(retry_lease.fd.get(), requests, &responses, &cut);
+      st = AttemptOnFd(retry_lease.fd.get(), requests, &responses);
       pool_.Release(std::move(retry_lease), /*healthy=*/st.ok());
     }
     if (!st.ok()) redial_span.SetError(st.message());
@@ -266,11 +203,12 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
   if (rpc_us != nullptr) {
     rpc_us->Observe(static_cast<double>(obs::MonotonicMicros() - start_us));
   }
-  if (!st.ok() && cut) {
-    // The failure was manufactured by our own deadline, not the peer; say
-    // so, and stay kUnavailable so the retry layer re-attempts.
+  if (st.code() == StatusCode::kDeadlineExceeded) {
+    // The shard stopped making progress for a whole deadline. Map it to
+    // kUnavailable so the retry layer re-attempts.
+    CountIfDeadline(st);
     return Status::Unavailable("shard " + std::to_string(shard) +
-                               " rpc deadline exceeded (connection cut)");
+                               " rpc deadline exceeded");
   }
   if (!st.ok() && st.code() == StatusCode::kInvalidArgument) {
     // A response frame that fails CRC/framing was damaged in transit, so
@@ -470,17 +408,16 @@ Status NetPsClient::FanoutCall(const std::vector<int>& shards, PsOp op,
       if (!acquired.ok()) continue;
       inflight.push_back({i, std::move(acquired).value()});
     }
-    // One watchdog budget covers the whole pipelined attempt; on expiry
-    // every in-flight connection is cut and the affected shards retry
-    // serially, each under its own budget.
-    std::vector<int> fds;
-    fds.reserve(inflight.size());
-    for (const InFlight& f : inflight) fds.push_back(f.lease.fd.get());
-    ArmWatchdog(std::move(fds));
+    // Each connection carries the pool's I/O deadline, so a stalled shard
+    // costs this phase one deadline (k stalled shards, up to k) before it
+    // retries serially under its own budget.
+    const ExchangeScope exchange(&in_exchange_);
     // Write phase: every shard's request goes out before any response is
     // read, so the fan-out costs one round trip instead of one per shard.
     for (InFlight& f : inflight) {
-      f.sent = cnet::WriteFrame(f.lease.fd.get(), framed[f.i]).ok();
+      const Status sent = cnet::WriteFrame(f.lease.fd.get(), framed[f.i]);
+      CountIfDeadline(sent);
+      f.sent = sent.ok();
     }
     // Read phase, same order. A valid frame whose remote status is non-OK
     // leaves the connection healthy (the exchange completed) but sends the
@@ -489,7 +426,10 @@ Status NetPsClient::FanoutCall(const std::vector<int>& shards, PsOp op,
       if (!f.sent) continue;
       Result<std::string> resp =
           cnet::ReadFrame(f.lease.fd.get(), config_.max_frame_bytes);
-      if (!resp.ok()) continue;
+      if (!resp.ok()) {
+        CountIfDeadline(resp.status());
+        continue;
+      }
       f.clean = true;
       PayloadReader r(resp.value());
       if (!DecodeResponseHeader(&r).ok()) continue;
@@ -497,7 +437,6 @@ Status NetPsClient::FanoutCall(const std::vector<int>& shards, PsOp op,
           resp.value().substr(resp.value().size() - r.remaining());
       done[f.i] = true;
     }
-    DisarmWatchdog();
     for (InFlight& f : inflight) {
       pool_.Release(std::move(f.lease), /*healthy=*/f.sent && f.clean);
     }

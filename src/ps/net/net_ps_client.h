@@ -21,19 +21,25 @@
 //
 // Robustness model (the point of this class):
 //
-//   * Per-attempt deadline — a persistent watchdog thread arms a
-//     CondVar::WaitFor budget around every RPC attempt; on expiry it cuts
-//     the connection (ShutdownFd), which surfaces in the op thread as the
-//     kUnavailable a torn connection produces. No raw clock arithmetic, no
-//     thread spawned per RPC.
+//   * I/O deadline — the pool arms a kernel I/O deadline
+//     (net::SetIoTimeout(fd, rpc_deadline_us)) on every connection it
+//     dials. A send or receive that makes no progress for that long fails
+//     with kDeadlineExceeded, which CallFramesOnce maps to the retryable
+//     kUnavailable "rpc deadline exceeded" and counts as a deadline cut
+//     (ps.net.client.deadline_cuts). No thread enforces it. The deadline
+//     bounds each send or receive that makes no progress, not a whole
+//     attempt — the meaning read_deadline_us has on the shard server — so
+//     a peer that keeps trickling bytes is not cut, and a pipelined
+//     fan-out in which k shards stall waits up to k deadlines (it reads
+//     shard after shard) before its serial fallback.
 //   * Transport retry — each shard RPC runs under its own seeded
 //     RetryPolicy, so refused connects, cut frames, and deadline cuts are
 //     retried with deterministic backoff before the op-level policy in
 //     Worker ever sees a failure.
 //   * Stale-pool redial — a pooled connection can die while cached (server
 //     restart, idle close) in a way ProbeConnAlive cannot see yet. When
-//     the first exchange on a *reused* connection fails without the
-//     watchdog firing, the client redials fresh and re-runs the attempt
+//     the first exchange on a *reused* connection fails without hitting
+//     the deadline, the client redials fresh and re-runs the attempt
 //     once, WITHOUT charging the retry budget: both outcomes of the
 //     FIN-vs-probe race then consume identical retry schedules, keeping
 //     same-seed chaos runs bit-identical. A failure on a fresh connection
@@ -49,22 +55,21 @@
 //     wire-format validation becomes kInvalidArgument/kUnavailable; the
 //     worker's retry/handling path decides what happens next.
 //
-// Threading: one in-flight op per client (enforced); each worker owns its
+// Threading: one in-flight exchange per client (enforced by an atomic
+// flag, which aborts on a second concurrent one); each worker owns its
 // own client, matching how Worker owns its PsClient today.
 #ifndef MAMDR_PS_NET_NET_PS_CLIENT_H_
 #define MAMDR_PS_NET_NET_PS_CLIENT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/retry.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "ps/net/connection_pool.h"
 #include "ps/net/hash_ring.h"
@@ -82,7 +87,9 @@ struct NetPsClientConfig {
   /// Ring geometry; must match every shard server's construction.
   int vnodes_per_shard = 64;
   uint64_t ring_seed = 0x6d616d6472u;
-  /// Watchdog budget per RPC attempt; <= 0 disables the deadline.
+  /// Kernel I/O deadline on every pooled connection: a send or receive
+  /// that makes no progress for this long fails the attempt (retryably).
+  /// It bounds each send or receive, not a whole attempt; <= 0 disables it.
   int64_t rpc_deadline_us = 2'000'000;
   /// Transport-level retry wrapped around every shard RPC (per-shard
   /// deterministic schedules, seeded retry_seed + shard).
@@ -100,7 +107,7 @@ class NetPsClient : public PsClient {
   NetPsClient(NetPsClientConfig config, ShardDirectory* directory,
               const std::vector<Tensor>& layout,
               std::vector<bool> is_embedding);
-  ~NetPsClient() override;
+  ~NetPsClient() override = default;
 
   NetPsClient(const NetPsClient&) = delete;
   NetPsClient& operator=(const NetPsClient&) = delete;
@@ -133,14 +140,32 @@ class NetPsClient : public PsClient {
     op_hook_ = std::move(hook);
   }
 
-  /// RPC attempts the watchdog cut for blowing the deadline (test/debug).
-  uint64_t deadline_cuts() const MAMDR_EXCLUDES(wd_mu_);
+  /// Exchanges cut by the I/O deadline (test/debug).
+  uint64_t deadline_cuts() const {
+    return deadline_cuts_.load(std::memory_order_relaxed);
+  }
 
   /// Connection-pool counters (dials/reuses/stale_drops/poisoned).
   ConnectionPool::Stats pool_stats() const { return pool_.stats(); }
 
  private:
   void EnterOp();
+  /// Counts a deadline cut when `st` is the I/O deadline's
+  /// kDeadlineExceeded.
+  void CountIfDeadline(const Status& st);
+
+  /// Holds the client's one-exchange-in-flight flag for its scope; a
+  /// second concurrent exchange is a caller bug and aborts.
+  class ExchangeScope {
+   public:
+    explicit ExchangeScope(std::atomic<bool>* busy);
+    ~ExchangeScope() { busy_->store(false, std::memory_order_release); }
+    ExchangeScope(const ExchangeScope&) = delete;
+    ExchangeScope& operator=(const ExchangeScope&) = delete;
+
+   private:
+    std::atomic<bool>* busy_;
+  };
 
   /// One op destined for a shard, ready to pipeline: the op byte plus its
   /// already-encoded body.
@@ -164,7 +189,7 @@ class NetPsClient : public PsClient {
   /// Cross-shard pipelined fan-out: `bodies[i]` rides to `shards[i]` as one
   /// `op` request, and every request frame is written to its shard's pooled
   /// connection before any response is read. Any shard whose pipelined
-  /// exchange does not finish cleanly (transport damage, watchdog cut, or
+  /// exchange does not finish cleanly (transport damage, deadline cut, or
   /// a non-OK remote status) falls back, in shard order, to the serial
   /// Call() path with its full retry budget, so failure semantics match
   /// the single-shard path. With pooling disabled or fewer than two
@@ -172,7 +197,7 @@ class NetPsClient : public PsClient {
   Status FanoutCall(const std::vector<int>& shards, PsOp op,
                     std::vector<std::string> bodies,
                     std::vector<std::string>* ok_bodies, const char* what);
-  /// A single attempt (no retry): one framed exchange under watchdog.
+  /// A single attempt (no retry): one framed exchange.
   Result<std::string> CallOnce(int shard, const std::string& request,
                                obs::Histogram* rpc_us);
   /// A single attempt of a multi-frame batch: acquire a connection (pooled
@@ -184,18 +209,10 @@ class NetPsClient : public PsClient {
       int shard, const std::vector<const std::string*>& requests,
       obs::Histogram* rpc_us);
   /// Write all `requests` frames on `fd`, then read `requests.size()`
-  /// response frames into `responses`. `*cut` reports whether the
-  /// watchdog tore this fd down mid-attempt.
+  /// response frames into `responses`. An expired I/O deadline comes back
+  /// as kDeadlineExceeded.
   Status AttemptOnFd(int fd, const std::vector<const std::string*>& requests,
-                     std::vector<std::string>* responses, bool* cut);
-
-  void WatchdogLoop();
-  void ArmWatchdog(int fd) MAMDR_EXCLUDES(wd_mu_);
-  /// Arms one attempt covering several fds at once (cross-shard fan-out);
-  /// on deadline expiry every listed fd is cut.
-  void ArmWatchdog(std::vector<int> fds) MAMDR_EXCLUDES(wd_mu_);
-  /// Returns true when the watchdog cut this attempt's connection.
-  bool DisarmWatchdog() MAMDR_EXCLUDES(wd_mu_);
+                     std::vector<std::string>* responses);
 
   /// rows[i] -> owning shard, grouped preserving request order.
   std::vector<std::vector<int64_t>> GroupRowsByShard(
@@ -243,18 +260,10 @@ class NetPsClient : public PsClient {
   obs::Counter* redial_counter_;
   obs::Counter* fanout_serial_counter_;
 
-  // Watchdog: armed per RPC attempt with the in-flight fd(s) — a
-  // cross-shard fan-out arms one per shard; on deadline expiry it shuts
-  // them all down and waits to be disarmed.
-  mutable Mutex wd_mu_{MAMDR_LOCK_CLASS("ps.net.client.watchdog")};
-  CondVar wd_cv_;
-  std::vector<int> wd_fds_ MAMDR_GUARDED_BY(wd_mu_);
-  uint64_t wd_generation_ MAMDR_GUARDED_BY(wd_mu_) = 0;
-  bool wd_active_ MAMDR_GUARDED_BY(wd_mu_) = false;
-  bool wd_fired_ MAMDR_GUARDED_BY(wd_mu_) = false;
-  bool wd_stop_ MAMDR_GUARDED_BY(wd_mu_) = false;
-  uint64_t wd_cuts_ MAMDR_GUARDED_BY(wd_mu_) = 0;
-  std::thread wd_thread_;
+  /// This client's share of deadline_cut_counter_ (deadline_cuts()).
+  std::atomic<uint64_t> deadline_cuts_{0};
+  /// Set while an exchange is in flight (ExchangeScope).
+  std::atomic<bool> in_exchange_{false};
 };
 
 }  // namespace net

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/net.h"
+#include "obs/clock.h"
 
 namespace mamdr {
 namespace serve {
@@ -165,28 +166,28 @@ void MetricsServer::AcceptLoop() {
     if (accepted.value() < 0) continue;
     net::ScopedFd fd(accepted.value());
     requests->Add();
-    HandleConnection(fd.get());
+    ServeRequest(fd.get());
   }
 }
 
-void MetricsServer::HandleConnection(int fd) {
-  // Slow-client guard: a scraper that stalls mid-request must not wedge the
-  // accept loop. net::RunWithStallGuard serves the request on a reader
-  // thread with plain blocking I/O while this (accept) thread enforces the
-  // deadline with a timed condition-variable wait; on timeout it shuts the
-  // socket down, which unblocks the reader's recv().
-  net::RunWithStallGuard(
-      slow_client_timeout_us_, [this, fd] { ServeRequest(fd); },
-      [fd] { net::ShutdownFd(fd); });
-}
-
 void MetricsServer::ServeRequest(int fd) {
+  // Slow-client guard: the whole request, read and reply, must finish
+  // within slow_client_timeout_us_, or a scraper that stalls (or sends a
+  // byte at a time) would hold the accept loop. Before each recv/send the
+  // kernel I/O deadline is re-armed to what is left of that budget; once
+  // it is spent, the request is dropped and the fd closes.
+  const int64_t deadline_us = obs::MonotonicMicros() + slow_client_timeout_us_;
+  const auto arm_remaining = [&] {
+    const int64_t left_us = deadline_us - obs::MonotonicMicros();
+    return left_us > 0 && net::SetIoTimeout(fd, left_us).ok();
+  };
   std::string request;
   while (request.find("\r\n\r\n") == std::string::npos &&
          request.size() < 8192) {
     char buf[1024];
+    if (!arm_remaining()) return;
     const Result<size_t> n = net::RecvSome(fd, buf, sizeof(buf));
-    // 0 bytes / error: closed, shut down by the watchdog, or broken.
+    // 0 bytes / error: closed, out of time, or broken.
     if (!n.ok() || n.value() == 0) return;
     request.append(buf, n.value());
   }
@@ -231,7 +232,8 @@ void MetricsServer::ServeRequest(int fd) {
                 "Connection: close\r\n\r\n",
                 status.c_str(), content_type.c_str(), body.size());
   // Best-effort response: a send failure means the scraper went away.
-  if (net::SendAll(fd, header, std::strlen(header)).ok()) {
+  if (arm_remaining() && net::SendAll(fd, header, std::strlen(header)).ok() &&
+      arm_remaining()) {
     (void)net::SendAll(fd, body.data(), body.size());
   }
 }

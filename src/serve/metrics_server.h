@@ -7,14 +7,16 @@
 // latency histograms are the point) in Prometheus text exposition format
 // v0.0.4, GET /healthz answers 200 "ok". One accept thread handles
 // connections sequentially — scrape traffic is one poll every few seconds,
-// so a blocking single-threaded loop is the simplest correct design. Each
-// accepted connection is served by a short-lived reader thread while the
-// accept thread enforces a slow-client deadline with CondVar::WaitFor; on
-// timeout it shuts the socket down, which unblocks the reader. Stop() (and
+// so a blocking single-threaded loop is the simplest correct design. The
+// accept thread serves each request itself. A slow-client deadline bounds
+// the whole request: before each recv/send the kernel I/O deadline
+// (net::SetIoTimeout) is re-armed to what is left of the budget, so a
+// scraper that stalls, or sends a byte at a time, is dropped once the
+// budget is spent, and no thread is needed to enforce it. Stop() (and
 // the destructor) shuts the listener down and joins the accept thread; the
 // serving hot path never blocks on the server.
 //
-// The socket plumbing (listener, EINTR-safe I/O, stall guard) lives in
+// The socket plumbing (listener, EINTR-safe I/O, I/O deadline) lives in
 // common/net.{h,cc}, shared with the networked parameter server (ps/net);
 // this file only knows HTTP and the exposition format.
 #ifndef MAMDR_SERVE_METRICS_SERVER_H_
@@ -74,16 +76,15 @@ class MetricsServer {
   int port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Test hook: how long a connection may sit between reads before the
-  /// watchdog shuts it down. Call before Start(); the default (2s) is far
-  /// above any honest scraper's stall.
+  /// Test hook: how long one request (read and reply) may take before the
+  /// connection is dropped. Call before Start(); the default (2s) is far
+  /// above any honest scrape.
   void set_slow_client_timeout_for_test(int64_t timeout_us) {
     slow_client_timeout_us_ = timeout_us;
   }
 
  private:
   void AcceptLoop();
-  void HandleConnection(int fd);
   void ServeRequest(int fd);
 
   obs::Registry* registry_;  // borrowed, never null after construction

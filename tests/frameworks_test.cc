@@ -1,6 +1,8 @@
 #include <string>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "models/registry.h"
 
@@ -131,6 +133,28 @@ TEST(TrainConfigTest, ValidateRejectsValuesFrameworksAbortOn) {
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << opt;
     EXPECT_NE(s.message().find("inner optimizer"), std::string::npos)
         << s.message();
+  }
+  for (int64_t k : {int64_t{0}, int64_t{-2}}) {
+    TrainConfig tc;
+    tc.dr_sample_k = k;
+    const Status s = tc.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << k;
+    EXPECT_NE(s.message().find("dr_sample_k"), std::string::npos)
+        << s.message();
+  }
+  const std::pair<const char*, float TrainConfig::*> kRates[] = {
+      {"inner_lr", &TrainConfig::inner_lr},
+      {"outer_lr", &TrainConfig::outer_lr},
+      {"dr_lr", &TrainConfig::dr_lr}};
+  for (const float lr : {-1.0f, std::nanf(""),
+                         std::numeric_limits<float>::infinity()}) {
+    for (const auto& [field, member] : kRates) {
+      TrainConfig tc;
+      tc.*member = lr;
+      const Status s = tc.Validate();
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << field << " " << lr;
+      EXPECT_NE(s.message().find(field), std::string::npos) << s.message();
+    }
   }
 }
 

@@ -1,5 +1,4 @@
-// Tests for the runtime lock-order validator (common/lockdep.h) and the
-// CondVar::WaitFor timed wait.
+// Tests for the runtime lock-order validator (common/lockdep.h).
 //
 // The negative tests *seed* violations on purpose — an A→B/B→A inversion
 // across two threads, a condvar wait under a second lock, a retry run
@@ -149,15 +148,32 @@ TEST_F(LockdepTest, TryLockConstrainsNoOrder) {
   EXPECT_EQ(lockdep::ViolationCount(), 0u);
 }
 
+/// Enters cv.Wait(mu) (with whatever else the caller holds) and returns
+/// once a second thread, which locks only `mu`, has notified. The caller
+/// holds `mu` until Wait releases it, so the notifier cannot run first and
+/// the wait is always entered.
+void WaitUntilNotified(Mutex* mu, CondVar* cv) MAMDR_REQUIRES(mu) {
+  bool notified = false;
+  std::thread notifier([&] {
+    MutexLock lock(mu);
+    notified = true;
+    cv->NotifyAll();
+  });
+  while (!notified) cv->Wait(mu);
+  // The notifier released `mu` before this thread got it back, and it
+  // takes no other lock, so joining with `mu` held cannot deadlock.
+  notifier.join();
+}
+
 TEST_F(LockdepTest, CondVarWaitUnderAnotherLockIsReported) {
   Mutex outer{MAMDR_LOCK_CLASS("test.wait.outer")};
   Mutex inner{MAMDR_LOCK_CLASS("test.wait.inner")};
   CondVar cv;
   MutexLock lo(&outer);
   MutexLock li(&inner);
-  // WaitFor with a tiny timeout: nothing notifies, so it returns false —
-  // but entering the wait with `outer` held is the violation.
-  EXPECT_FALSE(cv.WaitFor(&inner, /*timeout_us=*/1000));
+  // A notifying thread ends the wait, but entering it with `outer` held is
+  // the violation.
+  WaitUntilNotified(&inner, &cv);
   EXPECT_EQ(lockdep::ViolationCount(), 1u);
   const std::string report = lockdep::LastReport();
   EXPECT_NE(report.find("blocking operation"), std::string::npos) << report;
@@ -168,7 +184,7 @@ TEST_F(LockdepTest, CondVarWaitUnderItsOwnMutexIsClean) {
   Mutex mu{MAMDR_LOCK_CLASS("test.wait.own")};
   CondVar cv;
   MutexLock lock(&mu);
-  EXPECT_FALSE(cv.WaitFor(&mu, /*timeout_us=*/1000));
+  WaitUntilNotified(&mu, &cv);
   EXPECT_EQ(lockdep::ViolationCount(), 0u);
 }
 
@@ -225,49 +241,6 @@ TEST_F(LockdepTest, CleanRunAcrossLibraryTraffic) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(lockdep::ViolationCount(), 0u) << lockdep::LastReport();
-}
-
-// WaitFor semantics hold in every build, so no Armed() gate.
-TEST(CondVarWaitForTest, TimesOutWhenNobodyNotifies) {
-  Mutex mu;
-  CondVar cv;
-  MutexLock lock(&mu);
-  EXPECT_FALSE(cv.WaitFor(&mu, /*timeout_us=*/2000));
-}
-
-TEST(CondVarWaitForTest, WakesOnNotify) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-  std::thread notifier([&] {
-    MutexLock lock(&mu);
-    ready = true;
-    cv.NotifyOne();
-  });
-  bool notified = false;
-  {
-    MutexLock lock(&mu);
-    // Standard condvar loop with a generous deadline: a spurious or
-    // too-early wakeup just waits again.
-    while (!ready) {
-      notified = cv.WaitFor(&mu, /*timeout_us=*/5'000'000);
-      if (!notified) break;
-    }
-    EXPECT_TRUE(ready);
-  }
-  notifier.join();
-}
-
-TEST(CondVarWaitForTest, ReacquiresMutexAfterTimeout) {
-  Mutex mu;
-  CondVar cv;
-  {
-    MutexLock lock(&mu);
-    EXPECT_FALSE(cv.WaitFor(&mu, /*timeout_us=*/1000));
-  }
-  // If WaitFor failed to reacquire, this second acquisition would abort
-  // (or deadlock); locking cleanly proves the mutex round-tripped.
-  MutexLock again(&mu);
 }
 
 }  // namespace

@@ -6,17 +6,20 @@
 // ) and round-trips the /metrics HTTP server over a real loopback socket on
 // an ephemeral port. Everything runs against a private Registry so the
 // global one (shared with other suites in this binary) stays untouched.
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "common/net.h"
 
 #include <gtest/gtest.h>
 
+#include "obs/clock.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "serve/metrics_server.h"
@@ -208,8 +211,8 @@ TEST(MetricsServerTest, SlowClientIsShutDownAndServerStaysLive) {
   server.set_slow_client_timeout_for_test(/*timeout_us=*/50'000);
   ASSERT_TRUE(server.Start(0).ok());
 
-  // Connect, send half a request, then stall. The CondVar::WaitFor watchdog
-  // must shut the connection down after the timeout instead of wedging the
+  // Connect, send half a request, then stall. The slow-client deadline
+  // must drop the connection after the timeout instead of wedging the
   // accept loop.
   auto conn = net::ConnectLoopback(server.port());
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
@@ -217,14 +220,49 @@ TEST(MetricsServerTest, SlowClientIsShutDownAndServerStaysLive) {
   const char partial[] = "GET /metr";  // no terminating \r\n\r\n, ever
   ASSERT_TRUE(net::SendAll(fd.get(), partial, sizeof(partial) - 1).ok());
 
-  // The watchdog's shutdown() surfaces here as EOF (RecvSome returns 0) or
-  // a reset — either way the blocking read finishes instead of hanging.
+  // The server closing the connection surfaces here as EOF (RecvSome
+  // returns 0) or a reset — either way the blocking read finishes instead
+  // of hanging.
   char buf[64];
   auto n = net::RecvSome(fd.get(), buf, sizeof(buf));
   EXPECT_TRUE(!n.ok() || n.value() == 0);
   fd.reset();
 
   // The accept loop survived the slow client and serves the next request.
+  EXPECT_NE(HttpGet(server.port(), "/healthz").find("200"),
+            std::string::npos);
+  server.Stop();
+}
+
+TEST(MetricsServerTest, DrippingClientIsCutWithinOneTimeout) {
+  // A scraper that keeps sending one byte every timeout/4 makes progress
+  // on every recv, so only a whole-request budget can cut it. The full
+  // request would take ~40 x timeout/4; the server must drop it after
+  // about one timeout and keep serving.
+  constexpr int64_t kTimeoutUs = 200'000;
+  obs::Registry reg;
+  MetricsServer server(&reg);
+  server.set_slow_client_timeout_for_test(kTimeoutUs);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  auto conn = net::ConnectLoopback(server.port());
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  net::ScopedFd fd(conn.value());
+  const std::string request =
+      "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+  const int64_t start_us = obs::MonotonicMicros();
+  size_t sent = 0;
+  // ProbeConnAlive turns false once the server has closed its end.
+  while (sent < request.size() && net::ProbeConnAlive(fd.get())) {
+    if (!net::SendAll(fd.get(), request.data() + sent, 1).ok()) break;
+    ++sent;
+    std::this_thread::sleep_for(std::chrono::microseconds(kTimeoutUs / 4));
+  }
+  const int64_t elapsed_us = obs::MonotonicMicros() - start_us;
+  EXPECT_LT(sent, request.size()) << "the drip was never cut";
+  EXPECT_LT(elapsed_us, 3 * kTimeoutUs);
+  fd.reset();
+
   EXPECT_NE(HttpGet(server.port(), "/healthz").find("200"),
             std::string::npos);
   server.Stop();

@@ -6,12 +6,14 @@
 // decoding), must come back as a clean kInvalidArgument / kUnavailable —
 // never an abort, never a silent partial apply. The rest covers the hash
 // ring, the NetPsClient <-> ShardServer round trip across shard counts,
-// kill/respawn recovery, the per-RPC deadline watchdog, and the seeded
+// kill/respawn recovery, the per-connection I/O deadline, and the seeded
 // network fault proxy.
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "common/net.h"
 #include "common/retry.h"
 #include "lockdep_guard.h"
+#include "obs/clock.h"
 #include "ps/fault_injector.h"
 #include "ps/net/fault_proxy.h"
 #include "ps/net/hash_ring.h"
@@ -36,7 +39,7 @@
 #include "ps/ps_client.h"
 #include "test_util.h"
 
-// The net PS suite doubles as a lockdep clean-run: client watchdog, shard
+// The net PS suite doubles as a lockdep clean-run: client pool, shard
 // accept loops, group kill/respawn, and the proxy must order their locks.
 MAMDR_ASSERT_LOCKDEP_CLEAN();
 
@@ -709,7 +712,7 @@ TEST(DirectClientValidationTest, FaultInjectorRestoreNeverSilentlyDrops) {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline watchdog.
+// I/O deadline.
 
 TEST(DeadlineTest, WatchdogCutsAStalledServer) {
   // A listener that never accepts: connects succeed (backlog), the request
@@ -743,6 +746,67 @@ TEST(DeadlineTest, DisabledDeadlineSpawnsNoWatchdog) {
   NetPsClient client(cc, group.directory(), TinyParams(), TinyIsEmb());
   EXPECT_TRUE(client.Ping(0).ok());
   EXPECT_EQ(client.deadline_cuts(), 0u);
+}
+
+TEST(DeadlineTest, StalledShardInFanoutIsCutWithinBoundedTime) {
+  // Eight dense tensors spread over two shards, so PullDense fans out to
+  // both. Shard 0 is a real server; shard 1 is a listener that never
+  // accepts, so its request is buffered and its response never comes.
+  std::vector<Tensor> layout;
+  std::vector<bool> is_emb;
+  for (int i = 0; i < 8; ++i) {
+    layout.emplace_back(Shape{2}, static_cast<float>(i));
+    is_emb.push_back(false);
+  }
+  NetPsClientConfig cc = ClientConfig(2);
+  cc.retry = TestRetry(/*attempts=*/2);
+  cc.rpc_deadline_us = 50'000;
+  const HashRing ring(2, cc.vnodes_per_shard, cc.ring_seed);
+  bool owns[2] = {false, false};
+  for (int i = 0; i < 8; ++i) owns[ring.ShardForDense(i)] = true;
+  ASSERT_TRUE(owns[0] && owns[1]) << "layout must fan out to both shards";
+
+  ShardGroupConfig gc;
+  gc.num_shards = 2;
+  ShardGroup group(gc, layout, is_emb);
+  ASSERT_TRUE(group.Start().ok());
+  cnet::Listener stalled;
+  ASSERT_TRUE(stalled.Bind(0).ok());
+  ShardDirectory dir(2);
+  dir.SetPort(0, group.port(0));
+  dir.SetPort(1, stalled.port());
+
+  NetPsClient client(cc, &dir, layout, is_emb);
+  std::vector<Tensor> out;
+  for (int i = 0; i < 8; ++i) out.emplace_back(Shape{2}, 0.0f);
+  const int64_t start_us = obs::MonotonicMicros();
+  const Status s = client.PullDense(&out);
+  const int64_t elapsed_us = obs::MonotonicMicros() - start_us;
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+  // One cut in the pipelined phase, one per serial attempt.
+  EXPECT_GE(client.deadline_cuts(), 1u);
+  // Three 50 ms deadlines plus loopback work; far below this bound even
+  // under sanitizers.
+  EXPECT_LT(elapsed_us, 2'000'000);
+  stalled.Close();
+}
+
+/// Threads of this process, one /proc/self/task entry each.
+std::ptrdiff_t CountThreads() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
+TEST(DeadlineTest, DefaultDeadlineStartsNoThread) {
+  // The deadline lives in the kernel (SO_RCVTIMEO/SO_SNDTIMEO on each
+  // pooled fd), so a client with the default deadline adds no thread.
+  ShardDirectory dir(1);
+  NetPsClientConfig cc;
+  cc.num_shards = 1;
+  ASSERT_GT(cc.rpc_deadline_us, 0);
+  const std::ptrdiff_t before = CountThreads();
+  NetPsClient client(cc, &dir, TinyParams(), TinyIsEmb());
+  EXPECT_EQ(CountThreads(), before);
 }
 
 // ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ NetPsClientConfig StressClientConfig(int num_shards) {
   NetPsClientConfig cc;
   cc.num_shards = num_shards;
   cc.retry = FastRetry();
-  // Generous: the watchdog must never fire under sanitizer slowdowns, or a
+  // Generous: the deadline must never fire under sanitizer slowdowns, or a
   // cut would turn an exact-sum assertion into a double-apply.
   cc.rpc_deadline_us = 30'000'000;
   return cc;

@@ -88,7 +88,7 @@ TEST(ScopedLatencyTimerTest, RecordsScopeDurationInMicros) {
   {
     ScopedLatencyTimer timer(h);
     volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink += static_cast<double>(i);
+    for (int i = 0; i < 1000; ++i) sink = sink + static_cast<double>(i);
   }
   const Histogram::Snapshot s = h->snapshot();
   EXPECT_EQ(s.count, 1u);

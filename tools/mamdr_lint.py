@@ -29,7 +29,7 @@ the offending line):
                   comment is honored ONLY in the files listed in
                   RAW_CLOCK_COMMENT_ALLOWED (currently empty — the last
                   exception, the metrics server's slow-client deadline,
-                  became a CondVar::WaitFor timed wait); everywhere else
+                  now reads obs::MonotonicMicros()); everywhere else
                   the rule is absolute.
   net-raw-clock   any raw clock read — ``steady_clock``/``system_clock``/
                   ``high_resolution_clock`` ``::now()``, ``clock_gettime``,

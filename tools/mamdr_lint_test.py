@@ -152,7 +152,7 @@ class RawClockRule(unittest.TestCase):
 
     def test_allow_comment_rejected_everywhere(self):
         # RAW_CLOCK_COMMENT_ALLOWED is empty since the metrics server's
-        # deadline became a CondVar::WaitFor: the allow comment works
+        # deadline moved off raw clock reads: the allow comment works
         # nowhere, including the formerly blessed file.
         for path in ("src/serve/metrics_server.cc",
                      "src/ps/fault_injector.cc", "src/serve/recommender.cc",

@@ -7,7 +7,9 @@
 //             --save-dataset ./data_out --topk-eval
 //   mamdr_run --load-dataset ./data_out --framework Alternate
 //   mamdr_run --list
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "checkpoint/checkpoint.h"
 #include "core/early_stopper.h"
@@ -65,12 +67,12 @@ void PrintUsage(const char* prog) {
       prog);
 }
 
-Result<data::MultiDomainDataset> BuildDataset(const FlagParser& flags) {
+Result<data::MultiDomainDataset> BuildDataset(const FlagParser& flags,
+                                              double scale) {
   if (flags.Has("load-dataset")) {
     return data::LoadCsv(flags.GetString("load-dataset", ""));
   }
   const std::string name = flags.GetString("dataset", "taobao10");
-  const double scale = flags.GetDouble("scale", 1.0);
   const uint64_t seed =
       static_cast<uint64_t>(flags.GetInt("data-seed", 17));
   data::SyntheticConfig config;
@@ -118,7 +120,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto ds_result = BuildDataset(flags);
+  const auto reject = [](const std::string& message) {
+    std::fprintf(stderr, "%s\n",
+                 Status::InvalidArgument(message).ToString().c_str());
+    return 2;
+  };
+  const double scale = flags.GetDouble("scale", 1.0);
+  if (!std::isfinite(scale) || scale <= 0.0) {
+    return reject("--scale must be finite and > 0, got " +
+                  flags.GetString("scale", ""));
+  }
+  const int64_t patience = flags.GetInt("patience", 0);
+  if (patience < 0) {
+    return reject("--patience must be >= 0, got " + std::to_string(patience));
+  }
+
+  auto ds_result = BuildDataset(flags, scale);
   if (!ds_result.ok()) {
     std::fprintf(stderr, "dataset: %s\n",
                  ds_result.status().ToString().c_str());
@@ -159,7 +176,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 2;
   }
-  const int64_t patience = flags.GetInt("patience", 0);
 
   const std::string model_name = flags.GetString("model", "MLP");
   const std::string fw_name = flags.GetString("framework", "MAMDR");
