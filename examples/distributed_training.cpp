@@ -10,7 +10,7 @@
 //   python3 tools/mamdr_tracemerge.py --align ping -o traces/merged.trace.json traces/*.trace.json
 //
 // stitches them into one chrome://tracing timeline where each cross-shard
-// FanoutCall's client span links to the four server handler spans it
+// fan-out's client span links to the four server handler spans it
 // caused. Each shard also serves live Prometheus text on its own
 // 127.0.0.1:<port>/metrics while the run is going.
 //

@@ -259,7 +259,7 @@ void Listener::Close() {
   port_ = 0;
 }
 
-Result<int> ConnectLoopback(int port) {
+Result<int> ConnectLoopback(int port, int64_t io_timeout_us) {
   if (port <= 0 || port > 65535) {
     return Status::Unavailable("net::ConnectLoopback: no endpoint (port " +
                                std::to_string(port) + ")");
@@ -272,6 +272,13 @@ Result<int> ConnectLoopback(int port) {
   // RPC frames are small and latency-bound: never Nagle-delay them.
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (io_timeout_us > 0) {
+    const Status armed = SetIoTimeout(fd, io_timeout_us);
+    if (!armed.ok()) {
+      ::close(fd);
+      return armed;
+    }
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -281,7 +288,10 @@ Result<int> ConnectLoopback(int port) {
     rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   } while (rc < 0 && errno == EINTR);
   if (rc < 0) {
-    const std::string err = std::strerror(errno);
+    // SO_SNDTIMEO expiring mid-handshake reports EINPROGRESS: the dial
+    // deadline, retryable like a refusal.
+    const std::string err = errno == EINPROGRESS ? "dial deadline exceeded"
+                                                 : std::strerror(errno);
     ::close(fd);
     return Status::Unavailable("connect(127.0.0.1:" + std::to_string(port) +
                                "): " + err);

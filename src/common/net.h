@@ -158,9 +158,13 @@ class Listener {
   int port_ = 0;
 };
 
-/// Blocking connect to 127.0.0.1:`port`. Refused / unreachable connections
-/// yield kUnavailable (the retry layer's cue).
-Result<int> ConnectLoopback(int port);
+/// Blocking connect to 127.0.0.1:`port`. `io_timeout_us` > 0 arms that
+/// I/O deadline (SetIoTimeout) on the socket *before* connect(), so it
+/// bounds the dial too: a peer whose listen backlog is full drops the SYN,
+/// and without a deadline the kernel retries it for about two minutes.
+/// Refused, unreachable and timed-out connects all yield kUnavailable (the
+/// retry layer's cue); 0 leaves the socket fully blocking.
+Result<int> ConnectLoopback(int port, int64_t io_timeout_us = 0);
 
 // --- Frame codec ----------------------------------------------------------
 //

@@ -68,13 +68,11 @@ Result<ConnectionPool::Lease> ConnectionPool::Acquire(int shard, int port) {
     }
   }
   // Fresh dial, outside the lock: ConnectLoopback blocks on the handshake
-  // and asserts no locks are held.
-  Result<int> conn = cnet::ConnectLoopback(port);
+  // and asserts no locks are held. It arms the I/O deadline before
+  // connect(), so the deadline bounds the dial and every later exchange.
+  Result<int> conn = cnet::ConnectLoopback(port, io_timeout_us_);
   if (!conn.ok()) return conn.status();
   lease.fd.reset(conn.value());
-  if (io_timeout_us_ > 0) {
-    MAMDR_RETURN_IF_ERROR(cnet::SetIoTimeout(lease.fd.get(), io_timeout_us_));
-  }
   lease.reused = false;
   dials_counter_->Add();
   MutexLock lock(&mu_);

@@ -19,9 +19,9 @@
 //     * cached fd exists, same port, ProbeConnAlive -> reuse (reused=true)
 //     * cached fd exists but the shard respawned on a new port, or the
 //       probe says dead/desynced -> drop it (stale_drops) and dial fresh
-//     * no cached fd -> dial fresh (dials); a fresh fd gets the pool's
-//       kernel I/O deadline (net::SetIoTimeout) once, which bounds every
-//       later exchange on it
+//     * no cached fd -> dial fresh (dials); the pool's kernel I/O
+//       deadline (net::SetIoTimeout) is armed on the socket before
+//       connect(), so it bounds the dial and every later exchange on it
 //   ... caller runs one or more framed exchanges on lease.fd ...
 //   Release(lease, healthy)
 //     * healthy -> back into the slot for the next Acquire
@@ -32,7 +32,7 @@
 // ProbeConnAlive can miss a peer whose FIN is still in flight, so a reused
 // lease's *first* failure is not proof the shard is down — callers redial
 // once (fresh connection) before charging their retry budget; see
-// NetPsClient::CallOnce.
+// NetPsClient::CallFramesOnce.
 //
 // Thread-safety: the slot table is guarded by a named Mutex
 // ("ps.net.client.pool"); dialing happens outside the lock (ConnectLoopback
@@ -85,8 +85,8 @@ class ConnectionPool {
   };
 
   /// `io_timeout_us` > 0 arms that kernel I/O deadline on every fd the
-  /// pool dials (NetPsClientConfig::rpc_deadline_us); <= 0 leaves sockets
-  /// fully blocking.
+  /// pool dials, before its connect() (NetPsClientConfig::rpc_deadline_us);
+  /// <= 0 leaves sockets fully blocking.
   ConnectionPool(int num_shards, int64_t io_timeout_us);
   ~ConnectionPool() { CloseAll(); }
 
@@ -96,7 +96,8 @@ class ConnectionPool {
   /// Lease a connection to `shard`, which currently listens on `port`
   /// (resolved by the caller from the ShardDirectory). Reuses the cached
   /// connection when it is still bound to `port` and probes alive;
-  /// otherwise dials fresh. kUnavailable when the dial fails.
+  /// otherwise dials fresh. kUnavailable when the dial fails or outlasts
+  /// the I/O deadline.
   Result<Lease> Acquire(int shard, int port) MAMDR_EXCLUDES(mu_);
 
   /// Return a lease. `healthy` means every exchange on it completed

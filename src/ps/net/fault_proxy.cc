@@ -200,7 +200,7 @@ bool FaultProxy::RelayExchange(Session* s) {
     // shard respawned on a fresh port is found by the next session.
     const int port = target_port_();
     Result<int> conn =
-        port > 0 ? cnet::ConnectLoopback(port)
+        port > 0 ? cnet::ConnectLoopback(port, /*io_timeout_us=*/0)
                  : Result<int>(Status::Unavailable("proxy target down"));
     if (!conn.ok()) {
       MutexLock lock(&mu_);

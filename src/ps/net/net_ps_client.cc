@@ -1,6 +1,7 @@
 #include "ps/net/net_ps_client.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -17,33 +18,47 @@ namespace cnet = ::mamdr::net;
 
 namespace {
 
-const char* OpName(PsOp op) {
-  switch (op) {
-    case PsOp::kPing:
-      return "ping";
-    case PsOp::kPullParams:
-      return "pull_params";
-    case PsOp::kPushParams:
-      return "push_params";
-    case PsOp::kPullRows:
-      return "pull_rows";
-    case PsOp::kPushRows:
-      return "push_rows";
-    case PsOp::kRestoreParams:
-      return "restore_params";
-    case PsOp::kRestoreRows:
-      return "restore_rows";
-  }
-  return "unknown";
-}
-
-constexpr uint8_t kMaxOpByte = static_cast<uint8_t>(PsOp::kRestoreRows);
-
 // Span names follow "<component>:<op>" (docs/ARCHITECTURE.md
 // "Observability"): the name pins what the span measures, tags carry the
-// per-instance detail (shard, attempt).
+// per-instance detail (shard, attempt, frames).
 std::string SpanName(const char* component, PsOp op) {
-  return std::string(component) + ":" + OpName(op);
+  return std::string(component) + ":" + PsOpName(op);
+}
+
+/// Strips each response's header into `ok_bodies`, in order. The first
+/// non-OK remote status comes back as is: a remote kUnavailable (e.g.
+/// mid-failover) stays retryable.
+Status DecodeOkBodies(const std::vector<std::string>& responses,
+                      std::vector<std::string>* ok_bodies) {
+  ok_bodies->clear();
+  ok_bodies->reserve(responses.size());
+  for (const std::string& resp : responses) {
+    PayloadReader r(resp);
+    MAMDR_RETURN_IF_ERROR(DecodeResponseHeader(&r));
+    ok_bodies->push_back(resp.substr(resp.size() - r.remaining()));
+  }
+  return Status::OK();
+}
+
+std::vector<int64_t> AllRows(int64_t n) {
+  std::vector<int64_t> rows(static_cast<size_t>(n));
+  std::iota(rows.begin(), rows.end(), int64_t{0});
+  return rows;
+}
+
+std::string PullParamsBody(const std::vector<uint32_t>& idxs) {
+  PayloadWriter w;
+  w.PutU32(static_cast<uint32_t>(idxs.size()));
+  for (const uint32_t idx : idxs) w.PutU32(idx);
+  return w.Take();
+}
+
+std::string PullRowsBody(int64_t idx, const std::vector<int64_t>& rows) {
+  PayloadWriter w;
+  w.PutU32(static_cast<uint32_t>(idx));
+  w.PutU64(rows.size());
+  for (const int64_t row : rows) w.PutI64(row);
+  return w.Take();
 }
 
 }  // namespace
@@ -81,11 +96,11 @@ NetPsClient::NetPsClient(NetPsClientConfig config, ShardDirectory* directory,
 
   // 10us .. ~5s exponential buckets: covers loopback RTTs through injected
   // latency spikes and retry storms.
-  rpc_us_by_op_.resize(kMaxOpByte + 1, nullptr);
-  for (uint8_t b = 1; b <= kMaxOpByte; ++b) {
+  rpc_us_by_op_.resize(kNumPsOps + 1, nullptr);
+  for (uint8_t b = 1; b <= kNumPsOps; ++b) {
     rpc_us_by_op_[b] = obs::Registry::Global().histogram(
         std::string("ps.net.client.rpc_us{op=\"") +
-            OpName(static_cast<PsOp>(b)) + "\"}",
+            PsOpName(static_cast<PsOp>(b)) + "\"}",
         obs::Histogram::ExponentialBounds(10.0, 2.0, 20),
         obs::Stability::kRuntime);
   }
@@ -120,34 +135,65 @@ void NetPsClient::CountIfDeadline(const Status& st) {
 
 // --- Transport -------------------------------------------------------------
 
-Status NetPsClient::AttemptOnFd(int fd,
-                                const std::vector<const std::string*>& requests,
-                                std::vector<std::string>* responses) {
-  const ExchangeScope exchange(&in_exchange_);
-  // Pipelined: every request frame goes out before any response is read,
-  // so a batch costs one round trip instead of one per frame.
-  Status st = Status::OK();
-  for (const std::string* request : requests) {
-    st = cnet::WriteFrame(fd, *request);
-    if (!st.ok()) break;
+NetPsClient::ShardBatch NetPsClient::OneFrame(int shard, PsOp op,
+                                              std::string body) {
+  ShardBatch batch{shard, {}};
+  batch.requests.push_back({op, std::move(body)});
+  return batch;
+}
+
+std::vector<NetPsClient::ShardBatch> NetPsClient::DropEmpty(
+    std::vector<ShardBatch> batches) {
+  batches.erase(std::remove_if(batches.begin(), batches.end(),
+                               [](const ShardBatch& b) {
+                                 return b.requests.empty();
+                               }),
+                batches.end());
+  return batches;
+}
+
+std::vector<std::string> NetPsClient::FrameBatch(
+    const std::vector<ShardRequest>& requests, const obs::TraceContext& ctx) {
+  std::vector<std::string> frames;
+  frames.reserve(requests.size());
+  for (const ShardRequest& req : requests) {
+    PayloadWriter w;
+    BeginRequest(&w, req.op, ctx.trace_id, ctx.span_id);
+    frames.push_back(w.Take() + req.body);
   }
-  if (st.ok()) {
-    responses->clear();
-    responses->reserve(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      Result<std::string> r = cnet::ReadFrame(fd, config_.max_frame_bytes);
-      if (!r.ok()) {
-        st = r.status();
-        break;
-      }
-      responses->push_back(std::move(r).value());
+  return frames;
+}
+
+void NetPsClient::Attempt(std::vector<Exchange>* exchanges) {
+  const ExchangeScope scope(&in_exchange_);
+  // Pipelined: every frame goes out on every lease before any response is
+  // read, so an attempt costs one round trip however many shards and
+  // frames it carries.
+  for (Exchange& x : *exchanges) {
+    x.status = Status::OK();
+    x.responses.clear();
+    for (const std::string& frame : *x.frames) {
+      x.status = cnet::WriteFrame(x.lease.fd.get(), frame);
+      if (!x.status.ok()) break;
     }
   }
-  return st;
+  // Read phase, lease after lease; each lease's responses arrive in its
+  // request order.
+  for (Exchange& x : *exchanges) {
+    while (x.status.ok() && x.responses.size() < x.frames->size()) {
+      Result<std::string> r =
+          cnet::ReadFrame(x.lease.fd.get(), config_.max_frame_bytes);
+      if (r.ok()) {
+        x.responses.push_back(std::move(r).value());
+      } else {
+        x.status = r.status();
+      }
+    }
+  }
 }
 
 Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
-    int shard, const std::vector<const std::string*>& requests,
+    int shard, const std::vector<std::string>& frames,
     obs::Histogram* rpc_us) {
   const int64_t start_us = obs::MonotonicMicros();
   const int port = directory_->GetPort(shard);
@@ -169,11 +215,13 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
     return a;
   }();
   if (!acquired.ok()) return acquired.status();
-  ConnectionPool::Lease lease = std::move(acquired).value();
-  const bool was_reused = lease.reused;
-  std::vector<std::string> responses;
-  Status st = AttemptOnFd(lease.fd.get(), requests, &responses);
-  pool_.Release(std::move(lease), /*healthy=*/st.ok());
+  std::vector<Exchange> exchange(1);
+  exchange[0].lease = std::move(acquired).value();
+  exchange[0].frames = &frames;
+  const bool was_reused = exchange[0].lease.reused;
+  Attempt(&exchange);
+  Status st = exchange[0].status;
+  pool_.Release(std::move(exchange[0].lease), /*healthy=*/st.ok());
   if (!st.ok() && was_reused &&
       st.code() != StatusCode::kDeadlineExceeded) {
     // A reused connection that fails on first use may simply have gone
@@ -193,9 +241,10 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
     if (!fresh.ok()) {
       st = fresh.status();
     } else {
-      ConnectionPool::Lease retry_lease = std::move(fresh).value();
-      st = AttemptOnFd(retry_lease.fd.get(), requests, &responses);
-      pool_.Release(std::move(retry_lease), /*healthy=*/st.ok());
+      exchange[0].lease = std::move(fresh).value();
+      Attempt(&exchange);
+      st = exchange[0].status;
+      pool_.Release(std::move(exchange[0].lease), /*healthy=*/st.ok());
     }
     if (!st.ok()) redial_span.SetError(st.message());
   }
@@ -216,229 +265,118 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
     // a retried push can then double-apply, the same bounded loss class as
     // a dropped push (see ARCHITECTURE.md). A *remote* kInvalidArgument
     // decoded from a valid frame is a real rejection and passes through
-    // Call() untouched.
+    // CallBatch untouched.
     return Status::Unavailable("shard " + std::to_string(shard) +
                                " response frame damaged: " + st.message());
   }
   if (!st.ok()) return st;
-  return responses;
+  return std::move(exchange[0].responses);
 }
 
-Result<std::string> NetPsClient::CallOnce(int shard,
-                                          const std::string& request,
-                                          obs::Histogram* rpc_us) {
-  MAMDR_ASSIGN_OR_RETURN(std::vector<std::string> responses,
-                         CallFramesOnce(shard, {&request}, rpc_us));
-  return std::move(responses[0]);
-}
-
-Result<std::string> NetPsClient::Call(int shard, PsOp op, std::string body,
-                                      const char* what) {
-  obs::ContextSpan rpc_span(SpanName("ps.client.rpc", op), "ps.client");
-  rpc_span.AddTag("shard", std::to_string(shard));
-  obs::Histogram* rpc_us = rpc_us_by_op_[static_cast<uint8_t>(op)];
-
-  // Untraced attempts reuse one prebuilt frame; traced attempts each open
-  // their own span and re-frame so the context on the wire names the
-  // attempt that actually reached the shard.
-  std::string untraced_frame;
-  int attempt = 0;
-  std::string ok_body;
-  const Status st = retry_[static_cast<size_t>(shard)]->Run(
-      [&]() -> Status {
-        obs::ContextSpan attempt_span(SpanName("ps.client.attempt", op),
-                                      "ps.client");
-        attempt_span.AddTag("shard", std::to_string(shard));
-        attempt_span.AddTag("attempt", std::to_string(attempt++));
-        std::string traced_frame;
-        const std::string* frame = &untraced_frame;
-        if (attempt_span.active()) {
-          PayloadWriter w;
-          const obs::TraceContext ctx = attempt_span.context();
-          BeginRequest(&w, op, ctx.trace_id, ctx.span_id);
-          traced_frame = w.Take() + body;
-          frame = &traced_frame;
-        } else if (untraced_frame.empty()) {
-          PayloadWriter w;
-          BeginRequest(&w, op, 0, 0);
-          untraced_frame = w.Take() + body;
-        }
-        const Status attempt_st = [&]() -> Status {
-          Result<std::string> framed = CallOnce(shard, *frame, rpc_us);
-          MAMDR_RETURN_IF_ERROR(framed.status());
-          PayloadReader r(framed.value());
-          // The response header carries the remote Status; a remote
-          // kUnavailable (e.g. mid-failover) stays retryable here.
-          MAMDR_RETURN_IF_ERROR(DecodeResponseHeader(&r));
-          ok_body = framed.value().substr(framed.value().size() -
-                                          r.remaining());
-          return Status::OK();
-        }();
-        if (!attempt_st.ok()) attempt_span.SetError(attempt_st.message());
-        return attempt_st;
-      },
-      what);
-  if (!st.ok()) {
-    rpc_span.SetError(st.message());
-    return st;
-  }
-  return ok_body;
-}
-
-Status NetPsClient::CallBatch(int shard,
-                              const std::vector<ShardRequest>& requests,
+Status NetPsClient::CallBatch(const ShardBatch& batch,
                               std::vector<std::string>* ok_bodies,
                               const char* what) {
-  if (requests.empty()) {
-    ok_bodies->clear();
-    return Status::OK();
-  }
-  obs::ContextSpan batch_span(SpanName("ps.client.batch", requests[0].op),
-                              "ps.client");
-  batch_span.AddTag("shard", std::to_string(shard));
-  batch_span.AddTag("frames", std::to_string(requests.size()));
-  // Every frame of a traced attempt carries the attempt span's context, so
-  // all of the batch's server handler spans link to one client span.
-  const auto build_frames = [&requests](uint64_t trace_id, uint64_t span_id) {
-    std::vector<std::string> out;
-    out.reserve(requests.size());
-    for (const ShardRequest& req : requests) {
-      PayloadWriter w;
-      BeginRequest(&w, req.op, trace_id, span_id);
-      out.push_back(w.Take() + req.body);
-    }
-    return out;
-  };
-  std::vector<std::string> framed;  // untraced attempts reuse these
+  const PsOp op = batch.requests[0].op;
+  obs::ContextSpan rpc_span(SpanName("ps.client.rpc", op), "ps.client");
+  rpc_span.AddTag("shard", std::to_string(batch.shard));
+  rpc_span.AddTag("frames", std::to_string(batch.requests.size()));
   // The batch's latency lands in the first op's histogram: a pipelined
   // batch is one wire round trip, and splitting it per op would count the
   // same elapsed time N times.
-  obs::Histogram* rpc_us =
-      rpc_us_by_op_[static_cast<uint8_t>(requests[0].op)];
+  obs::Histogram* rpc_us = rpc_us_by_op_[static_cast<uint8_t>(op)];
 
+  // Untraced attempts reuse one prebuilt set of frames; traced attempts
+  // each open their own span and re-frame so the context on the wire names
+  // the attempt that actually reached the shard.
+  std::vector<std::string> untraced;
   int attempt = 0;
-  const Status st = retry_[static_cast<size_t>(shard)]->Run(
+  const Status st = retry_[static_cast<size_t>(batch.shard)]->Run(
       [&]() -> Status {
-        obs::ContextSpan attempt_span(
-            SpanName("ps.client.attempt", requests[0].op), "ps.client");
-        attempt_span.AddTag("shard", std::to_string(shard));
+        obs::ContextSpan attempt_span(SpanName("ps.client.attempt", op),
+                                      "ps.client");
+        attempt_span.AddTag("shard", std::to_string(batch.shard));
         attempt_span.AddTag("attempt", std::to_string(attempt++));
         std::vector<std::string> traced;
-        const std::vector<std::string>* frames = &framed;
+        const std::vector<std::string>* frames = &untraced;
         if (attempt_span.active()) {
-          const obs::TraceContext ctx = attempt_span.context();
-          traced = build_frames(ctx.trace_id, ctx.span_id);
+          traced = FrameBatch(batch.requests, attempt_span.context());
           frames = &traced;
-        } else if (framed.empty()) {
-          framed = build_frames(0, 0);
+        } else if (untraced.empty()) {
+          untraced = FrameBatch(batch.requests, obs::TraceContext{});
         }
-        std::vector<const std::string*> frame_ptrs;
-        frame_ptrs.reserve(frames->size());
-        for (const std::string& f : *frames) frame_ptrs.push_back(&f);
-        const Status attempt_st = [&]() -> Status {
-          Result<std::vector<std::string>> responses =
-              CallFramesOnce(shard, frame_ptrs, rpc_us);
-          MAMDR_RETURN_IF_ERROR(responses.status());
-          ok_bodies->clear();
-          ok_bodies->reserve(responses.value().size());
-          for (const std::string& resp : responses.value()) {
-            PayloadReader r(resp);
-            // Any non-OK response fails (and retries) the whole batch; a
-            // remote kUnavailable mid-failover stays retryable.
-            MAMDR_RETURN_IF_ERROR(DecodeResponseHeader(&r));
-            ok_bodies->push_back(resp.substr(resp.size() - r.remaining()));
-          }
-          return Status::OK();
-        }();
+        Result<std::vector<std::string>> responses =
+            CallFramesOnce(batch.shard, *frames, rpc_us);
+        // An attempt is all-or-nothing: any non-OK response fails (and
+        // retries) the whole batch.
+        const Status attempt_st =
+            responses.ok() ? DecodeOkBodies(responses.value(), ok_bodies)
+                           : responses.status();
         if (!attempt_st.ok()) attempt_span.SetError(attempt_st.message());
         return attempt_st;
       },
       what);
-  if (!st.ok()) batch_span.SetError(st.message());
+  if (!st.ok()) rpc_span.SetError(st.message());
   return st;
 }
 
-Status NetPsClient::FanoutCall(const std::vector<int>& shards, PsOp op,
-                               std::vector<std::string> bodies,
+Status NetPsClient::FanoutCall(const std::vector<ShardBatch>& batches,
                                std::vector<std::string>* ok_bodies,
                                const char* what) {
-  MAMDR_CHECK_EQ(shards.size(), bodies.size());
-  const size_t n = shards.size();
+  ok_bodies->clear();
+  const size_t n = batches.size();
+  if (n == 0) return Status::OK();
+  for (const ShardBatch& b : batches) MAMDR_CHECK(!b.requests.empty());
+  const PsOp op = batches[0].requests[0].op;
   obs::ContextSpan fanout_span(SpanName("ps.client.fanout", op), "ps.client");
   fanout_span.AddTag("shards", std::to_string(n));
-  ok_bodies->assign(n, std::string());
+  std::vector<std::vector<std::string>> bodies(n);
   std::vector<bool> done(n, false);
   if (n > 1) {
     const int64_t start_us = obs::MonotonicMicros();
-    // One child span per target shard; each shard's request frame carries
-    // its child's context, so the server handler span for shard i links
-    // under exactly one of these.
+    // One child span per target shard; each shard's frames carry its
+    // child's context, so the server handler spans for shard i link under
+    // exactly one of these.
     std::vector<std::unique_ptr<obs::ContextSpan>> shard_spans(n);
-    std::vector<std::string> framed(n);
+    std::vector<std::vector<std::string>> frames(n);
     for (size_t i = 0; i < n; ++i) {
-      uint64_t trace_id = 0;
-      uint64_t parent_span_id = 0;
+      obs::TraceContext ctx;
       if (fanout_span.active()) {
         shard_spans[i] = std::make_unique<obs::ContextSpan>(
-            SpanName("ps.client.shard", op), "ps.client",
-            fanout_span.context());
-        shard_spans[i]->AddTag("shard", std::to_string(shards[i]));
-        const obs::TraceContext ctx = shard_spans[i]->context();
-        trace_id = ctx.trace_id;
-        parent_span_id = ctx.span_id;
+            SpanName("ps.client.shard", batches[i].requests[0].op),
+            "ps.client", fanout_span.context());
+        shard_spans[i]->AddTag("shard", std::to_string(batches[i].shard));
+        ctx = shard_spans[i]->context();
       }
-      PayloadWriter w;
-      BeginRequest(&w, op, trace_id, parent_span_id);
-      framed[i] = w.Take() + bodies[i];
+      frames[i] = FrameBatch(batches[i].requests, ctx);
     }
-    // One pooled connection per target, acquired in shard order. A shard
-    // that is down or refuses the dial stays on the serial path below.
-    struct InFlight {
-      size_t i;
-      ConnectionPool::Lease lease;
-      bool sent = false;
-      bool clean = false;  // response frame arrived undamaged
-    };
-    std::vector<InFlight> inflight;
-    inflight.reserve(n);
+    // One pooled connection per target, acquired in batch order. A shard
+    // that is down or refuses the dial stays on the retried path below.
+    std::vector<Exchange> exchanges;
+    std::vector<size_t> batch_of;  // exchanges[j] carries batches[batch_of[j]]
+    exchanges.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      const int port = directory_->GetPort(shards[i]);
-      if (port == 0) continue;
-      Result<ConnectionPool::Lease> acquired = pool_.Acquire(shards[i], port);
+      const int shard = batches[i].shard;
+      Result<ConnectionPool::Lease> acquired =
+          pool_.Acquire(shard, directory_->GetPort(shard));
       if (!acquired.ok()) continue;
-      inflight.push_back({i, std::move(acquired).value()});
+      exchanges.emplace_back();
+      exchanges.back().lease = std::move(acquired).value();
+      exchanges.back().frames = &frames[i];
+      batch_of.push_back(i);
     }
     // Each connection carries the pool's I/O deadline, so a stalled shard
-    // costs this phase one deadline (k stalled shards, up to k) before it
-    // retries serially under its own budget.
-    const ExchangeScope exchange(&in_exchange_);
-    // Write phase: every shard's request goes out before any response is
-    // read, so the fan-out costs one round trip instead of one per shard.
-    for (InFlight& f : inflight) {
-      const Status sent = cnet::WriteFrame(f.lease.fd.get(), framed[f.i]);
-      CountIfDeadline(sent);
-      f.sent = sent.ok();
-    }
-    // Read phase, same order. A valid frame whose remote status is non-OK
-    // leaves the connection healthy (the exchange completed) but sends the
-    // shard to the serial path, which owns retryability and error mapping.
-    for (InFlight& f : inflight) {
-      if (!f.sent) continue;
-      Result<std::string> resp =
-          cnet::ReadFrame(f.lease.fd.get(), config_.max_frame_bytes);
-      if (!resp.ok()) {
-        CountIfDeadline(resp.status());
-        continue;
-      }
-      f.clean = true;
-      PayloadReader r(resp.value());
-      if (!DecodeResponseHeader(&r).ok()) continue;
-      (*ok_bodies)[f.i] =
-          resp.value().substr(resp.value().size() - r.remaining());
-      done[f.i] = true;
-    }
-    for (InFlight& f : inflight) {
-      pool_.Release(std::move(f.lease), /*healthy=*/f.sent && f.clean);
+    // costs this pass one deadline (k stalled shards, up to k) before it
+    // retries under its own budget.
+    Attempt(&exchanges);
+    for (size_t j = 0; j < exchanges.size(); ++j) {
+      Exchange& x = exchanges[j];
+      CountIfDeadline(x.status);
+      // A valid frame whose remote status is non-OK leaves the connection
+      // healthy (the exchange completed) but sends the shard to the
+      // retried path, which owns retryability and error mapping.
+      pool_.Release(std::move(x.lease), /*healthy=*/x.status.ok());
+      const size_t i = batch_of[j];
+      done[i] = x.status.ok() && DecodeOkBodies(x.responses, &bodies[i]).ok();
     }
     obs::Histogram* rpc_us = rpc_us_by_op_[static_cast<uint8_t>(op)];
     if (rpc_us != nullptr) {
@@ -453,21 +391,26 @@ Status NetPsClient::FanoutCall(const std::vector<int>& shards, PsOp op,
       }
     }
     if (fell_back > 0) fanout_serial_counter_->Add(fell_back);
-    // Close the per-shard children before any serial retry opens its own
+    // Close the per-shard children before any retried call opens its own
     // rpc/attempt spans, so fallback work is not nested under a child that
     // already failed.
     shard_spans.clear();
   }
-  // Serial pass: whatever the pipelined phase did not finish — a single target,
-  // or a shard whose exchange failed. Call() owns the retry budget,
-  // stale-redial, and error mapping, so fallback failure semantics are exactly
-  // the single-shard path's. A shard that answered with a remote error is
-  // re-asked once here; PS ops are idempotent under validation errors and a
-  // retried push is the same bounded loss class as any transport retry.
+  // Retried pass: whatever the pipelined pass did not finish — a single
+  // target, or a shard whose exchange failed. CallBatch owns the retry
+  // budget, stale-redial, and error mapping, so fallback failure semantics
+  // are exactly the single-shard path's. A shard that answered with a
+  // remote error is re-asked here; PS ops are idempotent under validation
+  // errors and a retried push is the same bounded loss class as any
+  // transport retry.
   for (size_t i = 0; i < n; ++i) {
     if (done[i]) continue;
-    MAMDR_ASSIGN_OR_RETURN((*ok_bodies)[i],
-                           Call(shards[i], op, std::move(bodies[i]), what));
+    MAMDR_RETURN_IF_ERROR(CallBatch(batches[i], &bodies[i], what));
+  }
+  for (std::vector<std::string>& shard_bodies : bodies) {
+    for (std::string& body : shard_bodies) {
+      ok_bodies->push_back(std::move(body));
+    }
   }
   return Status::OK();
 }
@@ -529,9 +472,10 @@ Status NetPsClient::Ping(int shard) {
     return Status::InvalidArgument("ping: bad shard " +
                                    std::to_string(shard));
   }
-  MAMDR_ASSIGN_OR_RETURN(const std::string body,
-                         Call(shard, PsOp::kPing, std::string(), "ps.Ping"));
-  if (!body.empty()) {
+  std::vector<std::string> bodies;
+  MAMDR_RETURN_IF_ERROR(FanoutCall({OneFrame(shard, PsOp::kPing, "")},
+                                   &bodies, "ps.Ping"));
+  if (!bodies[0].empty()) {
     return Status::InvalidArgument("ping: unexpected response body");
   }
   return Status::OK();
@@ -540,17 +484,12 @@ Status NetPsClient::Ping(int shard) {
 Status NetPsClient::PullDense(std::vector<Tensor>* out) {
   EnterOp();
   obs::ContextSpan op_span(std::string("ps.op:pull_dense"), "ps.client");
-  return PullDenseFanout(out);
-}
-
-Status NetPsClient::PullDenseFanout(std::vector<Tensor>* out) {
   if (out->size() != shapes_.size()) {
     return Status::InvalidArgument(
         "ps client: pull destination has " + std::to_string(out->size()) +
         " entries, layout has " + std::to_string(shapes_.size()));
   }
-  std::vector<int> shards;
-  std::vector<std::string> bodies;
+  std::vector<ShardBatch> batches;
   for (int s = 0; s < config_.num_shards; ++s) {
     const std::vector<uint32_t>& idxs = dense_by_shard_[static_cast<size_t>(s)];
     if (idxs.empty()) continue;
@@ -558,19 +497,14 @@ Status NetPsClient::PullDenseFanout(std::vector<Tensor>* out) {
       MAMDR_RETURN_IF_ERROR(
           CheckTableShape(idx, (*out)[idx], "pull destination"));
     }
-    PayloadWriter w;
-    w.PutU32(static_cast<uint32_t>(idxs.size()));
-    for (const uint32_t idx : idxs) w.PutU32(idx);
-    shards.push_back(s);
-    bodies.push_back(w.Take());
+    batches.push_back(OneFrame(s, PsOp::kPullParams, PullParamsBody(idxs)));
   }
   std::vector<std::string> ok_bodies;
-  MAMDR_RETURN_IF_ERROR(FanoutCall(shards, PsOp::kPullParams,
-                                   std::move(bodies), &ok_bodies,
-                                   "ps.PullDense"));
-  for (size_t k = 0; k < shards.size(); ++k) {
+  MAMDR_RETURN_IF_ERROR(FanoutCall(batches, &ok_bodies, "ps.PullDense"));
+  for (size_t k = 0; k < batches.size(); ++k) {
     MAMDR_RETURN_IF_ERROR(DecodePullParamsBody(
-        ok_bodies[k], dense_by_shard_[static_cast<size_t>(shards[k])], out));
+        ok_bodies[k], dense_by_shard_[static_cast<size_t>(batches[k].shard)],
+        out));
   }
   return Status::OK();
 }
@@ -623,25 +557,20 @@ Status NetPsClient::PullRowsFanout(int64_t idx,
   if (dim <= 0) return Status::OK();  // nothing to move
   const std::vector<std::vector<int64_t>> by_shard =
       GroupRowsByShard(idx, rows);
-  std::vector<int> shards;
-  std::vector<std::string> bodies;
+  std::vector<ShardBatch> batches;
   for (int s = 0; s < config_.num_shards; ++s) {
     const std::vector<int64_t>& shard_rows =
         by_shard[static_cast<size_t>(s)];
     if (shard_rows.empty()) continue;
-    PayloadWriter w;
-    w.PutU32(static_cast<uint32_t>(idx));
-    w.PutU64(shard_rows.size());
-    for (const int64_t row : shard_rows) w.PutI64(row);
-    shards.push_back(s);
-    bodies.push_back(w.Take());
+    batches.push_back(
+        OneFrame(s, PsOp::kPullRows, PullRowsBody(idx, shard_rows)));
   }
   std::vector<std::string> ok_bodies;
-  MAMDR_RETURN_IF_ERROR(
-      FanoutCall(shards, PsOp::kPullRows, std::move(bodies), &ok_bodies, what));
-  for (size_t k = 0; k < shards.size(); ++k) {
+  MAMDR_RETURN_IF_ERROR(FanoutCall(batches, &ok_bodies, what));
+  for (size_t k = 0; k < batches.size(); ++k) {
     MAMDR_RETURN_IF_ERROR(DecodePullRowsBody(
-        ok_bodies[k], idx, by_shard[static_cast<size_t>(shards[k])], into));
+        ok_bodies[k], idx, by_shard[static_cast<size_t>(batches[k].shard)],
+        into));
   }
   return Status::OK();
 }
@@ -661,10 +590,8 @@ Status NetPsClient::PullFullTable(int64_t idx, Tensor* into) {
   obs::ContextSpan op_span(std::string("ps.op:pull_full_table"), "ps.client");
   MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
   MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, *into, "pull destination"));
-  const int64_t n = shapes_[static_cast<size_t>(idx)][0];
-  std::vector<int64_t> rows(static_cast<size_t>(n));
-  for (int64_t r = 0; r < n; ++r) rows[static_cast<size_t>(r)] = r;
-  return PullRowsFanout(idx, rows, into, "ps.PullFullTable");
+  return PullRowsFanout(idx, AllRows(shapes_[static_cast<size_t>(idx)][0]),
+                        into, "ps.PullFullTable");
 }
 
 Status NetPsClient::PushDenseDelta(const std::vector<Tensor>& delta,
@@ -676,8 +603,7 @@ Status NetPsClient::PushDenseDelta(const std::vector<Tensor>& delta,
         "ps client: dense delta has " + std::to_string(delta.size()) +
         " entries, layout has " + std::to_string(shapes_.size()));
   }
-  std::vector<int> shards;
-  std::vector<std::string> bodies;
+  std::vector<ShardBatch> batches;
   for (int s = 0; s < config_.num_shards; ++s) {
     std::vector<uint32_t> idxs;
     for (const uint32_t idx : dense_by_shard_[static_cast<size_t>(s)]) {
@@ -695,13 +621,11 @@ Status NetPsClient::PushDenseDelta(const std::vector<Tensor>& delta,
       w.PutF32Array(delta[idx].data(),
                     static_cast<size_t>(delta[idx].size()));
     }
-    shards.push_back(s);
-    bodies.push_back(w.Take());
+    batches.push_back(OneFrame(s, PsOp::kPushParams, w.Take()));
   }
   std::vector<std::string> ok_bodies;
-  MAMDR_RETURN_IF_ERROR(FanoutCall(shards, PsOp::kPushParams,
-                                   std::move(bodies), &ok_bodies,
-                                   "ps.PushDenseDelta"));
+  MAMDR_RETURN_IF_ERROR(
+      FanoutCall(batches, &ok_bodies, "ps.PushDenseDelta"));
   for (const std::string& body : ok_bodies) {
     if (!body.empty()) {
       return Status::InvalidArgument("push_params: unexpected response body");
@@ -722,8 +646,7 @@ Status NetPsClient::PushRowDeltas(int64_t idx,
   if (dim <= 0) return Status::OK();
   const std::vector<std::vector<int64_t>> by_shard =
       GroupRowsByShard(idx, rows);
-  std::vector<int> shards;
-  std::vector<std::string> bodies;
+  std::vector<ShardBatch> batches;
   for (int s = 0; s < config_.num_shards; ++s) {
     const std::vector<int64_t>& shard_rows =
         by_shard[static_cast<size_t>(s)];
@@ -738,12 +661,10 @@ Status NetPsClient::PushRowDeltas(int64_t idx,
     for (const int64_t row : shard_rows) {
       w.PutF32Array(base + row * dim, static_cast<size_t>(dim));
     }
-    shards.push_back(s);
-    bodies.push_back(w.Take());
+    batches.push_back(OneFrame(s, PsOp::kPushRows, w.Take()));
   }
   std::vector<std::string> ok_bodies;
-  MAMDR_RETURN_IF_ERROR(FanoutCall(shards, PsOp::kPushRows, std::move(bodies),
-                                   &ok_bodies, "ps.PushRowDeltas"));
+  MAMDR_RETURN_IF_ERROR(FanoutCall(batches, &ok_bodies, "ps.PushRowDeltas"));
   for (const std::string& body : ok_bodies) {
     if (!body.empty()) {
       return Status::InvalidArgument("push_rows: unexpected response body");
@@ -760,55 +681,48 @@ Result<std::vector<Tensor>> NetPsClient::Snapshot() {
   for (const Shape& shape : shapes_) out.emplace_back(shape);
   // Dense tensors come from their owning shards; every embedding row comes
   // from the shard the ring assigns it to, so the assembled snapshot covers
-  // the full layout. All of one shard's requests — its dense pull plus one
-  // row pull per embedding table — go out as a single pipelined batch on
-  // one pooled connection, so a snapshot costs one round trip per shard
-  // instead of one per (shard, table).
-  for (int s = 0; s < config_.num_shards; ++s) {
-    std::vector<ShardRequest> requests;
-    // Parallel to `requests`: which table each row request covers
-    // (< 0 marks the dense request) and the rows it asked for.
-    std::vector<int64_t> req_table;
-    std::vector<std::vector<int64_t>> req_rows;
-
-    const std::vector<uint32_t>& idxs = dense_by_shard_[static_cast<size_t>(s)];
-    if (!idxs.empty()) {
-      PayloadWriter w;
-      w.PutU32(static_cast<uint32_t>(idxs.size()));
-      for (const uint32_t idx : idxs) w.PutU32(idx);
-      requests.push_back({PsOp::kPullParams, w.Take()});
-      req_table.push_back(-1);
-      req_rows.emplace_back();
+  // the full layout. A shard's batch is its dense pull plus one row pull
+  // per embedding table, and all batches ride one fan-out: every shard's
+  // frames go out before any response is read.
+  const size_t num_shards = static_cast<size_t>(config_.num_shards);
+  std::vector<ShardBatch> by_shard(num_shards);
+  // Parallel to by_shard[s].requests: the table each request covers (< 0
+  // marks the dense pull) and the rows it asked for.
+  std::vector<std::vector<std::pair<int64_t, std::vector<int64_t>>>> parts(
+      num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    by_shard[s].shard = static_cast<int>(s);
+    if (dense_by_shard_[s].empty()) continue;
+    by_shard[s].requests.push_back(
+        {PsOp::kPullParams, PullParamsBody(dense_by_shard_[s])});
+    parts[s].emplace_back(-1, std::vector<int64_t>());
+  }
+  for (size_t i = 0; i < shapes_.size(); ++i) {
+    if (!is_embedding_[i] || shapes_[i][1] <= 0) continue;
+    const int64_t idx = static_cast<int64_t>(i);
+    std::vector<std::vector<int64_t>> rows =
+        GroupRowsByShard(idx, AllRows(shapes_[i][0]));
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (rows[s].empty()) continue;
+      by_shard[s].requests.push_back(
+          {PsOp::kPullRows, PullRowsBody(idx, rows[s])});
+      parts[s].emplace_back(idx, std::move(rows[s]));
     }
-    for (size_t i = 0; i < shapes_.size(); ++i) {
-      if (!is_embedding_[i] || shapes_[i][1] <= 0) continue;
-      std::vector<int64_t> shard_rows;
-      for (int64_t r = 0; r < shapes_[i][0]; ++r) {
-        if (ring_.ShardForRow(static_cast<int64_t>(i), r) == s) {
-          shard_rows.push_back(r);
-        }
-      }
-      if (shard_rows.empty()) continue;
-      PayloadWriter w;
-      w.PutU32(static_cast<uint32_t>(i));
-      w.PutU64(shard_rows.size());
-      for (const int64_t row : shard_rows) w.PutI64(row);
-      requests.push_back({PsOp::kPullRows, w.Take()});
-      req_table.push_back(static_cast<int64_t>(i));
-      req_rows.push_back(std::move(shard_rows));
-    }
-    if (requests.empty()) continue;
-
-    std::vector<std::string> bodies;
-    MAMDR_RETURN_IF_ERROR(CallBatch(s, requests, &bodies, "ps.Snapshot"));
-    MAMDR_CHECK_EQ(bodies.size(), requests.size());
-    for (size_t k = 0; k < bodies.size(); ++k) {
-      if (req_table[k] < 0) {
-        MAMDR_RETURN_IF_ERROR(DecodePullParamsBody(bodies[k], idxs, &out));
+  }
+  const std::vector<ShardBatch> batches = DropEmpty(std::move(by_shard));
+  std::vector<std::string> bodies;
+  MAMDR_RETURN_IF_ERROR(FanoutCall(batches, &bodies, "ps.Snapshot"));
+  size_t k = 0;
+  for (const ShardBatch& batch : batches) {
+    const size_t s = static_cast<size_t>(batch.shard);
+    for (const auto& [table, rows] : parts[s]) {
+      const std::string& body = bodies[k++];
+      if (table < 0) {
+        MAMDR_RETURN_IF_ERROR(
+            DecodePullParamsBody(body, dense_by_shard_[s], &out));
       } else {
         MAMDR_RETURN_IF_ERROR(DecodePullRowsBody(
-            bodies[k], req_table[k], req_rows[k],
-            &out[static_cast<size_t>(req_table[k])]));
+            body, table, rows, &out[static_cast<size_t>(table)]));
       }
     }
   }
@@ -827,52 +741,50 @@ Status NetPsClient::Restore(const std::vector<Tensor>& params) {
     MAMDR_RETURN_IF_ERROR(
         CheckTableShape(static_cast<int64_t>(i), params[i], "restore entry"));
   }
-  // One pipelined batch per shard: its dense restore plus one row restore
-  // per embedding table, mirroring Snapshot's batching.
-  for (int s = 0; s < config_.num_shards; ++s) {
-    std::vector<ShardRequest> requests;
-    const std::vector<uint32_t>& idxs = dense_by_shard_[static_cast<size_t>(s)];
-    if (!idxs.empty()) {
-      PayloadWriter w;
-      w.PutU32(static_cast<uint32_t>(idxs.size()));
-      for (const uint32_t idx : idxs) {
-        w.PutU32(idx);
-        w.PutU64(static_cast<uint64_t>(params[idx].size()));
-        w.PutF32Array(params[idx].data(),
-                      static_cast<size_t>(params[idx].size()));
-      }
-      requests.push_back({PsOp::kRestoreParams, w.Take()});
+  // Snapshot's batching in reverse: each shard's dense restore plus one
+  // row restore per embedding table, all shards in one fan-out.
+  const size_t num_shards = static_cast<size_t>(config_.num_shards);
+  std::vector<ShardBatch> by_shard(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    by_shard[s].shard = static_cast<int>(s);
+    const std::vector<uint32_t>& idxs = dense_by_shard_[s];
+    if (idxs.empty()) continue;
+    PayloadWriter w;
+    w.PutU32(static_cast<uint32_t>(idxs.size()));
+    for (const uint32_t idx : idxs) {
+      w.PutU32(idx);
+      w.PutU64(static_cast<uint64_t>(params[idx].size()));
+      w.PutF32Array(params[idx].data(),
+                    static_cast<size_t>(params[idx].size()));
     }
-    for (size_t i = 0; i < shapes_.size(); ++i) {
-      if (!is_embedding_[i]) continue;
-      const int64_t dim = shapes_[i][1];
-      if (dim <= 0) continue;
-      std::vector<int64_t> shard_rows;
-      for (int64_t r = 0; r < shapes_[i][0]; ++r) {
-        if (ring_.ShardForRow(static_cast<int64_t>(i), r) == s) {
-          shard_rows.push_back(r);
-        }
-      }
-      if (shard_rows.empty()) continue;
+    by_shard[s].requests.push_back({PsOp::kRestoreParams, w.Take()});
+  }
+  for (size_t i = 0; i < shapes_.size(); ++i) {
+    if (!is_embedding_[i] || shapes_[i][1] <= 0) continue;
+    const int64_t dim = shapes_[i][1];
+    const int64_t idx = static_cast<int64_t>(i);
+    const std::vector<std::vector<int64_t>> rows =
+        GroupRowsByShard(idx, AllRows(shapes_[i][0]));
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (rows[s].empty()) continue;
       PayloadWriter w;
-      w.PutU32(static_cast<uint32_t>(i));
-      w.PutU64(shard_rows.size());
-      for (const int64_t row : shard_rows) w.PutI64(row);
+      w.PutU32(static_cast<uint32_t>(idx));
+      w.PutU64(rows[s].size());
+      for (const int64_t row : rows[s]) w.PutI64(row);
       w.PutU64(static_cast<uint64_t>(dim));
       const float* base = params[i].data();
-      for (const int64_t row : shard_rows) {
+      for (const int64_t row : rows[s]) {
         w.PutF32Array(base + row * dim, static_cast<size_t>(dim));
       }
-      requests.push_back({PsOp::kRestoreRows, w.Take()});
+      by_shard[s].requests.push_back({PsOp::kRestoreRows, w.Take()});
     }
-    if (requests.empty()) continue;
-
-    std::vector<std::string> bodies;
-    MAMDR_RETURN_IF_ERROR(CallBatch(s, requests, &bodies, "ps.Restore"));
-    for (const std::string& body : bodies) {
-      if (!body.empty()) {
-        return Status::InvalidArgument("restore: unexpected response body");
-      }
+  }
+  std::vector<std::string> bodies;
+  MAMDR_RETURN_IF_ERROR(
+      FanoutCall(DropEmpty(std::move(by_shard)), &bodies, "ps.Restore"));
+  for (const std::string& body : bodies) {
+    if (!body.empty()) {
+      return Status::InvalidArgument("restore: unexpected response body");
     }
   }
   return Status::OK();

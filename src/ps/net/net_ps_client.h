@@ -8,30 +8,34 @@
 // shard that owns a requested row and reassembles the results in request
 // order.
 //
-// Transport model (PR 9): RPCs ride pooled persistent connections — a
-// ConnectionPool keeps the last healthy connection per shard, and
-// multi-request ops (Snapshot/Restore) pipeline all of a shard's frames
-// over one connection (write all requests, then read all responses)
-// instead of paying a round trip per frame. Ops that fan out across
-// shards (dense pull/push, row pull/push) pipeline the other way too:
-// every shard's request frame goes out before any response is read, so a
-// fan-out costs roughly one round trip instead of one per shard. There is
-// no connect-per-op mode: on loopback, bench_ps measured pooling 1.6-3.3x
-// faster than a fresh dial per op, on every op.
+// Transport model: every op is one fan-out over per-shard frame batches
+// ({shard, [request...]}) on pooled persistent connections — a
+// ConnectionPool keeps the last healthy connection per shard. One
+// pipelined pass writes every batch's frames to its shard before it reads
+// any response, so an op costs about one round trip however many shards
+// and frames it touches. Ping and the pull/push ops send one frame per
+// shard; Snapshot and Restore send each shard its dense request plus one
+// per embedding table. A shard whose pipelined exchange fails is retried
+// alone, under its own budget. There is no connect-per-op mode: on
+// loopback, bench_ps measured pooling 1.6-3.3x faster than a fresh dial
+// per op, on every op.
 //
 // Robustness model (the point of this class):
 //
 //   * I/O deadline — the pool arms a kernel I/O deadline
-//     (net::SetIoTimeout(fd, rpc_deadline_us)) on every connection it
-//     dials. A send or receive that makes no progress for that long fails
-//     with kDeadlineExceeded, which CallFramesOnce maps to the retryable
+//     (net::SetIoTimeout(fd, rpc_deadline_us)) on every socket it dials,
+//     before connect(), so a dial to a shard whose listen backlog is full
+//     fails kUnavailable after one deadline instead of hanging. A send or
+//     receive that makes no progress for that long fails with
+//     kDeadlineExceeded, which CallFramesOnce maps to the retryable
 //     kUnavailable "rpc deadline exceeded" and counts as a deadline cut
 //     (ps.net.client.deadline_cuts). No thread enforces it. The deadline
 //     bounds each send or receive that makes no progress, not a whole
 //     attempt — the meaning read_deadline_us has on the shard server — so
 //     a peer that keeps trickling bytes is not cut, and a pipelined
 //     fan-out in which k shards stall waits up to k deadlines (it reads
-//     shard after shard) before its serial fallback.
+//     shard after shard) before their retried attempts. Snapshot and
+//     Restore fan out the same way; cross-shard atomicity is not provided.
 //   * Transport retry — each shard RPC runs under its own seeded
 //     RetryPolicy, so refused connects, cut frames, and deadline cuts are
 //     retried with deterministic backoff before the op-level policy in
@@ -71,6 +75,7 @@
 #include "common/retry.h"
 #include "common/status.h"
 #include "obs/metrics.h"
+#include "obs/trace_context.h"
 #include "ps/net/connection_pool.h"
 #include "ps/net/hash_ring.h"
 #include "ps/net/shard_directory.h"
@@ -87,9 +92,10 @@ struct NetPsClientConfig {
   /// Ring geometry; must match every shard server's construction.
   int vnodes_per_shard = 64;
   uint64_t ring_seed = 0x6d616d6472u;
-  /// Kernel I/O deadline on every pooled connection: a send or receive
-  /// that makes no progress for this long fails the attempt (retryably).
-  /// It bounds each send or receive, not a whole attempt; <= 0 disables it.
+  /// Kernel I/O deadline on every pooled connection: a dial, send or
+  /// receive that makes no progress for this long fails the attempt
+  /// (retryably). It bounds each of those calls, not a whole attempt;
+  /// <= 0 disables it.
   int64_t rpc_deadline_us = 2'000'000;
   /// Transport-level retry wrapped around every shard RPC (per-shard
   /// deterministic schedules, seeded retry_seed + shard).
@@ -173,59 +179,68 @@ class NetPsClient : public PsClient {
     PsOp op;
     std::string body;
   };
+  /// Everything one op sends to `shard`, in wire order (never empty).
+  struct ShardBatch {
+    int shard = -1;
+    std::vector<ShardRequest> requests;
+  };
+  /// One lease's share of an Attempt: the frames it writes and the
+  /// response frames it read back (headers not yet decoded). `status` is
+  /// the transport outcome alone: OK iff every response frame arrived
+  /// undamaged.
+  struct Exchange {
+    ConnectionPool::Lease lease;
+    const std::vector<std::string>* frames = nullptr;
+    std::vector<std::string> responses;
+    Status status;
+  };
 
-  /// One retried RPC to `shard`: frame `request`, send, read the framed
-  /// response, strip the response header, return the ok-body. Non-OK remote
-  /// statuses come back reconstructed (kUnavailable stays retryable).
-  Result<std::string> Call(int shard, PsOp op, std::string request,
-                           const char* what);
-  /// One retried *pipelined* batch to `shard`: every request's frame is
-  /// written before any response is read, all on one pooled connection.
-  /// On success `ok_bodies` holds one response body per request, in
-  /// request order. An attempt is all-or-nothing: any damaged or non-OK
-  /// response fails (and retries) the whole batch.
-  Status CallBatch(int shard, const std::vector<ShardRequest>& requests,
-                   std::vector<std::string>* ok_bodies, const char* what);
-  /// Cross-shard pipelined fan-out: `bodies[i]` rides to `shards[i]` as one
-  /// `op` request, and every request frame is written to its shard's pooled
-  /// connection before any response is read. Any shard whose pipelined
-  /// exchange does not finish cleanly (transport damage, deadline cut, or
-  /// a non-OK remote status) falls back, in shard order, to the serial
-  /// Call() path with its full retry budget, so failure semantics match
-  /// the single-shard path. With pooling disabled or fewer than two
-  /// targets this degenerates to serial Call()s.
-  Status FanoutCall(const std::vector<int>& shards, PsOp op,
-                    std::vector<std::string> bodies,
+  static ShardBatch OneFrame(int shard, PsOp op, std::string body);
+  static std::vector<ShardBatch> DropEmpty(std::vector<ShardBatch> batches);
+  /// Frames every request; a traced `ctx` rides on each frame, so all of
+  /// the batch's server handler spans link to one client span.
+  static std::vector<std::string> FrameBatch(
+      const std::vector<ShardRequest>& requests, const obs::TraceContext& ctx);
+
+  /// The client's only path to the network. With two or more batches, one
+  /// pipelined pass writes every batch's frames to its shard's pooled
+  /// connection before reading any response, so the whole op costs about
+  /// one round trip. Any shard whose pipelined exchange does not finish
+  /// cleanly (transport damage, deadline cut, or a non-OK remote status)
+  /// falls back, in batch order, to CallBatch with its full retry budget,
+  /// so failure semantics match the single-shard path. A single batch
+  /// goes straight to CallBatch. On success `ok_bodies` holds one response
+  /// body per request, in batch order, then request order.
+  Status FanoutCall(const std::vector<ShardBatch>& batches,
                     std::vector<std::string>* ok_bodies, const char* what);
-  /// A single attempt (no retry): one framed exchange.
-  Result<std::string> CallOnce(int shard, const std::string& request,
-                               obs::Histogram* rpc_us);
-  /// A single attempt of a multi-frame batch: acquire a connection (pooled
-  /// or fresh), write all frames, read all responses — with the one
-  /// retry-budget-free redial when a reused connection turns out stale.
-  /// Damaged responses and deadline cuts are already mapped to
-  /// kUnavailable here.
+  /// One retried, pipelined batch to its shard. An attempt is
+  /// all-or-nothing: any damaged or non-OK response fails (and retries)
+  /// the whole batch. Non-OK remote statuses come back reconstructed
+  /// (kUnavailable stays retryable).
+  Status CallBatch(const ShardBatch& batch,
+                   std::vector<std::string>* ok_bodies, const char* what);
+  /// A single attempt of a batch (no retry): lease a connection, run
+  /// Attempt on it, with the one retry-budget-free redial when a reused
+  /// connection turns out stale. Damaged responses and deadline cuts are
+  /// already mapped to kUnavailable here.
   Result<std::vector<std::string>> CallFramesOnce(
-      int shard, const std::vector<const std::string*>& requests,
+      int shard, const std::vector<std::string>& frames,
       obs::Histogram* rpc_us);
-  /// Write all `requests` frames on `fd`, then read `requests.size()`
-  /// response frames into `responses`. An expired I/O deadline comes back
-  /// as kDeadlineExceeded.
-  Status AttemptOnFd(int fd, const std::vector<const std::string*>& requests,
-                     std::vector<std::string>* responses);
+  /// One attempt over k leases, the only place frames are written or read:
+  /// every frame goes out on every lease before any response is read, then
+  /// each lease's responses are read in lease order. An expired I/O
+  /// deadline comes back as kDeadlineExceeded in that exchange's status.
+  void Attempt(std::vector<Exchange>* exchanges);
 
   /// rows[i] -> owning shard, grouped preserving request order.
   std::vector<std::vector<int64_t>> GroupRowsByShard(
       int64_t idx, const std::vector<int64_t>& rows) const;
 
-  /// Shared cores (no op hook): dense fan-out for PullDense / Snapshot,
-  /// sparse fan-out for PullRows / PullFullTable / Snapshot.
-  Status PullDenseFanout(std::vector<Tensor>* out);
+  /// Shared core of PullRows / PullFullTable (no op hook).
   Status PullRowsFanout(int64_t idx, const std::vector<int64_t>& rows,
                         Tensor* into, const char* what);
 
-  /// Response decoders shared by the per-op paths and the pipelined
-  /// Snapshot batch.
+  /// Response decoders shared by the per-op paths and Snapshot.
   Status DecodePullParamsBody(const std::string& body,
                               const std::vector<uint32_t>& idxs,
                               std::vector<Tensor>* out) const;

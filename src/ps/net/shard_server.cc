@@ -28,28 +28,6 @@ std::string ShardOpLabel(const char* family, int shard_id, const char* op) {
          "\",op=\"" + op + "\"}";
 }
 
-const char* OpName(uint8_t op_byte) {
-  switch (static_cast<PsOp>(op_byte)) {
-    case PsOp::kPing:
-      return "ping";
-    case PsOp::kPullParams:
-      return "pull_params";
-    case PsOp::kPushParams:
-      return "push_params";
-    case PsOp::kPullRows:
-      return "pull_rows";
-    case PsOp::kPushRows:
-      return "push_rows";
-    case PsOp::kRestoreParams:
-      return "restore_params";
-    case PsOp::kRestoreRows:
-      return "restore_rows";
-  }
-  return "unknown";
-}
-
-constexpr uint8_t kMaxOpByte = static_cast<uint8_t>(PsOp::kRestoreRows);
-
 /// Parse the numeric suffix of a "param/<i>" checkpoint tensor name;
 /// -1 on anything that is not a plain decimal number.
 int64_t ParseParamIndex(const std::string& suffix) {
@@ -121,10 +99,10 @@ void ShardServer::RegisterMetrics() {
       ShardLabel("ps.net.shard.queue_wait_us", id),
       obs::Histogram::ExponentialBounds(10.0, 2.0, 20),
       obs::Stability::kRuntime);
-  op_us_by_op_.assign(kMaxOpByte + 1, nullptr);
-  for (uint8_t b = 1; b <= kMaxOpByte; ++b) {
+  op_us_by_op_.assign(kNumPsOps + 1, nullptr);
+  for (uint8_t b = 1; b <= kNumPsOps; ++b) {
     op_us_by_op_[b] = reg.histogram(
-        ShardOpLabel("ps.net.shard.op_us", id, OpName(b)),
+        ShardOpLabel("ps.net.shard.op_us", id, PsOpName(static_cast<PsOp>(b))),
         obs::Histogram::ExponentialBounds(10.0, 2.0, 20),
         obs::Stability::kRuntime);
   }
@@ -360,15 +338,16 @@ std::string ShardServer::HandleRequest(const std::string& request) {
   // opens a fresh root so the work is still visible on the shard's row.
   // The ambient installation lets the decode/apply/encode sub-spans the
   // handlers open attach underneath automatically.
+  const PsOp op = static_cast<PsOp>(env.op);
   obs::ContextSpan handle_span(
-      std::string("ps.shard.handle:") + OpName(env.op), "ps.shard",
+      std::string("ps.shard.handle:") + PsOpName(op), "ps.shard",
       obs::TraceContext{env.trace_id, env.parent_span_id}, &recorder_);
   handle_span.AddTag("shard", std::to_string(config_.shard_id));
   obs::ScopedTraceContext ambient(handle_span.context());
 
   Result<std::string> body = [&]() -> Result<std::string> {
     MAMDR_RETURN_IF_ERROR(env_st);
-    switch (static_cast<PsOp>(env.op)) {
+    switch (op) {
       case PsOp::kPing:
         MAMDR_RETURN_IF_ERROR(r.ExpectEnd());
         return std::string();
@@ -405,7 +384,7 @@ std::string ShardServer::HandleRequest(const std::string& request) {
     BeginOkResponse(&w);
     response = w.Take() + body.value();
   }
-  if (env.op >= 1 && env.op <= kMaxOpByte) {
+  if (env.op >= 1 && env.op <= kNumPsOps) {
     op_us_by_op_[env.op]->Observe(
         static_cast<double>(obs::MonotonicMicros() - start_us));
   }

@@ -13,7 +13,7 @@
 // turns readable (or hangs up) leaves the set and is queued for a small
 // worker pool. A worker serves that session's ready frames —
 // read-frame / handle / write-frame, repeated while more bytes are already
-// buffered (pipelined CallBatch/FanoutCall frames) — and then hands the fd
+// buffered (a client's pipelined frame batch) — and then hands the fd
 // back to the poller through a return list and the self-pipe. No thread is
 // tied to a connection, so an idle pooled session costs one fd and any
 // number of clients share the `num_workers` frame handlers. Every accepted

@@ -6,6 +6,26 @@ namespace mamdr {
 namespace ps {
 namespace net {
 
+const char* PsOpName(PsOp op) {
+  switch (op) {
+    case PsOp::kPing:
+      return "ping";
+    case PsOp::kPullParams:
+      return "pull_params";
+    case PsOp::kPushParams:
+      return "push_params";
+    case PsOp::kPullRows:
+      return "pull_rows";
+    case PsOp::kPushRows:
+      return "push_rows";
+    case PsOp::kRestoreParams:
+      return "restore_params";
+    case PsOp::kRestoreRows:
+      return "restore_rows";
+  }
+  return "unknown";
+}
+
 void PayloadWriter::PutU32(uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));

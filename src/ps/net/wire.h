@@ -58,6 +58,13 @@ enum class PsOp : uint8_t {
   kRestoreRows = 7,
 };
 
+/// Op values run 1..kNumPsOps; per-op tables are indexed by the op byte.
+constexpr uint8_t kNumPsOps = static_cast<uint8_t>(PsOp::kRestoreRows);
+
+/// The op's metric-label and span-name spelling ("pull_rows", ...);
+/// "unknown" for a byte outside the enum.
+const char* PsOpName(PsOp op);
+
 /// Top bit of the request op byte: "a trace context follows". Every PsOp
 /// value must stay below this.
 constexpr uint8_t kTraceFlag = 0x80;

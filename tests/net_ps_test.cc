@@ -37,6 +37,7 @@
 #include "ps/net/wire.h"
 #include "ps/parameter_server.h"
 #include "ps/ps_client.h"
+#include "tensor/tensor_ops.h"
 #include "test_util.h"
 
 // The net PS suite doubles as a lockdep clean-run: client pool, shard
@@ -714,7 +715,7 @@ TEST(DirectClientValidationTest, FaultInjectorRestoreNeverSilentlyDrops) {
 // ---------------------------------------------------------------------------
 // I/O deadline.
 
-TEST(DeadlineTest, WatchdogCutsAStalledServer) {
+TEST(DeadlineTest, IoDeadlineCutsAStalledServer) {
   // A listener that never accepts: connects succeed (backlog), the request
   // is buffered, and the response never comes. Only the client's own
   // deadline can unblock it.
@@ -734,7 +735,7 @@ TEST(DeadlineTest, WatchdogCutsAStalledServer) {
   stalled.Close();
 }
 
-TEST(DeadlineTest, DisabledDeadlineSpawnsNoWatchdog) {
+TEST(DeadlineTest, DisabledDeadlineNeverCuts) {
   ShardGroupConfig gc;
   gc.num_shards = 1;
   ShardGroup group(gc, TinyParams(), TinyIsEmb());
@@ -789,6 +790,48 @@ TEST(DeadlineTest, StalledShardInFanoutIsCutWithinBoundedTime) {
   // under sanitizers.
   EXPECT_LT(elapsed_us, 2'000'000);
   stalled.Close();
+}
+
+TEST(DeadlineTest, DialToFullBacklogIsBounded) {
+  // A listener that never accepts, with its accept backlog full: the
+  // kernel drops every further SYN, so a dial ends only by its own
+  // deadline (without one, Linux retries the SYN for about two minutes).
+  cnet::Listener wedged;
+  ASSERT_TRUE(wedged.Bind(0).ok());
+  constexpr int64_t kDialDeadlineUs = 100'000;
+  std::vector<cnet::ScopedFd> parked;
+  Status dial = Status::OK();
+  int64_t dial_us = 0;
+  for (int i = 0; i < 64 && dial.ok(); ++i) {
+    const int64_t start_us = obs::MonotonicMicros();
+    const Result<int> conn =
+        cnet::ConnectLoopback(wedged.port(), kDialDeadlineUs);
+    dial_us = obs::MonotonicMicros() - start_us;
+    if (conn.ok()) {
+      parked.emplace_back(conn.value());
+    } else {
+      dial = conn.status();
+    }
+  }
+  ASSERT_FALSE(dial.ok()) << "backlog still open after " << parked.size()
+                          << " dials";
+  EXPECT_EQ(dial.code(), StatusCode::kUnavailable) << dial.ToString();
+  // The deadline plus scheduling slack, far below the SYN retry horizon.
+  EXPECT_LT(dial_us, 10 * kDialDeadlineUs);
+
+  // The client's rpc deadline bounds its dials the same way.
+  ShardDirectory dir(1);
+  dir.SetPort(0, wedged.port());
+  NetPsClientConfig cc;
+  cc.num_shards = 1;
+  cc.retry = TestRetry(/*attempts=*/2);
+  cc.rpc_deadline_us = 50'000;
+  NetPsClient client(cc, &dir, TinyParams(), TinyIsEmb());
+  const int64_t start_us = obs::MonotonicMicros();
+  const Status s = client.Ping(0);
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+  EXPECT_LT(obs::MonotonicMicros() - start_us, 2'000'000);
+  wedged.Close();
 }
 
 /// Threads of this process, one /proc/self/task entry each.
@@ -1169,6 +1212,96 @@ TEST(PooledClientFaultTest, HalfFrameThenCloseIsRetryableAndPoisons) {
   EXPECT_EQ(ps.reuses, 1u);
   EXPECT_GE(ps.poisoned, 1u);
   server.Join();
+}
+
+// ---------------------------------------------------------------------------
+// Cross-shard pipelining of the multi-frame ops.
+
+TEST(NetClientPipelineTest, SnapshotAndRestoreWriteEveryShardBeforeReadingAny) {
+  // Two scripted shards. Each reads a whole batch of request frames, then
+  // holds its replies until the other shard has read its own batch too. A
+  // client that finishes one shard before writing to the next makes the
+  // first shard wait out the (bounded) hold; a client that writes every
+  // shard's frames before reading any response never does.
+  constexpr int kShards = 2;
+  const NetPsClientConfig cc = ClientConfig(kShards);
+  const HashRing ring(kShards, cc.vnodes_per_shard, cc.ring_seed);
+  const std::vector<Tensor> params = TinyParams();
+  // Requests per shard per op: one if it owns either dense tensor (0 and
+  // 2), one if it owns any of table 1's six rows.
+  int frames[kShards] = {0, 0};
+  for (int s = 0; s < kShards; ++s) {
+    const bool dense = ring.ShardForDense(0) == s || ring.ShardForDense(2) == s;
+    bool rows = false;
+    for (int64_t r = 0; r < 6; ++r) rows = rows || ring.ShardForRow(1, r) == s;
+    frames[s] = (dense ? 1 : 0) + (rows ? 1 : 0);
+    ASSERT_GT(frames[s], 0) << "layout must give shard " << s << " keys";
+  }
+
+  std::vector<std::unique_ptr<ShardServer>> oracles;
+  for (int s = 0; s < kShards; ++s) {
+    ShardServerConfig c;
+    c.shard_id = s;
+    c.num_shards = kShards;
+    oracles.push_back(std::make_unique<ShardServer>(c, params, TinyIsEmb()));
+  }
+  // The session serves Snapshot, Restore, then Snapshot again.
+  constexpr int kOps = 3;
+  std::atomic<int> batches_read[kShards] = {0, 0};
+  std::atomic<int> timed_out_waits{0};
+  auto script = [&](int s) {
+    return [&, s](int fd) {
+      // Never let a broken client wedge the script (and the test's join).
+      (void)cnet::SetIoTimeout(fd, 5'000'000);
+      for (int op = 1; op <= kOps; ++op) {
+        std::vector<std::string> replies;
+        for (int f = 0; f < frames[s]; ++f) {
+          const auto req = cnet::ReadFrame(fd, size_t{1} << 20);
+          if (!req.ok()) return;
+          replies.push_back(cnet::EncodeFrame(
+              oracles[static_cast<size_t>(s)]->HandleRequest(req.value())));
+        }
+        batches_read[s].store(op);
+        const int64_t hold_until_us = obs::MonotonicMicros() + 1'000'000;
+        while (batches_read[1 - s].load() < op) {
+          if (obs::MonotonicMicros() > hold_until_us) {
+            ++timed_out_waits;
+            break;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        for (const std::string& reply : replies) {
+          if (!cnet::SendAll(fd, reply.data(), reply.size()).ok()) return;
+        }
+      }
+    };
+  };
+  ScriptedServer shard0({script(0)});
+  ScriptedServer shard1({script(1)});
+  ShardDirectory dir(kShards);
+  dir.SetPort(0, shard0.port());
+  dir.SetPort(1, shard1.port());
+  NetPsClient client(cc, &dir, params, TinyIsEmb());
+
+  const auto snap = client.Snapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(ops::AllClose(snap.value()[i], params[i], 0.0f))
+        << "param " << i;
+  }
+  const std::vector<Tensor> target{Tensor({2, 2}, 4.0f), Tensor({6, 3}, 5.0f),
+                                   Tensor({3}, 6.0f)};
+  ASSERT_TRUE(client.Restore(target).ok());
+  const auto restored = client.Snapshot();
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  for (size_t i = 0; i < target.size(); ++i) {
+    EXPECT_TRUE(ops::AllClose(restored.value()[i], target[i], 0.0f))
+        << "param " << i;
+  }
+  EXPECT_EQ(timed_out_waits.load(), 0)
+      << "a shard held its replies until the other shard's frames arrived";
+  shard0.Join();
+  shard1.Join();
 }
 
 }  // namespace

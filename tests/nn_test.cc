@@ -4,7 +4,6 @@
 
 #include "autograd/grad_check.h"
 #include "nn/attention.h"
-#include "nn/dropout.h"
 #include "nn/embedding.h"
 #include "nn/fm.h"
 #include "nn/init.h"
@@ -136,21 +135,6 @@ TEST(MlpBlockTest, GradCheckThroughStack) {
   auto result = autograd::CheckGradients(forward, mlp.Parameters(), 1e-3f,
                                          5e-2f);
   EXPECT_TRUE(result.ok) << result.max_rel_err;
-}
-
-TEST(DropoutModuleTest, RateValidatedAndApplied) {
-  Dropout drop(0.5f);
-  EXPECT_EQ(drop.rate(), 0.5f);
-  Rng rng(9);
-  Var x(Tensor({10, 10}, 1.0f));
-  Context train_ctx{true, &rng};
-  Var y = drop.Forward(x, train_ctx);
-  int zeros = 0;
-  for (int64_t i = 0; i < y.value().size(); ++i) {
-    if (y.value().at(i) == 0.0f) ++zeros;
-  }
-  EXPECT_GT(zeros, 20);
-  EXPECT_LT(zeros, 80);
 }
 
 TEST(BiInteractionTest, MatchesPairwiseSum) {
