@@ -5,7 +5,9 @@
 //   serial    — the growth seed's unblocked kernel (ops::MatMulNaive), the
 //               trajectory baseline;
 //   blocked   — the cache-blocked kernel (ops::MatMul).
-// Plus the blocked transposed variants and an elementwise bandwidth probe.
+// Plus the blocked transposed variants, an elementwise bandwidth probe, and
+// two autograd layers at CTR shapes (relu, concat_cols), each timed as one
+// forward plus one backward-closure call.
 // Every kernel runs on the calling thread: kernels are serial by design
 // (parallelism lives in independent units, see common/parallel_for.h).
 // Results go to stdout and to a machine-readable BENCH_kernels.json so
@@ -24,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "common/flags.h"
 #include "common/random.h"
 #include "obs/clock.h"
@@ -52,14 +55,15 @@ Tensor RandomTensor(int64_t rows, int64_t cols, Rng* rng) {
   return t;
 }
 
-/// Best-of-N wall time in seconds (one untimed warmup run).
-double TimeBest(const std::function<void()>& fn, int repeats) {
+/// Best-of-N wall time in seconds per call, timing `calls` back-to-back
+/// calls per repetition (one untimed warmup call).
+double TimeBest(const std::function<void()>& fn, int repeats, int calls = 1) {
   fn();
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
     const double t0 = obs::MonotonicSeconds();
-    fn();
-    const double s = obs::MonotonicSeconds() - t0;
+    for (int c = 0; c < calls; ++c) fn();
+    const double s = (obs::MonotonicSeconds() - t0) / calls;
     if (s < best) best = s;
   }
   return best;
@@ -67,8 +71,8 @@ double TimeBest(const std::function<void()>& fn, int repeats) {
 
 Entry Measure(const std::string& kernel, const std::string& variant,
               int64_t m, int64_t k, int64_t n, int repeats,
-              const std::function<void()>& fn) {
-  const double secs = TimeBest(fn, repeats);
+              const std::function<void()>& fn, int calls = 1) {
+  const double secs = TimeBest(fn, repeats, calls);
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
                        static_cast<double>(n);
   Entry e{kernel, variant, m, k, n, secs * 1e3, flops / secs / 1e9};
@@ -179,6 +183,32 @@ int main(int argc, char** argv) {
     std::printf("  axpy           serial    %" PRId64
                 " elems  %8.3f ms  %7.2f GB/s\n",
                 size, secs * 1e3, bytes / secs / 1e9);
+  }
+
+  // Autograd layers at CTR shapes: forward, then the op's backward closure on
+  // a fixed upstream gradient, accumulating into the leaves' gradients. The
+  // shape is recorded as m x k x 1, so GFLOP/s counts one op per element in
+  // each direction. A call takes tens of microseconds; 100 calls per
+  // repetition keep the timer out of the result.
+  std::printf("\n");
+  {
+    const int64_t m = 256, k = 64;
+    autograd::Var x(RandomTensor(m, k, &rng), /*requires_grad=*/true);
+    const Tensor g = RandomTensor(m, k, &rng);
+    entries.push_back(Measure(
+        "relu", "fwd_bwd", m, k, 1, repeats,
+        [&] { autograd::Relu(x).node()->backward(g); }, 100));
+  }
+  {
+    const int64_t m = 256, width = 16;
+    std::vector<autograd::Var> parts;
+    for (int p = 0; p < 4; ++p) {
+      parts.emplace_back(RandomTensor(m, width, &rng), /*requires_grad=*/true);
+    }
+    const Tensor g = RandomTensor(m, 4 * width, &rng);
+    entries.push_back(Measure(
+        "concat_cols", "fwd_bwd", m, 4 * width, 1, repeats,
+        [&] { autograd::ConcatCols(parts).node()->backward(g); }, 100));
   }
 
   if (serial_512 > 0.0) {

@@ -6,21 +6,33 @@
 namespace mamdr {
 namespace autograd {
 
+// Elementwise ops allocate their output with the input's shape, so one
+// shape check per backward call (g against the captured value) bounds every
+// raw-pointer index below.
+
 Var Relu(const Var& a) {
   Tensor out(a.value().shape());
-  for (int64_t i = 0; i < out.size(); ++i) {
-    out.at(i) = a.value().at(i) > 0.0f ? a.value().at(i) : 0.0f;
+  const float* pa = a.value().data();
+  float* po = out.data();
+  for (int64_t i = 0, n = out.size(); i < n; ++i) {
+    po[i] = pa[i] > 0.0f ? pa[i] : 0.0f;
   }
   auto an = a.node();
   Tensor av = a.value();
   return MakeOpNode(
       std::move(out), {a},
       [an, av](const Tensor& g) {
-        Tensor gi(g.shape());
-        for (int64_t i = 0; i < g.size(); ++i) {
-          gi.at(i) = av.at(i) > 0.0f ? g.at(i) : 0.0f;
+        MAMDR_CHECK(g.shape() == av.shape());
+        float* gi = GradBuffer(an, av.shape());
+        if (gi == nullptr) return;
+        const float* pv = av.data();
+        const float* pg = g.data();
+        for (int64_t i = 0, n = g.size(); i < n; ++i) {
+          // Loading g unconditionally lets the compiler select with a mask
+          // instead of a branch that mispredicts on every sign change.
+          const float gv = pg[i];
+          gi[i] += pv[i] > 0.0f ? gv : 0.0f;
         }
-        AccumGrad(an, gi);
       },
       "relu");
 }
@@ -32,10 +44,14 @@ Var Sigmoid(const Var& a) {
   return MakeOpNode(
       std::move(out), {a},
       [an, ov](const Tensor& g) {
+        MAMDR_CHECK(g.shape() == ov.shape());
         Tensor gi(g.shape());
-        for (int64_t i = 0; i < g.size(); ++i) {
-          const float s = ov.at(i);
-          gi.at(i) = g.at(i) * s * (1.0f - s);
+        const float* pv = ov.data();
+        const float* pg = g.data();
+        float* pgi = gi.data();
+        for (int64_t i = 0, n = g.size(); i < n; ++i) {
+          const float s = pv[i];
+          pgi[i] = pg[i] * s * (1.0f - s);
         }
         AccumGrad(an, gi);
       },
@@ -44,15 +60,21 @@ Var Sigmoid(const Var& a) {
 
 Var Tanh(const Var& a) {
   Tensor out(a.value().shape());
-  for (int64_t i = 0; i < out.size(); ++i) out.at(i) = std::tanh(a.value().at(i));
+  const float* pa = a.value().data();
+  float* po = out.data();
+  for (int64_t i = 0, n = out.size(); i < n; ++i) po[i] = std::tanh(pa[i]);
   auto an = a.node();
   Tensor ov = out;
   return MakeOpNode(
       std::move(out), {a},
       [an, ov](const Tensor& g) {
+        MAMDR_CHECK(g.shape() == ov.shape());
         Tensor gi(g.shape());
-        for (int64_t i = 0; i < g.size(); ++i) {
-          gi.at(i) = g.at(i) * (1.0f - ov.at(i) * ov.at(i));
+        const float* pv = ov.data();
+        const float* pg = g.data();
+        float* pgi = gi.data();
+        for (int64_t i = 0, n = g.size(); i < n; ++i) {
+          pgi[i] = pg[i] * (1.0f - pv[i] * pv[i]);
         }
         AccumGrad(an, gi);
       },
@@ -61,7 +83,9 @@ Var Tanh(const Var& a) {
 
 Var Exp(const Var& a) {
   Tensor out(a.value().shape());
-  for (int64_t i = 0; i < out.size(); ++i) out.at(i) = std::exp(a.value().at(i));
+  const float* pa = a.value().data();
+  float* po = out.data();
+  for (int64_t i = 0, n = out.size(); i < n; ++i) po[i] = std::exp(pa[i]);
   auto an = a.node();
   Tensor ov = out;
   return MakeOpNode(
@@ -72,17 +96,24 @@ Var Exp(const Var& a) {
 Var Log(const Var& a, float eps) {
   Tensor out(a.value().shape());
   Tensor clamped(a.value().shape());
-  for (int64_t i = 0; i < out.size(); ++i) {
-    const float v = std::max(a.value().at(i), eps);
-    clamped.at(i) = v;
-    out.at(i) = std::log(v);
+  const float* pa = a.value().data();
+  float* pc = clamped.data();
+  float* po = out.data();
+  for (int64_t i = 0, n = out.size(); i < n; ++i) {
+    const float v = std::max(pa[i], eps);
+    pc[i] = v;
+    po[i] = std::log(v);
   }
   auto an = a.node();
   return MakeOpNode(
       std::move(out), {a},
       [an, clamped](const Tensor& g) {
+        MAMDR_CHECK(g.shape() == clamped.shape());
         Tensor gi(g.shape());
-        for (int64_t i = 0; i < g.size(); ++i) gi.at(i) = g.at(i) / clamped.at(i);
+        const float* pv = clamped.data();
+        const float* pg = g.data();
+        float* pgi = gi.data();
+        for (int64_t i = 0, n = g.size(); i < n; ++i) pgi[i] = pg[i] / pv[i];
         AccumGrad(an, gi);
       },
       "log");
@@ -91,32 +122,36 @@ Var Log(const Var& a, float eps) {
 Var SoftmaxRows(const Var& a) {
   MAMDR_CHECK_EQ(a.value().rank(), 2);
   const int64_t m = a.value().rows(), n = a.value().cols();
+  MAMDR_CHECK_GT(n, 0) << "softmax over empty rows";
   Tensor out({m, n});
   for (int64_t i = 0; i < m; ++i) {
-    float mx = a.value().at(i, 0);
-    for (int64_t j = 1; j < n; ++j) mx = std::max(mx, a.value().at(i, j));
+    const float* pa = a.value().data() + i * n;
+    float* po = out.data() + i * n;
+    float mx = pa[0];
+    for (int64_t j = 1; j < n; ++j) mx = std::max(mx, pa[j]);
     float denom = 0.0f;
     for (int64_t j = 0; j < n; ++j) {
-      const float e = std::exp(a.value().at(i, j) - mx);
-      out.at(i, j) = e;
+      const float e = std::exp(pa[j] - mx);
+      po[j] = e;
       denom += e;
     }
-    for (int64_t j = 0; j < n; ++j) out.at(i, j) /= denom;
+    for (int64_t j = 0; j < n; ++j) po[j] /= denom;
   }
   auto an = a.node();
   Tensor ov = out;
   return MakeOpNode(
       std::move(out), {a},
-      [an, ov](const Tensor& g) {
+      [an, ov, m, n](const Tensor& g) {
         // dL/dx_ij = s_ij * (g_ij - sum_k g_ik s_ik).
-        const int64_t rows = ov.rows(), cols = ov.cols();
-        Tensor gi({rows, cols});
-        for (int64_t i = 0; i < rows; ++i) {
+        MAMDR_CHECK(g.shape() == ov.shape());
+        Tensor gi({m, n});
+        for (int64_t i = 0; i < m; ++i) {
+          const float* pg = g.data() + i * n;
+          const float* pv = ov.data() + i * n;
+          float* pgi = gi.data() + i * n;
           float dot = 0.0f;
-          for (int64_t k = 0; k < cols; ++k) dot += g.at(i, k) * ov.at(i, k);
-          for (int64_t j = 0; j < cols; ++j) {
-            gi.at(i, j) = ov.at(i, j) * (g.at(i, j) - dot);
-          }
+          for (int64_t k = 0; k < n; ++k) dot += pg[k] * pv[k];
+          for (int64_t j = 0; j < n; ++j) pgi[j] = pv[j] * (pg[j] - dot);
         }
         AccumGrad(an, gi);
       },
@@ -125,10 +160,12 @@ Var SoftmaxRows(const Var& a) {
 
 Tensor SigmoidValue(const Tensor& logits) {
   Tensor out(logits.shape());
-  for (int64_t i = 0; i < out.size(); ++i) {
-    const float x = logits.at(i);
-    out.at(i) = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                          : std::exp(x) / (1.0f + std::exp(x));
+  const float* pl = logits.data();
+  float* po = out.data();
+  for (int64_t i = 0, n = out.size(); i < n; ++i) {
+    const float x = pl[i];
+    po[i] = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                      : std::exp(x) / (1.0f + std::exp(x));
   }
   return out;
 }

@@ -104,10 +104,13 @@ Var RowwiseDot(const Var& a, const Var& b) {
   MAMDR_CHECK_EQ(a.value().rank(), 2);
   const int64_t m = a.value().rows(), n = a.value().cols();
   Tensor out({m, 1});
+  const float* pa = a.value().data();
+  const float* pb = b.value().data();
+  float* po = out.data();
   for (int64_t i = 0; i < m; ++i) {
     float acc = 0.0f;
-    for (int64_t j = 0; j < n; ++j) acc += a.value().at(i, j) * b.value().at(i, j);
-    out.at(i, 0) = acc;
+    for (int64_t j = 0; j < n; ++j) acc += pa[i * n + j] * pb[i * n + j];
+    po[i] = acc;
   }
   auto an = a.node(), bn = b.node();
   Tensor av = a.value(), bv = b.value();

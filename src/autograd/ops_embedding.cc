@@ -20,10 +20,12 @@ Var EmbeddingLookup(const Var& table, const std::vector<int64_t>& ids) {
   std::vector<int64_t> ids_copy = ids;
   return MakeOpNode(
       std::move(out), {table},
-      [tn, ids_copy, d](const Tensor& g) {
-        // Scatter-add rows of g into the table gradient.
-        if (tn->grad.empty()) tn->grad = Tensor(tn->value.shape());
-        float* tg = tn->grad.data();
+      [tn, ids_copy, v, b, d](const Tensor& g) {
+        // Scatter-add rows of g into the table gradient. Forward checked
+        // every id against v rows.
+        MAMDR_CHECK(g.shape() == Shape({b, d}));
+        float* tg = GradBuffer(tn, {v, d});
+        if (tg == nullptr) return;
         const float* pg = g.data();
         for (size_t i = 0; i < ids_copy.size(); ++i) {
           float* dst = tg + ids_copy[i] * d;
@@ -40,8 +42,9 @@ Var Dropout(const Var& a, float p, Rng* rng, bool training) {
   MAMDR_CHECK(rng != nullptr);
   const float scale = 1.0f / (1.0f - p);
   Tensor mask(a.value().shape());
-  for (int64_t i = 0; i < mask.size(); ++i) {
-    mask.at(i) = rng->Bernoulli(p) ? 0.0f : scale;
+  float* pm = mask.data();
+  for (int64_t i = 0, n = mask.size(); i < n; ++i) {
+    pm[i] = rng->Bernoulli(p) ? 0.0f : scale;
   }
   Tensor out = ops::Mul(a.value(), mask);
   auto an = a.node();

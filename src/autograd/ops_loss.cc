@@ -12,13 +12,14 @@ Var BceWithLogitsMean(const Var& logits, const Tensor& labels) {
   MAMDR_CHECK_GT(n, 0);
   // loss_i = max(x,0) - x*y + log(1 + exp(-|x|))  (numerically stable form)
   double acc = 0.0;
+  const float* pl = logits.value().data();
+  const float* py = labels.data();
   for (int64_t i = 0; i < n; ++i) {
-    const float x = logits.value().at(i);
-    const float y = labels.at(i);
+    const float x = pl[i];
+    const float y = py[i];
     acc += std::max(x, 0.0f) - x * y + std::log1p(std::exp(-std::fabs(x)));
   }
-  Tensor out({1});
-  out.at(0) = static_cast<float>(acc / static_cast<double>(n));
+  Tensor out({1}, static_cast<float>(acc / static_cast<double>(n)));
   auto ln = logits.node();
   Tensor lv = logits.value();
   Tensor yv = labels;
@@ -26,13 +27,17 @@ Var BceWithLogitsMean(const Var& logits, const Tensor& labels) {
       std::move(out), {logits},
       [ln, lv, yv, n](const Tensor& g) {
         // d/dx_i = (sigmoid(x_i) - y_i) / n.
+        MAMDR_CHECK_EQ(g.size(), 1);
         Tensor gi(lv.shape());
-        const float scale = g.at(0) / static_cast<float>(n);
+        const float scale = g.data()[0] / static_cast<float>(n);
+        const float* pv = lv.data();
+        const float* pyv = yv.data();
+        float* pgi = gi.data();
         for (int64_t i = 0; i < n; ++i) {
-          const float x = lv.at(i);
+          const float x = pv[i];
           const float s = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
                                     : std::exp(x) / (1.0f + std::exp(x));
-          gi.at(i) = scale * (s - yv.at(i));
+          pgi[i] = scale * (s - pyv[i]);
         }
         AccumGrad(ln, gi);
       },

@@ -20,8 +20,10 @@ Var ConcatCols(const std::vector<Var>& parts) {
   for (const auto& p : parts) {
     const int64_t n = p.value().cols();
     widths.push_back(n);
+    const float* pp = p.value().data();
+    float* po = out.data();
     for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) out.at(i, off + j) = p.value().at(i, j);
+      for (int64_t j = 0; j < n; ++j) po[i * total + off + j] = pp[i * n + j];
     }
     off += n;
   }
@@ -30,15 +32,20 @@ Var ConcatCols(const std::vector<Var>& parts) {
   for (const auto& p : parts) nodes.push_back(p.node());
   return MakeOpNode(
       std::move(out), parts,
-      [nodes, widths, m](const Tensor& g) {
+      [nodes, widths, m, total](const Tensor& g) {
+        MAMDR_CHECK(g.shape() == Shape({m, total}));
+        const float* pg = g.data();
         int64_t col0 = 0;
         for (size_t k = 0; k < nodes.size(); ++k) {
           const int64_t w = widths[k];
-          Tensor gi({m, w});
-          for (int64_t i = 0; i < m; ++i) {
-            for (int64_t j = 0; j < w; ++j) gi.at(i, j) = g.at(i, col0 + j);
+          float* gi = GradBuffer(nodes[k], {m, w});
+          if (gi != nullptr) {
+            for (int64_t i = 0; i < m; ++i) {
+              for (int64_t j = 0; j < w; ++j) {
+                gi[i * w + j] += pg[i * total + col0 + j];
+              }
+            }
           }
-          AccumGrad(nodes[k], gi);
           col0 += w;
         }
       },
@@ -51,18 +58,27 @@ Var SliceCols(const Var& a, int64_t start, int64_t len) {
   MAMDR_CHECK_GE(start, 0);
   MAMDR_CHECK_LE(start + len, n);
   Tensor out({m, len});
+  const float* pa = a.value().data();
+  float* po = out.data();
   for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < len; ++j) out.at(i, j) = a.value().at(i, start + j);
+    for (int64_t j = 0; j < len; ++j) po[i * len + j] = pa[i * n + start + j];
   }
   auto an = a.node();
   return MakeOpNode(
       std::move(out), {a},
       [an, m, n, start, len](const Tensor& g) {
-        Tensor gi({m, n});
+        MAMDR_CHECK(g.shape() == Shape({m, len}));
+        // Columns outside the slice are not touched. Adding +0.0f to them
+        // would change nothing: a buffer accumulated from zero never holds
+        // -0.0f.
+        float* gi = GradBuffer(an, {m, n});
+        if (gi == nullptr) return;
+        const float* pg = g.data();
         for (int64_t i = 0; i < m; ++i) {
-          for (int64_t j = 0; j < len; ++j) gi.at(i, start + j) = g.at(i, j);
+          for (int64_t j = 0; j < len; ++j) {
+            gi[i * n + start + j] += pg[i * len + j];
+          }
         }
-        AccumGrad(an, gi);
       },
       "slice_cols");
 }

@@ -73,6 +73,9 @@ void Var::Backward() const {
       // Tape invariant: a node's accumulated gradient has its value's shape
       // (AccumGrad enforces per-accumulation; this pins the replay).
       MAMDR_DCHECK(n->grad.shape() == n->value.shape());
+      // Ops that write through GradBuffer copy or mask this gradient into
+      // their parents, so checking it here covers what they add.
+      MAMDR_DCHECK_ALL_FINITE(n->grad.data(), n->grad.size());
       n->backward(n->grad);
     }
   }
@@ -109,6 +112,17 @@ void AccumGrad(const std::shared_ptr<Node>& node, const Tensor& g) {
   MAMDR_DCHECK_ALL_FINITE(g.data(), g.size());
   if (node->grad.empty()) node->grad = Tensor(node->value.shape());
   ops::AxpyInPlace(&node->grad, g, 1.0f);
+}
+
+float* GradBuffer(const std::shared_ptr<Node>& node, const Shape& shape) {
+  MAMDR_CHECK(node != nullptr);
+  if (!NeedsGrad(node)) return nullptr;
+  MAMDR_CHECK(shape == node->value.shape())
+      << "grad shape " << ShapeToString(shape) << " vs value "
+      << ShapeToString(node->value.shape());
+  if (node->grad.empty()) node->grad = Tensor(node->value.shape());
+  MAMDR_DCHECK_ALL_FINITE(node->grad.data(), node->grad.size());
+  return node->grad.data();
 }
 
 bool AnyRequiresGrad(const std::vector<Var>& parents) {

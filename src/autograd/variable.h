@@ -79,6 +79,13 @@ Var MakeOpNode(Tensor value, std::vector<Var> parents,
 /// Accumulate `g` into node->grad (allocating a zero buffer on first use).
 void AccumGrad(const std::shared_ptr<Node>& node, const Tensor& g);
 
+/// node->grad's storage (zero-filled on first use), for backward closures
+/// that `+=` their contribution in place instead of building a temporary for
+/// AccumGrad. `shape` is the shape the caller will write and must equal the
+/// node's value shape. Returns nullptr for nodes that collect no gradient
+/// (constants and detached nodes).
+float* GradBuffer(const std::shared_ptr<Node>& node, const Shape& shape);
+
 /// True if gradient should flow to any of the given parents.
 bool AnyRequiresGrad(const std::vector<Var>& parents);
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "data/batch.h"
 #include "nn/module.h"
 
@@ -42,6 +43,11 @@ struct ModelConfig {
   /// Freeze embedding tables (Taobao-style pretrained features).
   bool frozen_embeddings = false;
   uint64_t seed = 7;
+
+  /// InvalidArgument unless every size, count and layer width is >= 1,
+  /// each layer list is non-empty, dropout is in [0, 1) and
+  /// ple_layers >= 1. CreateModel checks this before it builds anything.
+  Status Validate() const;
 };
 
 class CtrModel : public nn::Module {

@@ -17,6 +17,7 @@ namespace models {
 Result<std::unique_ptr<CtrModel>> CreateModel(const std::string& name,
                                               const ModelConfig& config,
                                               Rng* rng) {
+  MAMDR_RETURN_IF_ERROR(config.Validate());
   std::unique_ptr<CtrModel> model;
   if (name == "MLP") {
     model = std::make_unique<MlpModel>(config, rng);

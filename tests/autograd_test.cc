@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -276,6 +278,432 @@ TEST(SigmoidValueTest, StableAtExtremes) {
   EXPECT_NEAR(p.at(0), 0.0f, 1e-6f);
   EXPECT_NEAR(p.at(1), 0.5f, 1e-6f);
   EXPECT_NEAR(p.at(2), 1.0f, 1e-6f);
+}
+
+// ---------------------------------------------------------------------------
+// Raw-pointer kernels vs checked references. Each op's element loops read and
+// write through data(); the references below are the same loops written with
+// checked Tensor::at, with the same float expressions in the same order. The
+// forward value and every parent gradient must match to the bit. Gradients
+// reach the parents through the real backward closure, once into a fresh
+// buffer and once into a buffer that already holds a gradient.
+// ---------------------------------------------------------------------------
+
+const Shape kOddShapes[] = {{1, 1}, {3, 5}, {256, 37}};
+
+// Normal values with exact +0 and -0 mixed in, so branches on x > 0 and
+// x >= 0 see both sides and the ties.
+Tensor OddValues(const Shape& shape, uint64_t seed) {
+  Rng rng(seed);
+  Tensor t = RandTensor(shape, &rng, 2.0f);
+  for (int64_t i = 0; i < t.size(); i += 7) t.at(i) = i % 2 ? -0.0f : 0.0f;
+  return t;
+}
+
+void ExpectBitEqual(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  if (want.size() == 0) return;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(want.size())),
+            0)
+      << what;
+}
+
+// A trainable leaf whose gradient buffer is either absent or holds an
+// earlier gradient, accumulated from zero as backward passes do. Such a
+// buffer never holds -0.0f (+0 + -0 is +0), which SliceCols relies on.
+Var Leaf(const Tensor& value, bool seeded, uint64_t seed) {
+  Var v(value.Clone(), /*requires_grad=*/true);
+  if (seeded) {
+    v.ZeroGrad();
+    ops::AxpyInPlace(&v.mutable_grad(), OddValues(value.shape(), seed), 1.0f);
+  }
+  return v;
+}
+
+// What AccumGrad made of `contributions` starting from `leaf`'s gradient
+// before the backward pass (or from zeros when it had none).
+Tensor RefAccum(const Tensor& before, const Shape& shape,
+                const std::vector<Tensor>& contributions) {
+  Tensor acc = before.empty() ? Tensor(shape) : before.Clone();
+  for (const auto& c : contributions) ops::AxpyInPlace(&acc, c, 1.0f);
+  return acc;
+}
+
+// Runs y's backward closure once with upstream gradient g.
+void RunBackward(const Var& y, const Tensor& g) {
+  ASSERT_NE(y.node()->backward, nullptr);
+  y.node()->backward(g);
+}
+
+struct UnaryCase {
+  std::string name;
+  std::function<Var(const Var&)> op;
+  std::function<Tensor(const Tensor& x)> ref_forward;
+  // Contribution to d/dx for upstream g; `out` is ref_forward(x).
+  std::function<Tensor(const Tensor& x, const Tensor& out, const Tensor& g)>
+      ref_grad;
+};
+
+float RefSigmoid(float x) {
+  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                   : std::exp(x) / (1.0f + std::exp(x));
+}
+
+std::vector<UnaryCase> UnaryCases() {
+  std::vector<UnaryCase> cases;
+  cases.push_back(
+      {"relu", [](const Var& x) { return Relu(x); },
+       [](const Tensor& x) {
+         Tensor out(x.shape());
+         for (int64_t i = 0; i < out.size(); ++i) {
+           out.at(i) = x.at(i) > 0.0f ? x.at(i) : 0.0f;
+         }
+         return out;
+       },
+       [](const Tensor& x, const Tensor&, const Tensor& g) {
+         Tensor gi(g.shape());
+         for (int64_t i = 0; i < g.size(); ++i) {
+           gi.at(i) = x.at(i) > 0.0f ? g.at(i) : 0.0f;
+         }
+         return gi;
+       }});
+  cases.push_back(
+      {"sigmoid", [](const Var& x) { return Sigmoid(x); },
+       [](const Tensor& x) {
+         Tensor out(x.shape());
+         for (int64_t i = 0; i < out.size(); ++i) {
+           out.at(i) = RefSigmoid(x.at(i));
+         }
+         return out;
+       },
+       [](const Tensor&, const Tensor& out, const Tensor& g) {
+         Tensor gi(g.shape());
+         for (int64_t i = 0; i < g.size(); ++i) {
+           const float s = out.at(i);
+           gi.at(i) = g.at(i) * s * (1.0f - s);
+         }
+         return gi;
+       }});
+  cases.push_back(
+      {"tanh", [](const Var& x) { return Tanh(x); },
+       [](const Tensor& x) {
+         Tensor out(x.shape());
+         for (int64_t i = 0; i < out.size(); ++i) {
+           out.at(i) = std::tanh(x.at(i));
+         }
+         return out;
+       },
+       [](const Tensor&, const Tensor& out, const Tensor& g) {
+         Tensor gi(g.shape());
+         for (int64_t i = 0; i < g.size(); ++i) {
+           gi.at(i) = g.at(i) * (1.0f - out.at(i) * out.at(i));
+         }
+         return gi;
+       }});
+  cases.push_back(
+      {"exp", [](const Var& x) { return Exp(x); },
+       [](const Tensor& x) {
+         Tensor out(x.shape());
+         for (int64_t i = 0; i < out.size(); ++i) out.at(i) = std::exp(x.at(i));
+         return out;
+       },
+       [](const Tensor&, const Tensor& out, const Tensor& g) {
+         return ops::Mul(g, out);
+       }});
+  cases.push_back(
+      {"log", [](const Var& x) { return Log(x, 1e-3f); },
+       [](const Tensor& x) {
+         Tensor out(x.shape());
+         for (int64_t i = 0; i < out.size(); ++i) {
+           out.at(i) = std::log(std::max(x.at(i), 1e-3f));
+         }
+         return out;
+       },
+       [](const Tensor& x, const Tensor&, const Tensor& g) {
+         Tensor gi(g.shape());
+         for (int64_t i = 0; i < g.size(); ++i) {
+           gi.at(i) = g.at(i) / std::max(x.at(i), 1e-3f);
+         }
+         return gi;
+       }});
+  cases.push_back(
+      {"softmax_rows", [](const Var& x) { return SoftmaxRows(x); },
+       [](const Tensor& x) {
+         const int64_t m = x.rows(), n = x.cols();
+         Tensor out({m, n});
+         for (int64_t i = 0; i < m; ++i) {
+           float mx = x.at(i, 0);
+           for (int64_t j = 1; j < n; ++j) mx = std::max(mx, x.at(i, j));
+           float denom = 0.0f;
+           for (int64_t j = 0; j < n; ++j) {
+             const float e = std::exp(x.at(i, j) - mx);
+             out.at(i, j) = e;
+             denom += e;
+           }
+           for (int64_t j = 0; j < n; ++j) out.at(i, j) /= denom;
+         }
+         return out;
+       },
+       [](const Tensor&, const Tensor& out, const Tensor& g) {
+         const int64_t m = out.rows(), n = out.cols();
+         Tensor gi({m, n});
+         for (int64_t i = 0; i < m; ++i) {
+           float dot = 0.0f;
+           for (int64_t k = 0; k < n; ++k) dot += g.at(i, k) * out.at(i, k);
+           for (int64_t j = 0; j < n; ++j) {
+             gi.at(i, j) = out.at(i, j) * (g.at(i, j) - dot);
+           }
+         }
+         return gi;
+       }});
+  cases.push_back(
+      {"sum_cols", [](const Var& x) { return SumCols(x); },
+       [](const Tensor& x) { return ops::SumCols(x); },
+       [](const Tensor& x, const Tensor&, const Tensor& g) {
+         Tensor gi(x.shape());
+         for (int64_t i = 0; i < x.rows(); ++i) {
+           for (int64_t j = 0; j < x.cols(); ++j) gi.at(i, j) = g.at(i, 0);
+         }
+         return gi;
+       }});
+  cases.push_back(
+      {"sum_rows", [](const Var& x) { return SumRows(x); },
+       [](const Tensor& x) { return ops::SumRows(x); },
+       [](const Tensor& x, const Tensor&, const Tensor& g) {
+         Tensor gi(x.shape());
+         for (int64_t i = 0; i < x.rows(); ++i) {
+           for (int64_t j = 0; j < x.cols(); ++j) gi.at(i, j) = g.at(0, j);
+         }
+         return gi;
+       }});
+  cases.push_back(
+      {"slice_cols", [](const Var& x) {
+         return SliceCols(x, x.value().cols() / 3, x.value().cols() / 2);
+       },
+       [](const Tensor& x) {
+         const int64_t start = x.cols() / 3, len = x.cols() / 2;
+         Tensor out({x.rows(), len});
+         for (int64_t i = 0; i < x.rows(); ++i) {
+           for (int64_t j = 0; j < len; ++j) out.at(i, j) = x.at(i, start + j);
+         }
+         return out;
+       },
+       [](const Tensor& x, const Tensor&, const Tensor& g) {
+         const int64_t start = x.cols() / 3, len = x.cols() / 2;
+         Tensor gi(x.shape());
+         for (int64_t i = 0; i < x.rows(); ++i) {
+           for (int64_t j = 0; j < len; ++j) gi.at(i, start + j) = g.at(i, j);
+         }
+         return gi;
+       }});
+  cases.push_back(
+      {"sum", [](const Var& x) { return Sum(x); },
+       [](const Tensor& x) { return Tensor({1}, ops::Sum(x)); },
+       [](const Tensor& x, const Tensor&, const Tensor& g) {
+         return Tensor(x.shape(), g.at(0));
+       }});
+  cases.push_back(
+      {"mean", [](const Var& x) { return Mean(x); },
+       [](const Tensor& x) {
+         const float inv = 1.0f / static_cast<float>(x.size());
+         return Tensor({1}, ops::Sum(x) * inv);
+       },
+       [](const Tensor& x, const Tensor&, const Tensor& g) {
+         const float inv = 1.0f / static_cast<float>(x.size());
+         return Tensor(x.shape(), g.at(0) * inv);
+       }});
+  return cases;
+}
+
+TEST(RawKernelTest, UnaryOpsMatchCheckedReference) {
+  for (const auto& c : UnaryCases()) {
+    for (const Shape& shape : kOddShapes) {
+      for (bool seeded : {false, true}) {
+        const std::string what = c.name + " " + ShapeToString(shape) +
+                                 (seeded ? " seeded" : " fresh");
+        // slice_cols needs a nonzero offset: 1 column has none.
+        const Shape s = c.name == "slice_cols" && shape[1] == 1
+                            ? Shape{shape[0], 3}
+                            : shape;
+        const Tensor xv = OddValues(s, 11);
+        Var x = Leaf(xv, seeded, 12);
+        const Tensor before = seeded ? x.grad().Clone() : Tensor();
+        Var y = c.op(x);
+        const Tensor want = c.ref_forward(xv);
+        ExpectBitEqual(y.value(), want, what + " forward");
+        const Tensor g = OddValues(y.value().shape(), 13);
+        RunBackward(y, g);
+        ExpectBitEqual(x.grad(), RefAccum(before, s, {c.ref_grad(xv, want, g)}),
+                       what + " grad");
+      }
+    }
+  }
+}
+
+TEST(RawKernelTest, SigmoidValueMatchesCheckedReference) {
+  for (const Shape& shape : kOddShapes) {
+    const Tensor x = OddValues(shape, 21);
+    Tensor want(shape);
+    for (int64_t i = 0; i < want.size(); ++i) want.at(i) = RefSigmoid(x.at(i));
+    ExpectBitEqual(SigmoidValue(x), want, ShapeToString(shape));
+  }
+}
+
+// The columns [col0, col0 + w) of g, as ConcatCols backward used to cut them.
+Tensor RefColumns(const Tensor& g, int64_t col0, int64_t w) {
+  Tensor gi({g.rows(), w});
+  for (int64_t i = 0; i < g.rows(); ++i) {
+    for (int64_t j = 0; j < w; ++j) gi.at(i, j) = g.at(i, col0 + j);
+  }
+  return gi;
+}
+
+TEST(RawKernelTest, ConcatColsMatchesCheckedReference) {
+  for (const int64_t m : {int64_t{1}, int64_t{3}, int64_t{256}}) {
+    for (bool seeded : {false, true}) {
+      const std::string what = "m=" + std::to_string(m);
+      const std::vector<int64_t> widths{1, 16, 7};
+      std::vector<Tensor> values;
+      std::vector<Tensor> before;
+      std::vector<Var> parts;
+      for (size_t k = 0; k < widths.size(); ++k) {
+        values.push_back(OddValues({m, widths[k]}, 30 + k));
+        parts.push_back(Leaf(values.back(), seeded, 40 + k));
+        before.push_back(seeded ? parts.back().grad().Clone() : Tensor());
+      }
+      Var y = ConcatCols(parts);
+      Tensor want({m, 24});
+      int64_t off = 0;
+      for (size_t k = 0; k < widths.size(); ++k) {
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < widths[k]; ++j) {
+            want.at(i, off + j) = values[k].at(i, j);
+          }
+        }
+        off += widths[k];
+      }
+      ExpectBitEqual(y.value(), want, what + " forward");
+      const Tensor g = OddValues({m, 24}, 50);
+      RunBackward(y, g);
+      off = 0;
+      for (size_t k = 0; k < widths.size(); ++k) {
+        ExpectBitEqual(parts[k].grad(),
+                       RefAccum(before[k], {m, widths[k]},
+                                {RefColumns(g, off, widths[k])}),
+                       what + " part " + std::to_string(k));
+        off += widths[k];
+      }
+    }
+  }
+}
+
+TEST(RawKernelTest, ConcatColsParentUsedTwiceSumsBothSlices) {
+  for (bool seeded : {false, true}) {
+    const Tensor xv = OddValues({256, 37}, 60);
+    Var x = Leaf(xv, seeded, 61);
+    const Tensor before = seeded ? x.grad().Clone() : Tensor();
+    Var y = ConcatCols({x, x});
+    const Tensor g = OddValues({256, 74}, 62);
+    RunBackward(y, g);
+    ExpectBitEqual(x.grad(),
+                   RefAccum(before, {256, 37},
+                            {RefColumns(g, 0, 37), RefColumns(g, 37, 37)}),
+                   seeded ? "seeded" : "fresh");
+  }
+}
+
+TEST(RawKernelTest, ConstantParentGetsNoGradientBuffer) {
+  Var x = Leaf(OddValues({3, 5}, 70), false, 0);
+  Var c(OddValues({3, 16}, 71), /*requires_grad=*/false);
+  Var z = Leaf(OddValues({3, 7}, 72), false, 0);
+  Var y = ConcatCols({x, c, z});
+  const Tensor g = OddValues({3, 28}, 73);
+  RunBackward(y, g);
+  EXPECT_FALSE(c.has_grad());
+  EXPECT_EQ(GradBuffer(c.node(), c.shape()), nullptr);
+  ExpectBitEqual(x.grad(), RefAccum(Tensor(), {3, 5}, {RefColumns(g, 0, 5)}),
+                 "x");
+  ExpectBitEqual(z.grad(), RefAccum(Tensor(), {3, 7}, {RefColumns(g, 21, 7)}),
+                 "z");
+  EXPECT_EQ(Relu(c).node()->backward, nullptr);  // nothing to track
+}
+
+TEST(RawKernelTest, RowwiseDotMatchesCheckedReference) {
+  for (const Shape& shape : kOddShapes) {
+    const Tensor av = OddValues(shape, 80), bv = OddValues(shape, 81);
+    Var y = RowwiseDot(Var(av, true), Var(bv, true));
+    Tensor want({shape[0], 1});
+    for (int64_t i = 0; i < shape[0]; ++i) {
+      float acc = 0.0f;
+      for (int64_t j = 0; j < shape[1]; ++j) acc += av.at(i, j) * bv.at(i, j);
+      want.at(i, 0) = acc;
+    }
+    ExpectBitEqual(y.value(), want, ShapeToString(shape));
+  }
+}
+
+TEST(RawKernelTest, BceWithLogitsMeanMatchesCheckedReference) {
+  for (const int64_t m : {int64_t{1}, int64_t{3}, int64_t{256}}) {
+    for (bool seeded : {false, true}) {
+      const Tensor xv = OddValues({m, 1}, 90);
+      Tensor labels({m, 1});
+      for (int64_t i = 0; i < m; ++i) labels.at(i) = i % 3 ? 0.0f : 1.0f;
+      Var x = Leaf(xv, seeded, 91);
+      const Tensor before = seeded ? x.grad().Clone() : Tensor();
+      Var loss = BceWithLogitsMean(x, labels);
+      double acc = 0.0;
+      for (int64_t i = 0; i < m; ++i) {
+        const float v = xv.at(i), l = labels.at(i);
+        acc += std::max(v, 0.0f) - v * l + std::log1p(std::exp(-std::fabs(v)));
+      }
+      const float mean = static_cast<float>(acc / static_cast<double>(m));
+      ExpectBitEqual(loss.value(), Tensor({1}, mean), "forward");
+      const Tensor g({1}, 0.75f);
+      RunBackward(loss, g);
+      Tensor gi({m, 1});
+      const float scale = g.at(0) / static_cast<float>(m);
+      for (int64_t i = 0; i < m; ++i) {
+        gi.at(i) = scale * (RefSigmoid(xv.at(i)) - labels.at(i));
+      }
+      ExpectBitEqual(x.grad(), RefAccum(before, {m, 1}, {gi}), "grad");
+    }
+  }
+}
+
+TEST(RawKernelTest, DropoutMaskMatchesCheckedReference) {
+  for (const Shape& shape : kOddShapes) {
+    const Tensor xv = OddValues(shape, 100);
+    Rng rng(101), ref_rng(101);
+    Var x(xv, true);
+    Var y = Dropout(x, 0.3f, &rng, /*training=*/true);
+    const float scale = 1.0f / (1.0f - 0.3f);
+    Tensor mask(shape);
+    for (int64_t i = 0; i < mask.size(); ++i) {
+      mask.at(i) = ref_rng.Bernoulli(0.3f) ? 0.0f : scale;
+    }
+    ExpectBitEqual(y.value(), ops::Mul(xv, mask), ShapeToString(shape));
+  }
+}
+
+TEST(RawKernelTest, EmbeddingLookupScatterMatchesCheckedReference) {
+  for (bool seeded : {false, true}) {
+    const Tensor tv = OddValues({37, 16}, 110);
+    Var table = Leaf(tv, seeded, 111);
+    const Tensor before = seeded ? table.grad().Clone() : Tensor();
+    const std::vector<int64_t> ids{36, 0, 5, 5, 36, 17, 0};
+    Var y = EmbeddingLookup(table, ids);
+    const Tensor g = OddValues({7, 16}, 112);
+    RunBackward(y, g);
+    Tensor want = before.empty() ? Tensor({37, 16}) : before.Clone();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      for (int64_t j = 0; j < 16; ++j) {
+        want.at(ids[i], j) += g.at(static_cast<int64_t>(i), j);
+      }
+    }
+    ExpectBitEqual(table.grad(), want, seeded ? "seeded" : "fresh");
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
-#include <string>
-
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -176,6 +178,87 @@ TEST(RegistryTest, KnownModelsAllConstruct) {
     EXPECT_GT(result.value()->NumParameters(), 0);
   }
 }
+
+// One bad field per case. CreateModel must refuse it with InvalidArgument,
+// naming the field, for every structure; before Validate() these built a
+// model, aborted in the constructor (an empty layer list in nn::MlpBlock)
+// or aborted later (dropout 1.5 in autograd::Dropout).
+struct BadConfigCase {
+  std::string name;
+  std::string field;  // must appear in the status message
+  std::function<void(ModelConfig*)> corrupt;
+};
+
+void PrintTo(const BadConfigCase& c, std::ostream* os) { *os << c.name; }
+
+class ModelConfigValidateTest
+    : public ::testing::TestWithParam<BadConfigCase> {};
+
+TEST_P(ModelConfigValidateTest, CreateModelReturnsInvalidArgument) {
+  const BadConfigCase& c = GetParam();
+  auto ds = mamdr::testing::TinyDataset();
+  auto mc = mamdr::testing::TinyModelConfig(ds);
+  ASSERT_TRUE(mc.Validate().ok());
+  c.corrupt(&mc);
+  const Status st = mc.Validate();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find(c.field), std::string::npos) << st.ToString();
+  for (const auto& name : KnownModels()) {
+    Rng rng(1);
+    auto result = CreateModel(name, mc, &rng);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ModelConfigValidateTest,
+    ::testing::Values(
+        BadConfigCase{"num_users", "num_users",
+                      [](ModelConfig* c) { c->num_users = 0; }},
+        BadConfigCase{"num_items", "num_items",
+                      [](ModelConfig* c) { c->num_items = -1; }},
+        BadConfigCase{"num_domains", "num_domains",
+                      [](ModelConfig* c) { c->num_domains = 0; }},
+        BadConfigCase{"embedding_dim", "embedding_dim",
+                      [](ModelConfig* c) { c->embedding_dim = 0; }},
+        BadConfigCase{"num_user_groups", "num_user_groups",
+                      [](ModelConfig* c) { c->num_user_groups = 0; }},
+        BadConfigCase{"num_item_cats", "num_item_cats",
+                      [](ModelConfig* c) { c->num_item_cats = -5; }},
+        BadConfigCase{"num_experts", "num_experts",
+                      [](ModelConfig* c) { c->num_experts = 0; }},
+        BadConfigCase{"ple_layers", "ple_layers",
+                      [](ModelConfig* c) { c->ple_layers = 0; }},
+        BadConfigCase{"attn_heads", "attn_heads",
+                      [](ModelConfig* c) { c->attn_heads = 0; }},
+        BadConfigCase{"attn_head_dim", "attn_head_dim",
+                      [](ModelConfig* c) { c->attn_head_dim = -1; }},
+        BadConfigCase{"hidden", "hidden[1]",
+                      [](ModelConfig* c) { c->hidden = {64, 0}; }},
+        BadConfigCase{"expert_hidden", "expert_hidden[0]",
+                      [](ModelConfig* c) { c->expert_hidden = {-2}; }},
+        BadConfigCase{"tower_hidden", "tower_hidden[0]",
+                      [](ModelConfig* c) { c->tower_hidden = {0}; }},
+        BadConfigCase{"hidden_empty", "hidden",
+                      [](ModelConfig* c) { c->hidden.clear(); }},
+        BadConfigCase{"expert_hidden_empty", "expert_hidden",
+                      [](ModelConfig* c) { c->expert_hidden.clear(); }},
+        BadConfigCase{"tower_hidden_empty", "tower_hidden",
+                      [](ModelConfig* c) { c->tower_hidden.clear(); }},
+        BadConfigCase{"dropout_above_one", "dropout",
+                      [](ModelConfig* c) { c->dropout = 1.5f; }},
+        BadConfigCase{"dropout_one", "dropout",
+                      [](ModelConfig* c) { c->dropout = 1.0f; }},
+        BadConfigCase{"dropout_negative", "dropout",
+                      [](ModelConfig* c) { c->dropout = -0.1f; }},
+        BadConfigCase{"dropout_nan", "dropout",
+                      [](ModelConfig* c) {
+                        c->dropout = std::numeric_limits<float>::quiet_NaN();
+                      }}),
+    [](const ::testing::TestParamInfo<BadConfigCase>& pinfo) {
+      return pinfo.param.name;
+    });
 
 TEST(RegistryTest, FrozenEmbeddingsShrinkParameterCount) {
   auto ds = mamdr::testing::TinyDataset();

@@ -4,10 +4,12 @@
 Rules (suppress a finding by appending ``// mamdr-lint: allow(<rule>)`` to
 the offending line):
 
-  kernel-at       ``.at(`` in src/tensor or src/nn. Bounds-checked element
-                  access in kernel code hides O(n) checks in hot loops; use
-                  raw ``data()`` pointers (the public kernel entry points
-                  validate shapes once).
+  kernel-at       ``.at(`` in src/tensor, src/nn, src/autograd or
+                  src/models. Bounds-checked element access in kernel code
+                  hides O(n) checks in hot loops; use raw ``data()``
+                  pointers (kernels and autograd ops validate shapes once
+                  per call). grad_check.cc perturbs single elements on
+                  purpose and carries the allow comment.
   kernel-double   a ``double`` variable/parameter declaration in src/tensor.
                   Kernels accumulate in float32 so the blocked paths stay
                   bit-identical to the naive reference; widening an
@@ -263,7 +265,8 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
     lines = text.splitlines()
     findings: List[Finding] = []
 
-    hot_kernel_file = _in_dir(rel_path, "src/tensor", "src/nn")
+    hot_kernel_file = _in_dir(rel_path, "src/tensor", "src/nn", "src/autograd",
+                              "src/models")
     kernel_float_file = _in_dir(rel_path, "src/tensor")
     library_file = not _in_dir(rel_path, "tools", "bench")
     status_file = _in_dir(rel_path, "src/ps", "src/checkpoint")

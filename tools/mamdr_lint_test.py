@@ -30,6 +30,22 @@ class KernelAtRule(unittest.TestCase):
             "src/nn/linear.cc", "float v = w.at(0, 1);\n")
         self.assertIn("kernel-at", rules(findings))
 
+    def test_flags_at_in_autograd(self):
+        findings = mamdr_lint.lint_text(
+            "src/autograd/x.cc", "  gi.at(i) = g.at(i);\n")
+        self.assertEqual(rules(findings), ["kernel-at"])
+
+    def test_flags_at_in_models(self):
+        findings = mamdr_lint.lint_text(
+            "src/models/x.cc", "labels.at(i, 0) = y;\n")
+        self.assertEqual(rules(findings), ["kernel-at"])
+
+    def test_grad_check_allow_comment(self):
+        findings = mamdr_lint.lint_text(
+            "src/autograd/grad_check.cc",
+            "const float orig = val.at(i);  // mamdr-lint: allow(kernel-at)\n")
+        self.assertNotIn("kernel-at", rules(findings))
+
     def test_ignores_at_outside_kernel_dirs(self):
         findings = mamdr_lint.lint_text(
             "src/core/mamdr.cc", "float v = w.at(0, 1);\n")
