@@ -125,12 +125,5 @@ float* GradBuffer(const std::shared_ptr<Node>& node, const Shape& shape) {
   return node->grad.data();
 }
 
-bool AnyRequiresGrad(const std::vector<Var>& parents) {
-  for (const auto& p : parents) {
-    if (p.defined() && NeedsGrad(p.node())) return true;
-  }
-  return false;
-}
-
 }  // namespace autograd
 }  // namespace mamdr

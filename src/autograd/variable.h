@@ -86,9 +86,6 @@ void AccumGrad(const std::shared_ptr<Node>& node, const Tensor& g);
 /// (constants and detached nodes).
 float* GradBuffer(const std::shared_ptr<Node>& node, const Shape& shape);
 
-/// True if gradient should flow to any of the given parents.
-bool AnyRequiresGrad(const std::vector<Var>& parents);
-
 }  // namespace autograd
 }  // namespace mamdr
 

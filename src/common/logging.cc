@@ -40,8 +40,6 @@ void SetLogLevel(LogLevel level) {
   g_min_level.store(static_cast<int>(level));
 }
 
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_min_level.load()); }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line, bool fatal)

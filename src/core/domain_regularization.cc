@@ -1,7 +1,7 @@
 #include "core/domain_regularization.h"
 
 #include "obs/telemetry.h"
-#include "obs/trace.h"
+#include "obs/trace_context.h"
 #include "optim/param_snapshot.h"
 
 namespace mamdr {
@@ -36,7 +36,7 @@ void DomainRegularization::DoTrainEpoch() {
 }
 
 void DomainRegularization::DrPhase() {
-  MAMDR_TRACE_SPAN("dr_phase");
+  obs::ContextSpan span("dr_phase", "mamdr");
   for (int64_t i = 0; i < dataset_->num_domains(); ++i) DrForDomain(i);
   ++dr_phase_count_;
 }

@@ -6,7 +6,7 @@
 #include "common/logging.h"
 #include "data/batch.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
+#include "obs/trace_context.h"
 #include "optim/adagrad.h"
 #include "optim/adam.h"
 #include "optim/param_snapshot.h"
@@ -67,7 +67,7 @@ void Framework::TrainEpoch() {
                       EpochAccumulator{});
   }
   {
-    obs::TraceSpan span(name() + "_epoch", "core");
+    obs::ContextSpan span(name() + "_epoch", "core");
     DoTrainEpoch();
   }
   if (sink != nullptr) {
@@ -105,7 +105,7 @@ metrics::ScoreFn Framework::Scorer() {
 }
 
 std::vector<double> Framework::Evaluate(metrics::Split split) {
-  obs::TraceSpan span("evaluate", "core");
+  obs::ContextSpan span("evaluate", "core");
   const metrics::EvalParallel policy = ScorerIsThreadSafe()
                                            ? metrics::EvalParallel::kParallel
                                            : metrics::EvalParallel::kSerial;
@@ -175,7 +175,7 @@ int64_t Framework::TrainDomainPass(int64_t domain, optim::Optimizer* opt,
 }
 
 metrics::ConflictReport Framework::MeasureDomainConflict() {
-  obs::TraceSpan span("conflict_probe", "core");
+  obs::ContextSpan span("conflict_probe", "core");
   // Local RNG + eval-mode context: probing must not perturb the training
   // RNG stream, or enabling telemetry would change the training trajectory.
   Rng probe_rng(1);

@@ -78,11 +78,5 @@ std::vector<Tensor>* SharedSpecificStore::mutable_specific(int64_t domain) {
   return &specific_[static_cast<size_t>(domain)];
 }
 
-int64_t SharedSpecificStore::SpecificParameterCount() const {
-  int64_t n = 0;
-  for (const auto& p : params_) n += p.value().size();
-  return n;
-}
-
 }  // namespace core
 }  // namespace mamdr

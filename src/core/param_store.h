@@ -49,9 +49,6 @@ class SharedSpecificStore {
   std::vector<Tensor>* mutable_shared() { return &shared_; }
   std::vector<Tensor>* mutable_specific(int64_t domain);
 
-  /// Scalars per domain of specific parameters (storage accounting).
-  int64_t SpecificParameterCount() const;
-
  private:
   std::vector<autograd::Var> params_;
   std::vector<Tensor> shared_;

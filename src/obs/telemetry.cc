@@ -220,7 +220,7 @@ bool WriteConfiguredOutputs(std::string* error) {
   }
   if (!cfg.trace_path.empty()) {
     StopTracing();
-    std::string doc = TraceJson();
+    std::string doc = TraceRecorder::Global().Json();
     doc.push_back('\n');
     ok = WriteFile(cfg.trace_path, doc, error) && ok;
   }

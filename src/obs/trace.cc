@@ -17,10 +17,6 @@ namespace {
 // against an accidentally traced per-element hot loop.
 constexpr size_t kMaxEvents = 1u << 20;
 
-// Mirrors Global().enabled() so TracingEnabled() stays a single relaxed
-// load with no function-local-static guard on the hot path.
-std::atomic<bool> g_global_enabled{false};
-
 // Small dense thread ids so the Chrome viewer groups rows sensibly; the
 // first thread to record gets tid 0, and ids are process-lifetime stable.
 int CurrentTid() {
@@ -64,16 +60,10 @@ void TraceRecorder::Start() {
   }
   impl_->base_us.store(MonotonicMicros(), std::memory_order_relaxed);
   impl_->enabled.store(true, std::memory_order_release);
-  if (this == &Global()) {
-    g_global_enabled.store(true, std::memory_order_release);
-  }
 }
 
 void TraceRecorder::Stop() {
   impl_->enabled.store(false, std::memory_order_release);
-  if (this == &Global()) {
-    g_global_enabled.store(false, std::memory_order_release);
-  }
 }
 
 bool TraceRecorder::enabled() const {
@@ -106,10 +96,6 @@ size_t TraceRecorder::event_count() const {
 uint64_t TraceRecorder::dropped_count() const {
   MutexLock lock(&impl_->mu);
   return impl_->dropped;
-}
-
-int64_t TraceRecorder::base_us() const {
-  return impl_->base_us.load(std::memory_order_relaxed);
 }
 
 std::vector<TraceEvent> TraceRecorder::SnapshotEvents() const {
@@ -183,42 +169,6 @@ std::string TraceRecorder::Json() const {
 void StartTracing() { TraceRecorder::Global().Start(); }
 
 void StopTracing() { TraceRecorder::Global().Stop(); }
-
-bool TracingEnabled() {
-  return g_global_enabled.load(std::memory_order_acquire);
-}
-
-size_t TraceEventCount() { return TraceRecorder::Global().event_count(); }
-
-uint64_t TraceDroppedCount() {
-  return TraceRecorder::Global().dropped_count();
-}
-
-std::string TraceJson() { return TraceRecorder::Global().Json(); }
-
-TraceSpan::TraceSpan(const char* name, const char* category) {
-  if (!TracingEnabled()) return;
-  literal_name_ = name;
-  category_ = category;
-  start_us_ = MonotonicMicros();
-}
-
-TraceSpan::TraceSpan(const std::string& name, const char* category) {
-  if (!TracingEnabled()) return;
-  owned_name_ = name;
-  category_ = category;
-  start_us_ = MonotonicMicros();
-}
-
-TraceSpan::~TraceSpan() {
-  if (start_us_ < 0 || !TracingEnabled()) return;
-  TraceEvent e;
-  e.name = literal_name_ ? std::string(literal_name_) : std::move(owned_name_);
-  e.category = category_;
-  e.ts_us = start_us_;
-  e.dur_us = MonotonicMicros() - start_us_;
-  TraceRecorder::Global().Record(std::move(e));
-}
 
 }  // namespace obs
 }  // namespace mamdr

@@ -1,25 +1,22 @@
-// Scoped trace spans exporting Chrome chrome://tracing JSON.
+// Trace recorders exporting Chrome chrome://tracing JSON.
 //
-// Usage:
-//   MAMDR_TRACE_SPAN("dn_epoch");          // span covers enclosing scope
-//   TraceSpan span("pull", "ps");          // explicit object, category "ps"
+// Spans are recorded by obs::ContextSpan (obs/trace_context.h), the one
+// span type: it carries a trace_id / span_id / parent_span_id identity, so
+// nested spans render as a tree.
 //
-// Tracing is off by default; when off, a span construction is one relaxed
-// atomic load and no allocation (the const char* overloads keep the name as
-// a pointer until the span is actually recorded). StartTracing()/
-// StopTracing() bracket a recording; TraceJson() renders the collected
-// events as a Chrome trace ({"traceEvents":[...]}, "ph":"X" complete
-// events, ts/dur in microseconds relative to the StartTracing() call).
+// Tracing is off by default. StartTracing()/StopTracing() bracket a
+// recording on the process-global recorder, `TraceRecorder::Global()`;
+// its Json() renders the collected events as a Chrome trace
+// ({"traceEvents":[...]}, "ph":"X" complete events, ts/dur in
+// microseconds relative to the Start() call).
 //
 // Recorders are also available as instances (`TraceRecorder`) so a process
 // hosting several logical services — e.g. in-process PS shard servers —
-// can give each its own event buffer and trace file. The process-global
-// recorder behind StartTracing()/TraceSpan is `TraceRecorder::Global()`.
+// can give each its own event buffer and trace file.
 //
-// Events may carry a distributed-trace identity (trace_id / span_id /
-// parent_span_id, see obs/trace_context.h) plus string tags; these render
-// into each event's "args" object. The document also carries a
-// "mamdrMeta" header (base timestamp, pid, process name) that
+// Events carry their span identity plus string tags; these render into
+// each event's "args" object. The document also carries a "mamdrMeta"
+// header (base timestamp, pid, process name) that
 // tools/mamdr_tracemerge.py uses to stitch per-process files into one
 // timeline.
 //
@@ -63,7 +60,8 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// The process-global recorder used by StartTracing()/TraceSpan.
+  /// The process-global recorder used by StartTracing() and by spans
+  /// that name no recorder.
   static TraceRecorder& Global();
 
   /// Begin collecting (clears any previous recording and re-bases
@@ -83,10 +81,8 @@ class TraceRecorder {
 
   size_t event_count() const;
   uint64_t dropped_count() const;
-  /// MonotonicMicros() at the most recent Start().
-  int64_t base_us() const;
-
-  /// Copy of the recorded events (ts_us relative to base_us()).
+  /// Copy of the recorded events (ts_us relative to the most recent
+  /// Start()).
   std::vector<TraceEvent> SnapshotEvents() const;
 
   /// Render as a chrome://tracing JSON document.
@@ -104,47 +100,6 @@ void StartTracing();
 /// Stop collecting on the global recorder. Spans that end after this call
 /// are dropped.
 void StopTracing();
-
-/// True while the *global* recorder is collecting. One relaxed atomic
-/// load — the hot-path gate for TraceSpan and ambient trace contexts.
-bool TracingEnabled();
-
-/// Number of spans recorded since StartTracing(), and how many were thrown
-/// away because the in-memory buffer was full.
-size_t TraceEventCount();
-uint64_t TraceDroppedCount();
-
-/// Render the global recording as a chrome://tracing JSON document.
-std::string TraceJson();
-
-/// RAII span: records a "ph":"X" complete event covering its lifetime.
-/// Safe to construct whether or not tracing is enabled.
-class TraceSpan {
- public:
-  /// Name must be a string literal (kept as a pointer; only copied if the
-  /// span is recorded).
-  explicit TraceSpan(const char* name, const char* category = "mamdr");
-  /// For dynamically-built names (e.g. per-domain): copies eagerly, but
-  /// only when tracing is enabled.
-  explicit TraceSpan(const std::string& name, const char* category = "mamdr");
-  ~TraceSpan();
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* literal_name_ = nullptr;  // literal ctor, if recording
-  std::string owned_name_;              // string ctor, if recording
-  const char* category_ = nullptr;
-  int64_t start_us_ = -1;  // -1: tracing was off at construction
-};
-
-#define MAMDR_OBS_CONCAT_INNER(a, b) a##b
-#define MAMDR_OBS_CONCAT(a, b) MAMDR_OBS_CONCAT_INNER(a, b)
-
-/// Scoped span covering the rest of the enclosing block.
-#define MAMDR_TRACE_SPAN(name) \
-  ::mamdr::obs::TraceSpan MAMDR_OBS_CONCAT(mamdr_trace_span_, __LINE__)(name)
 
 }  // namespace obs
 }  // namespace mamdr

@@ -47,24 +47,24 @@ ScopedTraceContext::ScopedTraceContext(TraceContext ctx) : saved_(g_ambient) {
 
 ScopedTraceContext::~ScopedTraceContext() { g_ambient = saved_; }
 
-ContextSpan::ContextSpan(std::string name, const char* category,
+ContextSpan::ContextSpan(SpanName name, const char* category,
                          TraceRecorder* recorder) {
   Open(std::move(name), category, g_ambient, recorder,
        /*install_ambient=*/true);
 }
 
-ContextSpan::ContextSpan(std::string name, const char* category,
+ContextSpan::ContextSpan(SpanName name, const char* category,
                          TraceContext parent, TraceRecorder* recorder) {
   Open(std::move(name), category, parent, recorder,
        /*install_ambient=*/false);
 }
 
-void ContextSpan::Open(std::string name, const char* category,
+void ContextSpan::Open(SpanName name, const char* category,
                        TraceContext parent, TraceRecorder* recorder,
                        bool install_ambient) {
   recorder_ = (recorder != nullptr) ? recorder : &TraceRecorder::Global();
   if (!recorder_->enabled()) return;
-  name_ = std::move(name);
+  name_ = name.Take();
   category_ = category;
   if (parent.valid()) {
     ctx_.trace_id = parent.trace_id;

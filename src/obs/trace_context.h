@@ -67,7 +67,28 @@ class ScopedTraceContext {
   TraceContext saved_;
 };
 
-/// RAII span carrying distributed-trace identity.
+/// A span's name: a string literal kept as a pointer, or a dynamically
+/// built string (e.g. per-domain or per-op). The literal form is copied
+/// only when the recorder is collecting, so an untraced literal-named span
+/// never allocates. Write a literal name bare: `std::string("...")`
+/// compiles but takes the owned path and may allocate even when tracing is
+/// off (tools/mamdr_lint.py rule span-literal).
+class SpanName {
+ public:
+  SpanName(const char* literal) : literal_(literal) {}  // NOLINT(google-explicit-constructor)
+  SpanName(std::string name) : owned_(std::move(name)) {}  // NOLINT(google-explicit-constructor)
+
+  /// The name as a string; consumes the owned form.
+  std::string Take() {
+    return literal_ != nullptr ? std::string(literal_) : std::move(owned_);
+  }
+
+ private:
+  const char* literal_ = nullptr;
+  std::string owned_;
+};
+
+/// RAII span carrying distributed-trace identity — the one span type.
 ///
 /// On construction (only while `recorder` — default the global recorder —
 /// is collecting): allocates a span_id and parents under the ambient
@@ -81,11 +102,11 @@ class ScopedTraceContext {
 /// way.
 class ContextSpan {
  public:
-  ContextSpan(std::string name, const char* category,
+  ContextSpan(SpanName name, const char* category,
               TraceRecorder* recorder = nullptr);
   /// Child of an explicit parent (server side: the context decoded off
   /// the wire; fan-out: the fanout span from another thread).
-  ContextSpan(std::string name, const char* category, TraceContext parent,
+  ContextSpan(SpanName name, const char* category, TraceContext parent,
               TraceRecorder* recorder = nullptr);
   ~ContextSpan();
 
@@ -108,7 +129,7 @@ class ContextSpan {
   void SetError(const std::string& message);
 
  private:
-  void Open(std::string name, const char* category, TraceContext parent,
+  void Open(SpanName name, const char* category, TraceContext parent,
             TraceRecorder* recorder, bool install_ambient);
 
   TraceRecorder* recorder_ = nullptr;

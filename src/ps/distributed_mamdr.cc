@@ -9,7 +9,7 @@
 #include "metrics/auc.h"
 #include "models/registry.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/trace_context.h"
 #include "optim/param_snapshot.h"
 
 namespace mamdr {
@@ -140,7 +140,7 @@ Status DistributedMamdr::RespawnAndRerun(size_t i, bool crash_again) {
 }
 
 Status DistributedMamdr::TrainEpoch() {
-  MAMDR_TRACE_SPAN("distributed_epoch");
+  obs::ContextSpan span("distributed_epoch", "mamdr");
   const int64_t epoch = epochs_run_;
   // Arm this epoch's scheduled crash on the round-robin victim.
   if (config_.fault_plan.enabled && config_.fault_plan.crash_after_ops > 0) {
@@ -199,7 +199,7 @@ Status DistributedMamdr::TrainEpoch() {
   ++epochs_run_;
 
   if (config_.run_dr) {
-    MAMDR_TRACE_SPAN("distributed_dr_phase");
+    obs::ContextSpan dr_span("distributed_dr_phase", "mamdr");
     std::vector<Status> dr_results(workers_.size());
     for (size_t i = 0; i < workers_.size(); ++i) {
       Worker* wp = workers_[i].get();
@@ -281,7 +281,7 @@ Status DistributedMamdr::Train() {
 }
 
 Status DistributedMamdr::SaveCheckpoint(int64_t completed_epochs) {
-  MAMDR_TRACE_SPAN("checkpoint_save");
+  obs::ContextSpan span("checkpoint_save", "mamdr");
   MAMDR_CHECK(!config_.checkpoint_dir.empty());
   recovery_counters().checkpoint_saves->Add();
   std::vector<std::pair<std::string, Tensor>> named;

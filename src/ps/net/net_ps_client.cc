@@ -203,8 +203,7 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
   }
 
   Result<ConnectionPool::Lease> acquired = [&] {
-    obs::ContextSpan acquire_span(std::string("ps.client.pool.acquire"),
-                                  "ps.client");
+    obs::ContextSpan acquire_span("ps.client.pool.acquire", "ps.client");
     acquire_span.AddTag("shard", std::to_string(shard));
     Result<ConnectionPool::Lease> a = pool_.Acquire(shard, port);
     if (a.ok()) {
@@ -234,7 +233,7 @@ Result<std::vector<std::string>> NetPsClient::CallFramesOnce(
     // documents for retried pushes. A deadline cut is excluded: the
     // deadline already spent this attempt's time budget.
     redial_counter_->Add();
-    obs::ContextSpan redial_span(std::string("ps.client.redial"), "ps.client");
+    obs::ContextSpan redial_span("ps.client.redial", "ps.client");
     redial_span.AddTag("shard", std::to_string(shard));
     Result<ConnectionPool::Lease> fresh =
         pool_.Acquire(shard, directory_->GetPort(shard));
@@ -467,7 +466,7 @@ std::vector<std::vector<int64_t>> NetPsClient::GroupRowsByShard(
 
 Status NetPsClient::Ping(int shard) {
   EnterOp();
-  obs::ContextSpan op_span(std::string("ps.op:ping"), "ps.client");
+  obs::ContextSpan op_span("ps.op:ping", "ps.client");
   if (shard < 0 || shard >= config_.num_shards) {
     return Status::InvalidArgument("ping: bad shard " +
                                    std::to_string(shard));
@@ -483,7 +482,7 @@ Status NetPsClient::Ping(int shard) {
 
 Status NetPsClient::PullDense(std::vector<Tensor>* out) {
   EnterOp();
-  obs::ContextSpan op_span(std::string("ps.op:pull_dense"), "ps.client");
+  obs::ContextSpan op_span("ps.op:pull_dense", "ps.client");
   if (out->size() != shapes_.size()) {
     return Status::InvalidArgument(
         "ps client: pull destination has " + std::to_string(out->size()) +
@@ -578,7 +577,7 @@ Status NetPsClient::PullRowsFanout(int64_t idx,
 Status NetPsClient::PullRows(int64_t idx, const std::vector<int64_t>& rows,
                              Tensor* into) {
   EnterOp();
-  obs::ContextSpan op_span(std::string("ps.op:pull_rows"), "ps.client");
+  obs::ContextSpan op_span("ps.op:pull_rows", "ps.client");
   MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
   MAMDR_RETURN_IF_ERROR(CheckRows(idx, rows));
   MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, *into, "pull destination"));
@@ -587,7 +586,7 @@ Status NetPsClient::PullRows(int64_t idx, const std::vector<int64_t>& rows,
 
 Status NetPsClient::PullFullTable(int64_t idx, Tensor* into) {
   EnterOp();
-  obs::ContextSpan op_span(std::string("ps.op:pull_full_table"), "ps.client");
+  obs::ContextSpan op_span("ps.op:pull_full_table", "ps.client");
   MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
   MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, *into, "pull destination"));
   return PullRowsFanout(idx, AllRows(shapes_[static_cast<size_t>(idx)][0]),
@@ -597,7 +596,7 @@ Status NetPsClient::PullFullTable(int64_t idx, Tensor* into) {
 Status NetPsClient::PushDenseDelta(const std::vector<Tensor>& delta,
                                    float beta) {
   EnterOp();
-  obs::ContextSpan op_span(std::string("ps.op:push_dense_delta"), "ps.client");
+  obs::ContextSpan op_span("ps.op:push_dense_delta", "ps.client");
   if (delta.size() != shapes_.size()) {
     return Status::InvalidArgument(
         "ps client: dense delta has " + std::to_string(delta.size()) +
@@ -638,7 +637,7 @@ Status NetPsClient::PushRowDeltas(int64_t idx,
                                   const std::vector<int64_t>& rows,
                                   const Tensor& delta, float beta) {
   EnterOp();
-  obs::ContextSpan op_span(std::string("ps.op:push_row_deltas"), "ps.client");
+  obs::ContextSpan op_span("ps.op:push_row_deltas", "ps.client");
   MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
   MAMDR_RETURN_IF_ERROR(CheckRows(idx, rows));
   MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, delta, "push delta"));
@@ -675,7 +674,7 @@ Status NetPsClient::PushRowDeltas(int64_t idx,
 
 Result<std::vector<Tensor>> NetPsClient::Snapshot() {
   EnterOp();
-  obs::ContextSpan op_span(std::string("ps.op:snapshot"), "ps.client");
+  obs::ContextSpan op_span("ps.op:snapshot", "ps.client");
   std::vector<Tensor> out;
   out.reserve(shapes_.size());
   for (const Shape& shape : shapes_) out.emplace_back(shape);
@@ -731,7 +730,7 @@ Result<std::vector<Tensor>> NetPsClient::Snapshot() {
 
 Status NetPsClient::Restore(const std::vector<Tensor>& params) {
   EnterOp();
-  obs::ContextSpan op_span(std::string("ps.op:restore"), "ps.client");
+  obs::ContextSpan op_span("ps.op:restore", "ps.client");
   if (params.size() != shapes_.size()) {
     return Status::InvalidArgument(
         "ps client: restore has " + std::to_string(params.size()) +

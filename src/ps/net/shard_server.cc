@@ -378,8 +378,7 @@ std::string ShardServer::HandleRequest(const std::string& request) {
     handle_span.SetError(body.status().message());
     response = EncodeErrorResponse(body.status());
   } else {
-    obs::ContextSpan encode_span(std::string("ps.shard.encode"), "ps.shard",
-                                 &recorder_);
+    obs::ContextSpan encode_span("ps.shard.encode", "ps.shard", &recorder_);
     PayloadWriter w;
     BeginOkResponse(&w);
     response = w.Take() + body.value();

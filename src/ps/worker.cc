@@ -4,7 +4,7 @@
 
 #include "data/batch.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/trace_context.h"
 #include "optim/adam.h"
 #include "optim/param_snapshot.h"
 #include "tensor/tensor_ops.h"
@@ -174,7 +174,7 @@ Status Worker::PushBatchEmbeddingGrads(const data::Batch& batch) {
 Status Worker::RunDnEpoch() { return RunDnEpochOn(config_.domains); }
 
 Status Worker::RunDnEpochOn(const std::vector<int64_t>& domains) {
-  obs::TraceSpan span("worker_dn_epoch", "ps");
+  obs::ContextSpan span("worker_dn_epoch", "ps");
   // (1)-(2): pull dense parameters from the PS into the local replica; the
   // pulled values are the static-cache base Θ for the outer update.
   std::vector<Tensor> views;
@@ -237,7 +237,7 @@ Status Worker::RunDnEpochOn(const std::vector<int64_t>& domains) {
 
 Status Worker::RunDrPhase() {
   if (!config_.run_dr) return Status::OK();
-  obs::TraceSpan span("worker_dr_phase", "ps");
+  obs::ContextSpan span("worker_dr_phase", "ps");
   // Refresh the full parameter state from the PS as the shared basis θS.
   MAMDR_RETURN_IF_ERROR(RestoreFromPs());
   store_->UpdateSharedFromParams();
@@ -246,7 +246,7 @@ Status Worker::RunDrPhase() {
 }
 
 Status Worker::RestoreFromPs() {
-  obs::TraceSpan span("worker_restore_from_ps", "ps");
+  obs::ContextSpan span("worker_restore_from_ps", "ps");
   static obs::Counter* restores =
       obs::Registry::Global().counter("ps.worker.restores");
   restores->Add();

@@ -5,49 +5,6 @@
 
 #include "tensor/simd.h"
 
-// Per-kernel spans and duration histograms, compiled in only with
-// -DMAMDR_OBS_KERNELS (CMake option of the same name). The default build
-// must carry zero instrumentation cost in these hot loops — the bench
-// budget for the obs layer is measured with the gate off — so the macro
-// expands to nothing unless explicitly enabled.
-#ifdef MAMDR_OBS_KERNELS
-#include "obs/clock.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#define MAMDR_KERNEL_SCOPE(kernel_name)                                     \
-  ::mamdr::obs::TraceSpan mamdr_kernel_span_(kernel_name, "kernel");        \
-  ::mamdr::ops::internal::KernelTimer mamdr_kernel_timer_(kernel_name)
-namespace mamdr {
-namespace ops {
-namespace internal {
-// Records the kernel's wall time into a per-kernel duration histogram
-// (exponential 1us..~1s layout, kRuntime: timing is never deterministic).
-class KernelTimer {
- public:
-  explicit KernelTimer(const char* kernel_name)
-      : histogram_(obs::Registry::Global().histogram(
-            std::string("kernel.us.") + kernel_name,
-            obs::Histogram::ExponentialBounds(1.0, 4.0, 10),
-            obs::Stability::kRuntime)),
-        start_us_(obs::MonotonicMicros()) {}
-  ~KernelTimer() {
-    histogram_->Observe(
-        static_cast<double>(obs::MonotonicMicros() - start_us_));
-  }
-
- private:
-  obs::Histogram* histogram_;
-  int64_t start_us_;
-};
-}  // namespace internal
-}  // namespace ops
-}  // namespace mamdr
-#else
-#define MAMDR_KERNEL_SCOPE(kernel_name) \
-  do {                                  \
-  } while (false)
-#endif
-
 namespace mamdr {
 namespace ops {
 namespace {
@@ -111,7 +68,6 @@ void MatMulTransBRange(const float* pa, const float* pb, float* pc, int64_t k,
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  MAMDR_KERNEL_SCOPE("matmul");
   MAMDR_CHECK_EQ(a.rank(), 2);
   MAMDR_CHECK_EQ(b.rank(), 2);
   const int64_t m = a.rows(), k = a.cols(), n = b.cols();
@@ -126,7 +82,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor MatMulNaive(const Tensor& a, const Tensor& b) {
-  MAMDR_KERNEL_SCOPE("matmul_naive");
   MAMDR_CHECK_EQ(a.rank(), 2);
   MAMDR_CHECK_EQ(b.rank(), 2);
   const int64_t m = a.rows(), k = a.cols(), n = b.cols();
@@ -149,7 +104,6 @@ Tensor MatMulNaive(const Tensor& a, const Tensor& b) {
 }
 
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
-  MAMDR_KERNEL_SCOPE("matmul_trans_a");
   MAMDR_CHECK_EQ(a.rank(), 2);
   MAMDR_CHECK_EQ(b.rank(), 2);
   const int64_t k = a.rows(), m = a.cols(), n = b.cols();
@@ -164,7 +118,6 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
 }
 
 Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
-  MAMDR_KERNEL_SCOPE("matmul_trans_b");
   MAMDR_CHECK_EQ(a.rank(), 2);
   MAMDR_CHECK_EQ(b.rank(), 2);
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
@@ -190,7 +143,6 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Transpose(const Tensor& a) {
-  MAMDR_KERNEL_SCOPE("transpose");
   MAMDR_CHECK_EQ(a.rank(), 2);
   const int64_t m = a.rows(), n = a.cols();
   Tensor t({n, m});

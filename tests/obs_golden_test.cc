@@ -140,7 +140,7 @@ TEST(ConfiguredOutputsTest, WritesParseableMetricsAndTraceFiles) {
   Registry::Global().Reset();
   ConfigureOutputs(metrics_path, trace_path, /*probe_conflict=*/false);
   ASSERT_NE(Sink(), nullptr);
-  EXPECT_TRUE(TracingEnabled());
+  EXPECT_TRUE(TraceRecorder::Global().enabled());
 
   // A short real run so both documents have content.
   auto ds = mamdr::testing::TinyDataset(2, 100, 11);

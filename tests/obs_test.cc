@@ -1,7 +1,9 @@
 // Unit tests for the observability layer: metrics registry, trace spans,
 // telemetry sink, and the minimal JSON reader backing the golden harness.
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "obs/trace_context.h"
 
 namespace mamdr {
 namespace obs {
@@ -285,31 +288,34 @@ TEST(ClockTest, MonotonicClocksAdvanceAndAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace spans
+// Trace spans (obs::ContextSpan on the global recorder)
 
 TEST(TraceTest, DisabledTracingRecordsNothing) {
   StopTracing();
   {
-    MAMDR_TRACE_SPAN("ignored");
-    TraceSpan dynamic(std::string("also_ignored"), "test");
+    ContextSpan literal("ignored", "test");
+    ContextSpan dynamic(std::string("also_") + "ignored", "test");
+    EXPECT_FALSE(literal.active());
+    EXPECT_FALSE(dynamic.active());
+    EXPECT_FALSE(CurrentTraceContext().valid());
   }
-  EXPECT_FALSE(TracingEnabled());
+  EXPECT_FALSE(TraceRecorder::Global().enabled());
   StartTracing();
-  EXPECT_EQ(TraceEventCount(), 0u);
+  EXPECT_EQ(TraceRecorder::Global().event_count(), 0u);
   StopTracing();
 }
 
 TEST(TraceTest, RecordsCompleteEventsInChromeFormat) {
   StartTracing();
   {
-    MAMDR_TRACE_SPAN("outer");
-    TraceSpan inner(std::string("inner_") + "dyn", "test");
+    ContextSpan outer("outer", "mamdr");
+    ContextSpan inner(std::string("inner_") + "dyn", "test");
   }
   StopTracing();
-  EXPECT_EQ(TraceEventCount(), 2u);
-  EXPECT_EQ(TraceDroppedCount(), 0u);
+  EXPECT_EQ(TraceRecorder::Global().event_count(), 2u);
+  EXPECT_EQ(TraceRecorder::Global().dropped_count(), 0u);
 
-  const std::string doc = TraceJson();
+  const std::string doc = TraceRecorder::Global().Json();
   std::string error;
   auto parsed = json::Parse(doc, &error);
   ASSERT_NE(parsed, nullptr) << error;
@@ -338,6 +344,9 @@ TEST(TraceTest, RecordsCompleteEventsInChromeFormat) {
     const json::Value* cat = ev->Find("cat");
     ASSERT_NE(cat, nullptr);
     EXPECT_EQ(cat->kind, json::Kind::kString);
+    const json::Value* args = ev->Find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_NE(args->Find("trace_id"), nullptr);
   }
   EXPECT_TRUE(saw_outer);
   EXPECT_TRUE(saw_inner);
@@ -345,20 +354,53 @@ TEST(TraceTest, RecordsCompleteEventsInChromeFormat) {
 
 TEST(TraceTest, StartTracingClearsPreviousRecording) {
   StartTracing();
-  { MAMDR_TRACE_SPAN("first"); }
-  EXPECT_EQ(TraceEventCount(), 1u);
+  { ContextSpan span("first", "test"); }
+  EXPECT_EQ(TraceRecorder::Global().event_count(), 1u);
   StartTracing();
-  EXPECT_EQ(TraceEventCount(), 0u);
+  EXPECT_EQ(TraceRecorder::Global().event_count(), 0u);
   StopTracing();
 }
 
 TEST(TraceTest, SpanOpenAcrossStopIsDropped) {
   StartTracing();
   {
-    TraceSpan span("straddles_stop", "test");
+    ContextSpan span("straddles_stop", "test");
     StopTracing();
   }  // destructor runs after StopTracing: must not record
-  EXPECT_EQ(TraceEventCount(), 0u);
+  EXPECT_EQ(TraceRecorder::Global().event_count(), 0u);
+  // The span still restores the ambient context it installed.
+  EXPECT_FALSE(CurrentTraceContext().valid());
+}
+
+// Heap allocations made by the current thread while a CountAllocations is
+// live (the replacement operator new below feeds it).
+thread_local int64_t* t_allocation_counter = nullptr;
+
+class CountAllocations {
+ public:
+  CountAllocations() { t_allocation_counter = &count_; }
+  ~CountAllocations() { t_allocation_counter = nullptr; }
+  int64_t count() const { return count_; }
+
+ private:
+  int64_t count_ = 0;
+};
+
+TEST(TraceTest, UntracedLiteralSpanDoesNotAllocate) {
+  StopTracing();  // also creates the global recorder outside the scope
+  int64_t literal_allocs = -1;
+  int64_t owned_allocs = -1;
+  {
+    CountAllocations allocations;
+    { ContextSpan span("untraced_literal_span_name", "test"); }
+    literal_allocs = allocations.count();
+    // Control: a long owned name allocates even untraced, which proves the
+    // counter is live.
+    { ContextSpan span(std::string(64, 'x'), "test"); }
+    owned_allocs = allocations.count() - literal_allocs;
+  }
+  EXPECT_EQ(literal_allocs, 0);
+  EXPECT_GT(owned_allocs, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -520,3 +562,43 @@ TEST(JsonStructureSignatureTest, NamesNullAndBoolKinds) {
 }  // namespace
 }  // namespace obs
 }  // namespace mamdr
+
+// Replacement global allocation functions for this test binary: plain
+// malloc/free, counting calls on threads that armed CountAllocations. The
+// aligned forms keep the library defaults (they pair among themselves).
+void* operator new(std::size_t size) {
+  if (mamdr::obs::t_allocation_counter != nullptr) {
+    ++*mamdr::obs::t_allocation_counter;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
+// The deletes stay out of line: inlined, GCC's -Wmismatched-new-delete
+// pairs their free() with the caller's `new` expression.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}

@@ -2,16 +2,19 @@
 //
 // Everything runs against private TraceRecorder instances so the global
 // recorder (shared with other suites in this binary) stays untouched; the
-// one test that needs the global path (ambient gating off the global
-// recorder) brackets it with StartTracing/StopTracing.
+// tests that need the global path (ambient gating off the global recorder,
+// the training span tree) bracket it with StartTracing/StopTracing.
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/framework_registry.h"
+#include "models/registry.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
+#include "test_util.h"
 
 namespace mamdr {
 namespace obs {
@@ -229,7 +232,8 @@ TEST(TraceRecorderTest, ProcessIdentityAndMetaTrailer) {
 TEST(TraceRecorderTest, InstancesAreIndependentOfGlobal) {
   TraceRecorder recorder;
   recorder.Start();
-  EXPECT_FALSE(TracingEnabled());  // instance Start is not global Start
+  // Instance Start is not global Start.
+  EXPECT_FALSE(TraceRecorder::Global().enabled());
   { ContextSpan span("instance-span", "test", &recorder); }
   recorder.Stop();
   EXPECT_EQ(recorder.event_count(), 1u);
@@ -252,6 +256,47 @@ TEST(TraceRecorderTest, StartClearsPreviousRecording) {
   const auto events = Events(recorder);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "second");
+}
+
+// One traced MAMDR epoch renders as a tree: the epoch span parents the DN
+// and DR phases (ambient parenting, no explicit plumbing), while an
+// evaluation outside the epoch starts its own trace.
+TEST(TrainingSpanTreeTest, MamdrEpochParentsDnAndDrPhases) {
+  auto ds = mamdr::testing::TinyDataset(2, 60, 5);
+  auto mc = mamdr::testing::TinyModelConfig(ds);
+  Rng rng(3);
+  auto model = models::CreateModel("MLP", mc, &rng).value();
+  core::TrainConfig tc;
+  tc.epochs = 1;
+  tc.batch_size = 64;
+  tc.dr_sample_k = 1;
+  tc.dr_max_batches = 1;
+  tc.seed = 9;
+  auto fw = core::CreateFramework("MAMDR", model.get(), &ds, tc).value();
+
+  StartTracing();
+  fw->TrainEpoch();
+  fw->Evaluate(metrics::Split::kTest);
+  StopTracing();
+
+  const auto events = TraceRecorder::Global().SnapshotEvents();
+  ASSERT_FALSE(events.empty());
+  for (const TraceEvent& e : events) EXPECT_NE(e.trace_id, 0u) << e.name;
+  const TraceEvent* epoch = FindByName(events, "MAMDR_epoch");
+  const TraceEvent* dn = FindByName(events, "DN_epoch");
+  const TraceEvent* dr = FindByName(events, "dr_phase");
+  const TraceEvent* eval = FindByName(events, "evaluate");
+  ASSERT_NE(epoch, nullptr);
+  ASSERT_NE(dn, nullptr);
+  ASSERT_NE(dr, nullptr);
+  ASSERT_NE(eval, nullptr);
+  EXPECT_EQ(epoch->parent_span_id, 0u);
+  EXPECT_EQ(dn->parent_span_id, epoch->span_id);
+  EXPECT_EQ(dr->parent_span_id, epoch->span_id);
+  EXPECT_EQ(dn->trace_id, epoch->trace_id);
+  EXPECT_EQ(dr->trace_id, epoch->trace_id);
+  EXPECT_EQ(eval->parent_span_id, 0u);
+  EXPECT_NE(eval->trace_id, epoch->trace_id);
 }
 
 }  // namespace

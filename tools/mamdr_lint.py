@@ -99,6 +99,14 @@ the offending line):
                   starts the line, parentheses balance, line ends with ;) so
                   continuation lines of MAMDR_RETURN_IF_ERROR/assignments
                   never false-positive.
+  span-literal    an ``obs::ContextSpan`` whose name argument is
+                  ``std::string("...")``. A bare literal converts to a
+                  SpanName that keeps the pointer and copies only while
+                  the recorder is collecting; the std::string form compiles
+                  but builds (and, past the small-string buffer, allocates)
+                  the name on every call, traced or not. Matches across line
+                  breaks (the name often wraps onto the next line); the allow
+                  comment goes on the line holding ``std::string``.
 
 Usage:
   tools/mamdr_lint.py [--root DIR] [files...]
@@ -162,6 +170,13 @@ MUTEX_LOCK_RE = re.compile(r"\bMutexLock\b")
 KERNEL_PARALLEL_RE = re.compile(
     r"\bParallelFor\s*\(|^\s*#\s*include\s*\"common/parallel_for\.h\"")
 KERNEL_PARALLEL_DIRS = ("src/tensor", "src/autograd", "src/nn", "src/optim")
+# A ContextSpan constructed directly, via a named object or make_unique<>,
+# whose whole first argument is std::string("literal"). A dynamic name
+# (`std::string("a") + b`) does not match: the closing paren must be
+# followed by the next argument's comma.
+SPAN_LITERAL_RE = re.compile(
+    r"\bContextSpan\s*(?:>\s*|\s[A-Za-z_]\w*\s*)?\(\s*"
+    r"std\s*::\s*string\s*\(\s*\"(?:[^\"\\]|\\.)*\"\s*\)\s*,")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)")
 DEFINE_RE = re.compile(r"^\s*#\s*define\s+(\w+)")
@@ -256,6 +271,23 @@ def _check_header_guard(rel_path: str, lines: List[str]) -> List[Finding]:
         findings.append(
             Finding(rel_path, ifndef_line, "header-guard",
                     f"#ifndef {guard} is not followed by #define {guard}"))
+    return findings
+
+
+def _check_span_literal(rel_path: str, lines: List[str]) -> List[Finding]:
+    # Comment-stripped text, so a match may span the line break between
+    # `ContextSpan name(` and a wrapped first argument.
+    code = "\n".join(_strip_line_comment(line) for line in lines)
+    findings: List[Finding] = []
+    for m in SPAN_LITERAL_RE.finditer(code):
+        start = m.start() + m.group(0).index("std")
+        line_no = code.count("\n", 0, start) + 1
+        if "span-literal" in _allowed_rules(lines[line_no - 1]):
+            continue
+        findings.append(
+            Finding(rel_path, line_no, "span-literal",
+                    "ContextSpan named by std::string(\"...\") builds the "
+                    "name even when tracing is off; pass the literal"))
     return findings
 
 
@@ -365,6 +397,7 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
                             "result of a Status-returning op is discarded; "
                             "check it or use MAMDR_RETURN_IF_ERROR"))
 
+    findings.extend(_check_span_literal(rel_path, lines))
     if rel_path.endswith((".h", ".hpp")):
         findings.extend(_check_header_guard(rel_path, lines))
     return findings

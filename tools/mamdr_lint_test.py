@@ -558,6 +558,57 @@ class HotPathLockRule(unittest.TestCase):
                          ["hot-path-lock", "hot-path-lock"])
 
 
+class SpanLiteralRule(unittest.TestCase):
+    def test_flags_string_wrapped_literal(self):
+        findings = mamdr_lint.lint_text(
+            "src/ps/net/net_ps_client.cc",
+            '  obs::ContextSpan op_span(std::string("ps.op:ping"), "ps.client");\n')
+        self.assertEqual(rules(findings), ["span-literal"])
+        self.assertEqual(findings[0].line, 1)
+
+    def test_flags_wrapped_argument_on_next_line(self):
+        findings = mamdr_lint.lint_text(
+            "src/core/x.cc",
+            "  obs::ContextSpan span(\n"
+            '      std::string("dr_phase"), "mamdr");\n')
+        self.assertEqual(rules(findings), ["span-literal"])
+        self.assertEqual(findings[0].line, 2)
+
+    def test_flags_make_unique(self):
+        findings = mamdr_lint.lint_text(
+            "src/ps/x.cc",
+            "auto s = std::make_unique<obs::ContextSpan>("
+            'std::string("shard"), "ps");\n')
+        self.assertEqual(rules(findings), ["span-literal"])
+
+    def test_bare_literal_is_fine(self):
+        findings = mamdr_lint.lint_text(
+            "src/ps/net/net_ps_client.cc",
+            '  obs::ContextSpan op_span("ps.op:ping", "ps.client");\n')
+        self.assertEqual(rules(findings), [])
+
+    def test_dynamic_name_is_fine(self):
+        findings = mamdr_lint.lint_text(
+            "src/ps/net/shard_server.cc",
+            "  obs::ContextSpan handle_span(\n"
+            '      std::string("ps.shard.handle:") + PsOpName(op), "ps.shard",\n'
+            "      ctx, &recorder_);\n")
+        self.assertEqual(rules(findings), [])
+
+    def test_comment_mention_is_fine(self):
+        findings = mamdr_lint.lint_text(
+            "src/obs/x.h",
+            '// never write ContextSpan s(std::string("x"), "c");\n')
+        self.assertNotIn("span-literal", rules(findings))
+
+    def test_allow_comment(self):
+        findings = mamdr_lint.lint_text(
+            "tests/x.cc",
+            'ContextSpan s(std::string("x"), "c");  '
+            "// mamdr-lint: allow(span-literal)\n")
+        self.assertEqual(rules(findings), [])
+
+
 class TreeIntegration(unittest.TestCase):
     def test_repository_is_clean(self):
         root = mamdr_lint.os.path.dirname(
