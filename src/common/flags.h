@@ -47,8 +47,10 @@ class FlagParser {
 };
 
 /// Applies process-wide flags shared by every CLI tool and bench. Currently:
-///   --kernel-threads N     size of the pool that fans evaluation out over
-///                          domains (0 = hardware_concurrency, 1 = serial;
+///   --kernel-threads N     width of the evaluation fan-out: each
+///                          EvaluateAllDomains call runs its domains on a
+///                          pool of min(N, domains) threads built for that
+///                          call (0 = hardware_concurrency, 1 = serial;
 ///                          also accepts --kernel_threads). Tensor kernels
 ///                          are always serial. See common/parallel_for.h.
 ///   --metrics-out PATH     install a telemetry sink and write the

@@ -35,7 +35,7 @@
 // docs/ARCHITECTURE.md "Concurrency analysis"). Registration is
 // process-lifetime and idempotent: every Mutex constructed with the same
 // name shares one class, so per-instance locks (one per worker, one per
-// ParallelFor latch) collapse into a single node in the order graph.
+// ThreadPool) collapse into a single node in the order graph.
 // Unnamed mutexes are tracked in the per-thread held set (so
 // blocking-under-lock still sees them) but take no part in the order
 // graph — name every long-lived lock.

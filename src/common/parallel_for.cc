@@ -1,12 +1,9 @@
 #include "common/parallel_for.h"
 
 #include <atomic>
-#include <exception>
 #include <thread>
 
 #include "common/logging.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace mamdr {
 namespace {
@@ -17,135 +14,15 @@ int64_t ResolveThreads(int64_t requested) {
   return hw == 0 ? 1 : static_cast<int64_t>(hw);
 }
 
-Mutex g_pool_mu{MAMDR_LOCK_CLASS("common.parallel_for.pool")};
-int64_t g_requested_threads MAMDR_GUARDED_BY(g_pool_mu) = 0;  // 0 = auto
-std::shared_ptr<ThreadPool> g_pool MAMDR_GUARDED_BY(g_pool_mu);
-
-// Lock-free mirror of ResolveThreads(g_requested_threads) so the inline
-// fast path of ParallelFor never takes the pool mutex.
-std::atomic<int64_t> g_resolved_threads{ResolveThreads(0)};
-
-// Set while a thread is executing a ParallelFor chunk; nested ParallelFor
-// calls (e.g. a matmul inside a parallel domain evaluation) run inline
-// instead of blocking on the pool that is running them.
-thread_local bool t_in_kernel_chunk = false;
-
-struct ChunkScope {
-  ChunkScope() : prev(t_in_kernel_chunk) { t_in_kernel_chunk = true; }
-  ~ChunkScope() { t_in_kernel_chunk = prev; }
-  bool prev;
-};
+std::atomic<int64_t> g_threads{ResolveThreads(0)};
 
 }  // namespace
 
 void SetKernelThreads(int64_t n) {
   MAMDR_CHECK_GE(n, 0);
-  MutexLock lock(&g_pool_mu);
-  g_requested_threads = n;
-  const int64_t resolved = ResolveThreads(n);
-  g_resolved_threads.store(resolved, std::memory_order_relaxed);
-  if (g_pool && static_cast<int64_t>(g_pool->num_threads()) != resolved) {
-    g_pool.reset();  // rebuilt lazily at the next parallel call
-  }
+  g_threads.store(ResolveThreads(n), std::memory_order_relaxed);
 }
 
-int64_t KernelThreads() {
-  return g_resolved_threads.load(std::memory_order_relaxed);
-}
+int64_t KernelThreads() { return g_threads.load(std::memory_order_relaxed); }
 
-std::shared_ptr<ThreadPool> KernelPool() {
-  MutexLock lock(&g_pool_mu);
-  const int64_t n = ResolveThreads(g_requested_threads);
-  if (n <= 1) return nullptr;
-  if (!g_pool) g_pool = std::make_shared<ThreadPool>(static_cast<size_t>(n));
-  return g_pool;
-}
-
-namespace detail {
-
-bool ShouldSerialize(int64_t total, int64_t grain) {
-  MAMDR_CHECK_GT(grain, 0);
-  return t_in_kernel_chunk || total <= grain || KernelThreads() <= 1;
-}
-
-void ParallelForImpl(int64_t begin, int64_t end, int64_t grain,
-                     const std::function<void(int64_t, int64_t)>& fn) {
-  std::shared_ptr<ThreadPool> pool = KernelPool();
-  const int64_t total = end - begin;
-  if (!pool) {
-    ChunkScope scope;
-    fn(begin, end);
-    return;
-  }
-  int64_t chunks = total / grain;
-  const int64_t threads = static_cast<int64_t>(pool->num_threads());
-  if (chunks > threads) chunks = threads;
-  if (chunks < 1) chunks = 1;
-
-  // Per-call completion latch: concurrent ParallelFor calls may share the
-  // pool, so waiting on pool->Wait() would over-wait (or race on rethrow).
-  struct State {
-    Mutex mu{MAMDR_LOCK_CLASS("common.parallel_for.latch")};
-    CondVar cv;
-    int64_t remaining MAMDR_GUARDED_BY(mu) = 0;
-    std::exception_ptr error MAMDR_GUARDED_BY(mu);
-  };
-  auto state = std::make_shared<State>();
-  {
-    MutexLock lock(&state->mu);
-    state->remaining = chunks - 1;  // chunk 0 runs on the calling thread
-  }
-
-  // The calling thread executes the first chunk inline instead of blocking
-  // on the latch while the pool does all the work: one fewer task wakeup
-  // per call, and a 2-chunk split costs a single handoff instead of two.
-  // This matters most for the small kernels on the serving path, where the
-  // fork/join round trip can rival the chunk's compute.
-  const int64_t base = total / chunks;
-  const int64_t extra = total % chunks;
-  const int64_t first_end = begin + base + (extra > 0 ? 1 : 0);
-  int64_t chunk_begin = first_end;
-  for (int64_t c = 1; c < chunks; ++c) {
-    const int64_t chunk_end = chunk_begin + base + (c < extra ? 1 : 0);
-    pool->Submit([state, &fn, chunk_begin, chunk_end] {
-      ChunkScope scope;
-      try {
-        fn(chunk_begin, chunk_end);
-      } catch (...) {
-        MutexLock lock(&state->mu);
-        if (!state->error) state->error = std::current_exception();
-      }
-      {
-        MutexLock lock(&state->mu);
-        --state->remaining;
-      }
-      state->cv.NotifyOne();
-    });
-    chunk_begin = chunk_end;
-  }
-  MAMDR_CHECK_EQ(chunk_begin, end);
-
-  std::exception_ptr inline_err;
-  {
-    ChunkScope scope;
-    try {
-      fn(begin, first_end);
-    } catch (...) {
-      inline_err = std::current_exception();
-    }
-  }
-
-  std::exception_ptr err;
-  {
-    MutexLock lock(&state->mu);
-    while (state->remaining != 0) state->cv.Wait(&state->mu);
-    err = state->error;
-  }
-  // The pool-side error wins ties only because one must; both paths saw
-  // the full barrier, so rethrowing either is correct.
-  if (!err) err = inline_err;
-  if (err) std::rethrow_exception(err);
-}
-
-}  // namespace detail
 }  // namespace mamdr

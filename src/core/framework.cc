@@ -7,10 +7,7 @@
 #include "data/batch.h"
 #include "obs/telemetry.h"
 #include "obs/trace_context.h"
-#include "optim/adagrad.h"
-#include "optim/adam.h"
 #include "optim/param_snapshot.h"
-#include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
 
 namespace mamdr {
@@ -193,15 +190,7 @@ metrics::ConflictReport Framework::MeasureDomainConflict() {
 }
 
 std::unique_ptr<optim::Optimizer> Framework::MakeInnerOptimizer(float lr) {
-  if (config_.inner_optimizer == "sgd") {
-    return std::make_unique<optim::Sgd>(params_, lr);
-  }
-  if (config_.inner_optimizer == "adagrad") {
-    return std::make_unique<optim::Adagrad>(params_, lr);
-  }
-  MAMDR_CHECK(config_.inner_optimizer == "adam")
-      << "unknown inner optimizer '" << config_.inner_optimizer << "'";
-  return std::make_unique<optim::Adam>(params_, lr);
+  return optim::MakeOptimizer(config_.inner_optimizer, params_, lr);
 }
 
 }  // namespace core

@@ -1,7 +1,10 @@
 #include "metrics/evaluator.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/parallel_for.h"
+#include "common/thread_pool.h"
 #include "metrics/auc.h"
 
 namespace mamdr {
@@ -36,19 +39,27 @@ double EvaluateDomain(const data::MultiDomainDataset& ds, int64_t domain,
 std::vector<double> EvaluateAllDomains(const data::MultiDomainDataset& ds,
                                        Split split, const ScoreFn& score,
                                        EvalParallel parallel) {
-  std::vector<double> out(static_cast<size_t>(ds.num_domains()), 0.0);
-  if (parallel == EvalParallel::kParallel) {
-    double* po = out.data();
-    ParallelFor(0, ds.num_domains(), 1, [&](int64_t d0, int64_t d1) {
-      for (int64_t d = d0; d < d1; ++d) {
-        po[d] = EvaluateDomain(ds, d, split, score);
-      }
-    });
-  } else {
-    for (int64_t d = 0; d < ds.num_domains(); ++d) {
+  const int64_t n = ds.num_domains();
+  std::vector<double> out(static_cast<size_t>(n), 0.0);
+  const int64_t width = parallel == EvalParallel::kParallel
+                            ? std::min(KernelThreads(), n)
+                            : 1;
+  if (width <= 1) {
+    for (int64_t d = 0; d < n; ++d) {
       out[static_cast<size_t>(d)] = EvaluateDomain(ds, d, split, score);
     }
+    return out;
   }
+  // One task per domain, each writing its own slot with exactly the serial
+  // computation, so the result is bit-identical at any width. Wait()
+  // rethrows the first scorer exception once every task has finished.
+  ThreadPool pool(static_cast<size_t>(width));
+  for (int64_t d = 0; d < n; ++d) {
+    pool.Submit([&, d] {
+      out[static_cast<size_t>(d)] = EvaluateDomain(ds, d, split, score);
+    });
+  }
+  pool.Wait();
   return out;
 }
 

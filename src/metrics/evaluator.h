@@ -24,7 +24,8 @@ enum class Split { kTrain, kVal, kTest };
 double EvaluateDomain(const data::MultiDomainDataset& ds, int64_t domain,
                       Split split, const ScoreFn& score);
 
-/// Whether EvaluateAllDomains may fan domains out over the kernel pool.
+/// Whether EvaluateAllDomains may fan domains out, one task per domain, over
+/// a ThreadPool of min(KernelThreads(), num_domains) threads built per call.
 /// Only pass kParallel when `score` is safe to call concurrently from
 /// multiple threads (a pure forward pass is; scorers that install
 /// per-domain parameters into a shared model, like MAMDR composites, are

@@ -2,6 +2,8 @@
 #ifndef MAMDR_OPTIM_OPTIMIZER_H_
 #define MAMDR_OPTIM_OPTIMIZER_H_
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -36,6 +38,12 @@ class Optimizer {
   std::vector<Var> params_;
   float lr_;
 };
+
+/// Fresh optimizer over `params` by name: "adam", "sgd" or "adagrad" (the
+/// values core::TrainConfig::inner_optimizer accepts). Aborts on any other
+/// name; TrainConfig::Validate rejects those first.
+std::unique_ptr<Optimizer> MakeOptimizer(const std::string& name,
+                                         std::vector<Var> params, float lr);
 
 }  // namespace optim
 }  // namespace mamdr

@@ -151,11 +151,17 @@ Status DistributedMamdr::TrainEpoch() {
     }
   }
 
+  // Each task installs the ambient trace context, which does not cross
+  // ThreadPool::Submit by itself, so worker spans join this epoch's tree.
+  const obs::TraceContext ctx = obs::CurrentTraceContext();
   std::vector<Status> results(workers_.size());
   for (size_t i = 0; i < workers_.size(); ++i) {
     Worker* wp = workers_[i].get();
     Status* slot = &results[i];
-    pool_->Submit([wp, slot] { *slot = wp->RunDnEpoch(); });
+    pool_->Submit([wp, slot, ctx] {
+      obs::ScopedTraceContext scoped(ctx);
+      *slot = wp->RunDnEpoch();
+    });
   }
   pool_->Wait();  // epoch barrier (Parallelized SGD style)
 
@@ -200,11 +206,15 @@ Status DistributedMamdr::TrainEpoch() {
 
   if (config_.run_dr) {
     obs::ContextSpan dr_span("distributed_dr_phase", "mamdr");
+    const obs::TraceContext dr_ctx = obs::CurrentTraceContext();
     std::vector<Status> dr_results(workers_.size());
     for (size_t i = 0; i < workers_.size(); ++i) {
       Worker* wp = workers_[i].get();
       Status* slot = &dr_results[i];
-      pool_->Submit([wp, slot] { *slot = wp->RunDrPhase(); });
+      pool_->Submit([wp, slot, dr_ctx] {
+        obs::ScopedTraceContext scoped(dr_ctx);
+        *slot = wp->RunDrPhase();
+      });
     }
     pool_->Wait();
     for (const Status& s : dr_results) MAMDR_RETURN_IF_ERROR(s);
@@ -238,12 +248,14 @@ Status DistributedMamdr::Train() {
     // once, then skip it.
     const int64_t epochs = config_.train.epochs - start_epoch;
     const bool run_dr = config_.run_dr;
+    const obs::TraceContext ctx = obs::CurrentTraceContext();
     std::vector<Status> results(workers_.size());
     for (size_t i = 0; i < workers_.size(); ++i) {
       Worker* wp = workers_[i].get();
       FaultInjector* inj = injectors_[i];
       Status* slot = &results[i];
-      pool_->Submit([wp, inj, epochs, run_dr, slot] {
+      pool_->Submit([wp, inj, epochs, run_dr, slot, ctx] {
+        obs::ScopedTraceContext scoped(ctx);
         for (int64_t e = 0; e < epochs; ++e) {
           Status s = wp->RunDnEpoch();
           if (!s.ok()) {

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/lockdep.h"
+#include "ps/net/wire.h"
 
 namespace mamdr {
 namespace ps {
@@ -136,7 +137,7 @@ Result<std::string> FaultProxy::ReadRawFrame(int fd, bool* clean_close) {
     return Status::InvalidArgument("proxy: bad frame magic");
   }
   const uint32_t len = GetU32Le(frame.data() + 4);
-  if (len > config_.max_frame_bytes) {
+  if (len > kMaxFrameBytes) {
     return Status::InvalidArgument("proxy: oversize frame");
   }
   const size_t head = frame.size();

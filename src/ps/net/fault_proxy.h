@@ -75,8 +75,6 @@ struct FaultProxyConfig {
   /// P(response held for latency_us before forwarding).
   double latency_prob = 0.0;
   int64_t latency_us = 1'000;
-  /// Upper bound on a relayed frame payload.
-  size_t max_frame_bytes = size_t{64} << 20;
 };
 
 /// What the proxy actually did (read by tests after a run).

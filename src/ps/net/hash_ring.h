@@ -23,8 +23,8 @@ namespace net {
 
 class HashRing {
  public:
-  /// `num_shards` >= 1. All parties (clients, shards, the fault proxy's
-  /// test assertions) must construct the ring with identical arguments.
+  /// `num_shards` >= 1. Clients and shards route with the default geometry,
+  /// so they always agree; only tests pass other values.
   explicit HashRing(int num_shards, int vnodes_per_shard = 64,
                     uint64_t seed = 0x6d616d6472u /* "mamdr" */);
 

@@ -18,13 +18,6 @@ namespace cnet = ::mamdr::net;
 
 namespace {
 
-// Span names follow "<component>:<op>" (docs/ARCHITECTURE.md
-// "Observability"): the name pins what the span measures, tags carry the
-// per-instance detail (shard, attempt, frames).
-std::string SpanName(const char* component, PsOp op) {
-  return std::string(component) + ":" + PsOpName(op);
-}
-
 /// Strips each response's header into `ok_bodies`, in order. The first
 /// non-OK remote status comes back as is: a remote kUnavailable (e.g.
 /// mid-failover) stays retryable.
@@ -67,7 +60,7 @@ NetPsClient::NetPsClient(NetPsClientConfig config, ShardDirectory* directory,
                          const std::vector<Tensor>& layout,
                          std::vector<bool> is_embedding)
     : config_(config),
-      ring_(config.num_shards, config.vnodes_per_shard, config.ring_seed),
+      ring_(config.num_shards),
       directory_(directory),
       is_embedding_(std::move(is_embedding)),
       pool_(config.num_shards, config.rpc_deadline_us) {
@@ -182,7 +175,7 @@ void NetPsClient::Attempt(std::vector<Exchange>* exchanges) {
   for (Exchange& x : *exchanges) {
     while (x.status.ok() && x.responses.size() < x.frames->size()) {
       Result<std::string> r =
-          cnet::ReadFrame(x.lease.fd.get(), config_.max_frame_bytes);
+          cnet::ReadFrame(x.lease.fd.get(), kMaxFrameBytes);
       if (r.ok()) {
         x.responses.push_back(std::move(r).value());
       } else {
@@ -276,7 +269,7 @@ Status NetPsClient::CallBatch(const ShardBatch& batch,
                               std::vector<std::string>* ok_bodies,
                               const char* what) {
   const PsOp op = batch.requests[0].op;
-  obs::ContextSpan rpc_span(SpanName("ps.client.rpc", op), "ps.client");
+  obs::ContextSpan rpc_span(PsSpanName(PsSpan::kClientRpc, op), "ps.client");
   rpc_span.AddTag("shard", std::to_string(batch.shard));
   rpc_span.AddTag("frames", std::to_string(batch.requests.size()));
   // The batch's latency lands in the first op's histogram: a pipelined
@@ -291,7 +284,7 @@ Status NetPsClient::CallBatch(const ShardBatch& batch,
   int attempt = 0;
   const Status st = retry_[static_cast<size_t>(batch.shard)]->Run(
       [&]() -> Status {
-        obs::ContextSpan attempt_span(SpanName("ps.client.attempt", op),
+        obs::ContextSpan attempt_span(PsSpanName(PsSpan::kClientAttempt, op),
                                       "ps.client");
         attempt_span.AddTag("shard", std::to_string(batch.shard));
         attempt_span.AddTag("attempt", std::to_string(attempt++));
@@ -326,7 +319,8 @@ Status NetPsClient::FanoutCall(const std::vector<ShardBatch>& batches,
   if (n == 0) return Status::OK();
   for (const ShardBatch& b : batches) MAMDR_CHECK(!b.requests.empty());
   const PsOp op = batches[0].requests[0].op;
-  obs::ContextSpan fanout_span(SpanName("ps.client.fanout", op), "ps.client");
+  obs::ContextSpan fanout_span(PsSpanName(PsSpan::kClientFanout, op),
+                               "ps.client");
   fanout_span.AddTag("shards", std::to_string(n));
   std::vector<std::vector<std::string>> bodies(n);
   std::vector<bool> done(n, false);
@@ -341,7 +335,7 @@ Status NetPsClient::FanoutCall(const std::vector<ShardBatch>& batches,
       obs::TraceContext ctx;
       if (fanout_span.active()) {
         shard_spans[i] = std::make_unique<obs::ContextSpan>(
-            SpanName("ps.client.shard", batches[i].requests[0].op),
+            PsSpanName(PsSpan::kClientShard, batches[i].requests[0].op),
             "ps.client", fanout_span.context());
         shard_spans[i]->AddTag("shard", std::to_string(batches[i].shard));
         ctx = shard_spans[i]->context();

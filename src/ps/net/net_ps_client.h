@@ -89,9 +89,6 @@ namespace net {
 
 struct NetPsClientConfig {
   int num_shards = 1;
-  /// Ring geometry; must match every shard server's construction.
-  int vnodes_per_shard = 64;
-  uint64_t ring_seed = 0x6d616d6472u;
   /// Kernel I/O deadline on every pooled connection: a dial, send or
   /// receive that makes no progress for this long fails the attempt
   /// (retryably). It bounds each of those calls, not a whole attempt;
@@ -101,8 +98,6 @@ struct NetPsClientConfig {
   /// deterministic schedules, seeded retry_seed + shard).
   RetryConfig retry;
   uint64_t retry_seed = 0;
-  /// Upper bound on a single frame payload (request or response).
-  size_t max_frame_bytes = size_t{64} << 20;
 };
 
 class NetPsClient : public PsClient {

@@ -12,7 +12,7 @@ ShardGroup::ShardGroup(ShardGroupConfig config,
                        std::vector<Tensor> initial_params,
                        std::vector<bool> is_embedding)
     : config_(config),
-      ring_(config.num_shards, config.vnodes_per_shard, config.ring_seed),
+      ring_(config.num_shards),
       is_embedding_(std::move(is_embedding)),
       directory_(config.num_shards) {
   MAMDR_CHECK_GE(config_.num_shards, 1);
@@ -38,12 +38,9 @@ std::unique_ptr<ShardServer> ShardGroup::MakeShard(int shard) const {
   ShardServerConfig sc;
   sc.shard_id = shard;
   sc.num_shards = config_.num_shards;
-  sc.vnodes_per_shard = config_.vnodes_per_shard;
-  sc.ring_seed = config_.ring_seed;
   sc.checkpoint_path = CheckpointPathFor(shard);
   sc.read_deadline_us = config_.read_deadline_us;
   sc.num_workers = config_.num_workers;
-  sc.max_frame_bytes = config_.max_frame_bytes;
   if (!config_.trace_dir.empty()) {
     sc.trace_path = config_.trace_dir + "/shard-" + std::to_string(shard) +
                     ".trace.json";

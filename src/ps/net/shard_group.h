@@ -38,8 +38,6 @@ namespace net {
 
 struct ShardGroupConfig {
   int num_shards = 1;
-  int vnodes_per_shard = 64;
-  uint64_t ring_seed = 0x6d616d6472u;
   /// Directory for per-shard checkpoint files ("shard-<i>.ckpt"); ""
   /// disables checkpointing — a respawned shard then restarts from the
   /// initial parameter values.
@@ -50,7 +48,6 @@ struct ShardGroupConfig {
   /// Worker threads per shard: how many ready frames a shard handles at
   /// once. It does not cap how many clients can be connected.
   int num_workers = 4;
-  size_t max_frame_bytes = size_t{64} << 20;
   /// Directory for per-shard Chrome-trace files ("shard-<i>.trace.json");
   /// "" disables shard tracing. A respawned shard overwrites its file, so
   /// the directory always holds the *last incarnation's* spans — merge

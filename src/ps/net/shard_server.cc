@@ -45,7 +45,7 @@ int64_t ParseParamIndex(const std::string& suffix) {
 ShardServer::ShardServer(ShardServerConfig config, std::vector<Tensor> params,
                          std::vector<bool> is_embedding)
     : config_(config),
-      ring_(config.num_shards, config.vnodes_per_shard, config.ring_seed),
+      ring_(config.num_shards),
       is_embedding_(std::move(is_embedding)) {
   // Deep-copy: Tensor copies share storage, and a shard must never alias
   // the caller's buffers (or another shard's).
@@ -294,7 +294,7 @@ bool ShardServer::ServeReadyFrames(int fd) {
   do {
     bool clean_close = false;
     Result<std::string> request =
-        cnet::ReadFrame(fd, config_.max_frame_bytes, &clean_close);
+        cnet::ReadFrame(fd, kMaxFrameBytes, &clean_close);
     if (!request.ok()) {
       // A peer hanging up between frames is the normal end of a pooled
       // connection's session — not damage. Anything else (mid-frame cut,
@@ -340,7 +340,7 @@ std::string ShardServer::HandleRequest(const std::string& request) {
   // handlers open attach underneath automatically.
   const PsOp op = static_cast<PsOp>(env.op);
   obs::ContextSpan handle_span(
-      std::string("ps.shard.handle:") + PsOpName(op), "ps.shard",
+      PsSpanName(PsSpan::kShardHandle, op), "ps.shard",
       obs::TraceContext{env.trace_id, env.parent_span_id}, &recorder_);
   handle_span.AddTag("shard", std::to_string(config_.shard_id));
   obs::ScopedTraceContext ambient(handle_span.context());
@@ -512,8 +512,7 @@ Result<std::string> ShardServer::HandlePullRows(PayloadReader* r) {
     uint64_t nrows = 0;
     MAMDR_RETURN_IF_ERROR(r->GetU64(&nrows));
     const uint64_t max_rows =
-        config_.max_frame_bytes /
-        (static_cast<uint64_t>(dim) * sizeof(float));
+        kMaxFrameBytes / (static_cast<uint64_t>(dim) * sizeof(float));
     if (nrows > max_rows) {
       return Status::InvalidArgument("pull_rows: row count " +
                                      std::to_string(nrows) +
@@ -571,8 +570,7 @@ Result<std::string> ShardServer::HandlePushRows(PayloadReader* r,
     uint64_t nrows = 0;
     MAMDR_RETURN_IF_ERROR(r->GetU64(&nrows));
     const uint64_t max_rows =
-        config_.max_frame_bytes /
-        (static_cast<uint64_t>(table_dim) * sizeof(float));
+        kMaxFrameBytes / (static_cast<uint64_t>(table_dim) * sizeof(float));
     if (nrows > max_rows) {
       return Status::InvalidArgument("push_rows: row count " +
                                      std::to_string(nrows) +

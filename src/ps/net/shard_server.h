@@ -64,9 +64,6 @@ namespace net {
 struct ShardServerConfig {
   int shard_id = 0;
   int num_shards = 1;
-  /// Ring geometry; must match every client's HashRing construction.
-  int vnodes_per_shard = 64;
-  uint64_t ring_seed = 0x6d616d6472u;
   /// Per-shard checkpoint file; "" disables checkpointing.
   std::string checkpoint_path;
   /// Kernel I/O deadline on every session fd. It bounds only a peer that
@@ -77,8 +74,6 @@ struct ShardServerConfig {
   /// Worker threads: how many ready frames the shard handles at once. It
   /// does not cap how many clients can be connected.
   int num_workers = 4;
-  /// Upper bound on a single frame payload (request or response).
-  size_t max_frame_bytes = size_t{64} << 20;
   /// Per-shard Chrome-trace file: when non-empty the shard records handler
   /// spans into its own TraceRecorder (started at Start()) and writes the
   /// trace document here at Stop() — one file per logical process, the

@@ -1,6 +1,8 @@
 #include "ps/net/wire.h"
 
+#include <array>
 #include <cstring>
+#include <iterator>
 
 namespace mamdr {
 namespace ps {
@@ -24,6 +26,30 @@ const char* PsOpName(PsOp op) {
       return "restore_rows";
   }
   return "unknown";
+}
+
+const char* PsSpanName(PsSpan component, PsOp op) {
+  static const char* const kComponents[] = {
+      "ps.client.rpc", "ps.client.attempt", "ps.client.fanout",
+      "ps.client.shard", "ps.shard.handle"};
+  constexpr size_t kNumComponents = std::size(kComponents);
+  // [component][op byte]; byte 0 stands for every byte outside the enum.
+  // Never freed, so spans open during static destruction stay valid.
+  using Table =
+      std::array<std::array<std::string, kNumPsOps + 1>, kNumComponents>;
+  static const Table* const names = [] {
+    auto* t = new Table;
+    for (size_t c = 0; c < kNumComponents; ++c) {
+      for (uint8_t b = 0; b <= kNumPsOps; ++b) {
+        (*t)[c][b] = std::string(kComponents[c]) + ":" +
+                     PsOpName(static_cast<PsOp>(b));
+      }
+    }
+    return t;
+  }();
+  const uint8_t b = static_cast<uint8_t>(op);
+  return (*names)[static_cast<size_t>(component)][b <= kNumPsOps ? b : 0]
+      .c_str();
 }
 
 void PayloadWriter::PutU32(uint32_t v) {

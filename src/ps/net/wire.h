@@ -65,6 +65,26 @@ constexpr uint8_t kNumPsOps = static_cast<uint8_t>(PsOp::kRestoreRows);
 /// "unknown" for a byte outside the enum.
 const char* PsOpName(PsOp op);
 
+/// Components that open one span per PS RPC (see PsSpanName).
+enum class PsSpan : uint8_t {
+  kClientRpc,      // "ps.client.rpc"
+  kClientAttempt,  // "ps.client.attempt"
+  kClientFanout,   // "ps.client.fanout"
+  kClientShard,    // "ps.client.shard"
+  kShardHandle,    // "ps.shard.handle"
+};
+
+/// The span name "<component>:<PsOpName(op)>" (docs/ARCHITECTURE.md
+/// "Observability"): the name pins what the span measures, tags carry the
+/// per-instance detail (shard, attempt, frames). Every name is built once
+/// and lives for the process, so callers pass it in obs::SpanName's literal
+/// form and an untraced RPC allocates nothing for its spans.
+const char* PsSpanName(PsSpan component, PsOp op);
+
+/// Upper bound on one frame payload (request or response) for every party:
+/// clients, shards and the fault proxy.
+constexpr size_t kMaxFrameBytes = size_t{64} << 20;
+
 /// Top bit of the request op byte: "a trace context follows". Every PsOp
 /// value must stay below this.
 constexpr uint8_t kTraceFlag = 0x80;

@@ -5,7 +5,7 @@
 #include "data/batch.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
-#include "optim/adam.h"
+#include "optim/optimizer.h"
 #include "optim/param_snapshot.h"
 #include "tensor/tensor_ops.h"
 
@@ -186,7 +186,8 @@ Status Worker::RunDnEpochOn(const std::vector<int64_t>& domains) {
   for (auto& c : caches_) c.Clear();
 
   // (3): DN inner loop over the domains.
-  auto inner = std::make_unique<optim::Adam>(params_, config_.train.inner_lr);
+  auto inner = optim::MakeOptimizer(config_.train.inner_optimizer, params_,
+                                    config_.train.inner_lr);
   std::vector<int64_t> order = domains;
   rng_.Shuffle(&order);
   nn::Context ctx{/*training=*/true, &rng_};

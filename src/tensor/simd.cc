@@ -107,25 +107,6 @@ void MatMulPanelAvx2(const float* pa, int64_t sa_i, int64_t sa_k,
   }
 }
 
-MAMDR_TARGET_AVX2
-float DotLanesAvx2(const float* a, const float* b, int64_t n) {
-  __m256 vacc = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vacc = _mm256_add_ps(
-        vacc, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  float acc[8];
-  _mm256_storeu_ps(acc, vacc);
-  for (int64_t t = 0; i + t < n; ++t) acc[t] += a[i + t] * b[i + t];
-  // Fixed pairwise reduction tree — mirrored exactly by the scalar body.
-  const float t0 = acc[0] + acc[4];
-  const float t1 = acc[1] + acc[5];
-  const float t2 = acc[2] + acc[6];
-  const float t3 = acc[3] + acc[7];
-  return (t0 + t2) + (t1 + t3);
-}
-
 #endif  // MAMDR_SIMD_X86_AVX2
 
 }  // namespace
@@ -173,20 +154,6 @@ void MatMulPanelScalar(const float* pa, int64_t sa_i, int64_t sa_k,
   }
 }
 
-float DotLanesScalar(const float* a, const float* b, int64_t n) {
-  float acc[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (int64_t t = 0; t < 8; ++t) acc[t] += a[i + t] * b[i + t];
-  }
-  for (int64_t t = 0; i + t < n; ++t) acc[t] += a[i + t] * b[i + t];
-  const float t0 = acc[0] + acc[4];
-  const float t1 = acc[1] + acc[5];
-  const float t2 = acc[2] + acc[6];
-  const float t3 = acc[3] + acc[7];
-  return (t0 + t2) + (t1 + t3);
-}
-
 }  // namespace internal
 
 Level CompiledLevel() {
@@ -224,13 +191,6 @@ void MatMulPanel(const float* pa, int64_t sa_i, int64_t sa_k,
   }
 #endif
   internal::MatMulPanelScalar(pa, sa_i, sa_k, pb, pc, k, n, r0, r1);
-}
-
-float DotLanes(const float* a, const float* b, int64_t n) {
-#ifdef MAMDR_SIMD_X86_AVX2
-  if (ActiveLevel() == Level::kAvx2) return DotLanesAvx2(a, b, n);
-#endif
-  return internal::DotLanesScalar(a, b, n);
 }
 
 }  // namespace simd

@@ -12,12 +12,6 @@
 //     not enable FMA, and src/tensor builds with -ffp-contract=off), so no
 //     intermediate rounding step is ever fused away on one path but not the
 //     other.
-//   * DotLanes reassociates the sum — unavoidable for a dot product — but
-//     pins one fixed 8-lane schedule (lane t owns indices t, t+8, t+16, ...
-//     plus a scalar tail and a fixed pairwise reduction tree), and the
-//     scalar fallback implements that same schedule. Scalar and AVX2 agree
-//     bit-for-bit; callers that need the *serial left-to-right* order (the
-//     high-precision ops::Dot reduction) should keep using that instead.
 //
 // Dispatch policy: the AVX2 bodies are compiled into every x86-64 binary
 // via per-function target attributes (no -march flag needed, so plain CI
@@ -67,19 +61,12 @@ void MatMulPanel(const float* pa, int64_t sa_i, int64_t sa_k,
                  const float* pb, float* pc, int64_t k, int64_t n,
                  int64_t r0, int64_t r1);
 
-/// Lane-chained float32 dot product under the fixed 8-lane schedule
-/// described in the file comment. Built for serving-style score kernels
-/// (candidate-embedding dots) where float32 accumulation and cross-ISA
-/// bit-stability matter more than the serial summation order.
-float DotLanes(const float* a, const float* b, int64_t n);
-
 namespace internal {
-/// Scalar reference bodies, exposed so tests can diff the dispatched kernel
-/// against them bit-for-bit without toggling the global kill switch.
+/// Scalar reference body, exposed so tests can diff the dispatched kernel
+/// against it bit-for-bit without toggling the global kill switch.
 void MatMulPanelScalar(const float* pa, int64_t sa_i, int64_t sa_k,
                        const float* pb, float* pc, int64_t k, int64_t n,
                        int64_t r0, int64_t r1);
-float DotLanesScalar(const float* a, const float* b, int64_t n);
 }  // namespace internal
 
 }  // namespace simd

@@ -1,8 +1,8 @@
-// Tests for the kernel layer and the pool that fans independent units out:
-// ThreadPool exception safety, ParallelFor semantics, blocked (serial)
-// kernel equivalence against naive references, and parallel domain
-// evaluation.
+// Tests for the kernel layer and the fan-out over independent units:
+// ThreadPool exception safety, blocked (serial) kernel equivalence against
+// naive references, and the per-call evaluation fan-out over domains.
 #include <atomic>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -14,12 +14,13 @@
 #include "gtest/gtest.h"
 #include "metrics/evaluator.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace mamdr {
 namespace {
 
-// Restores a serial pool when a test returns, so thread-count experiments
-// cannot leak into other test cases.
+// Restores a serial fan-out when a test returns, so width experiments cannot
+// leak into other test cases.
 class KernelThreadsGuard {
  public:
   KernelThreadsGuard() = default;
@@ -101,68 +102,6 @@ TEST(ThreadPoolTest, MixedThrowingAndNormalTasks) {
   EXPECT_EQ(count.load(), 28);
 }
 
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  KernelThreadsGuard guard;
-  for (int64_t threads : {1, 2, 4}) {
-    SetKernelThreads(threads);
-    std::vector<int> hits(1000, 0);
-    ParallelFor(0, 1000, 16, [&](int64_t s, int64_t e) {
-      for (int64_t i = s; i < e; ++i) ++hits[static_cast<size_t>(i)];
-    });
-    for (int h : hits) EXPECT_EQ(h, 1);
-  }
-}
-
-TEST(ParallelForTest, EmptyAndTinyRanges) {
-  KernelThreadsGuard guard;
-  SetKernelThreads(4);
-  int calls = 0;
-  ParallelFor(5, 5, 1, [&](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  ParallelFor(7, 3, 1, [&](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  // A range at or below the grain runs inline as one chunk.
-  std::vector<std::pair<int64_t, int64_t>> chunks;
-  ParallelFor(0, 8, 8, [&](int64_t s, int64_t e) { chunks.push_back({s, e}); });
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].first, 0);
-  EXPECT_EQ(chunks[0].second, 8);
-}
-
-TEST(ParallelForTest, PropagatesChunkException) {
-  KernelThreadsGuard guard;
-  SetKernelThreads(4);
-  EXPECT_THROW(
-      ParallelFor(0, 1000, 1,
-                  [](int64_t s, int64_t) {
-                    if (s == 0) throw std::runtime_error("chunk failed");
-                  }),
-      std::runtime_error);
-  // The shared pool survives for the next call.
-  std::atomic<int64_t> sum{0};
-  ParallelFor(0, 100, 1, [&](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) sum.fetch_add(i);
-  });
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(ParallelForTest, NestedCallsRunInline) {
-  KernelThreadsGuard guard;
-  SetKernelThreads(4);
-  std::vector<int> hits(256, 0);
-  ParallelFor(0, 4, 1, [&](int64_t s, int64_t e) {
-    for (int64_t outer = s; outer < e; ++outer) {
-      // Nested ParallelFor must not block on the pool running this chunk.
-      ParallelFor(0, 64, 1, [&](int64_t is, int64_t ie) {
-        for (int64_t i = is; i < ie; ++i) {
-          ++hits[static_cast<size_t>(outer * 64 + i)];
-        }
-      });
-    }
-  });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
 TEST(KernelThreadsTest, FlagControlsThreadCount) {
   KernelThreadsGuard guard;
   const char* argv[] = {"prog", "--kernel-threads=3"};
@@ -177,7 +116,6 @@ TEST(KernelThreadsTest, FlagControlsThreadCount) {
   EXPECT_EQ(KernelThreads(), 2);
   SetKernelThreads(1);
   EXPECT_EQ(KernelThreads(), 1);
-  EXPECT_EQ(KernelPool(), nullptr);
 }
 
 struct MatMulShape {
@@ -231,32 +169,116 @@ TEST(KernelEquivalenceTest, MatMulMatchesSeedKernel) {
   EXPECT_TRUE(ops::AllClose(ops::MatMulNaive(a, b), ops::MatMul(a, b), 1e-6f));
 }
 
+// Deterministic stateless scorer: a hash of (position, domain).
+std::vector<float> HashScore(const data::Batch& batch, int64_t domain) {
+  std::vector<float> out(batch.labels.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    const uint64_t h = (i * 2654435761ull + static_cast<uint64_t>(domain) *
+                                                0x9E3779B97F4A7C15ull);
+    out[i] = static_cast<float>(h % 1000) / 1000.0f;
+  }
+  return out;
+}
+
+// Bitwise equality of two AUC vectors.
+void ExpectSameBits(const std::vector<double>& want,
+                    const std::vector<double>& got, int64_t width) {
+  ASSERT_EQ(want.size(), got.size()) << "width " << width;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(double)),
+            0)
+      << "width " << width;
+}
+
 TEST(EvaluatorParallelTest, ParallelEvaluationMatchesSerial) {
   KernelThreadsGuard guard;
   auto ds_result = data::Generate(data::Amazon6Like(0.05, 11));
   ASSERT_TRUE(ds_result.ok());
   const data::MultiDomainDataset& ds = ds_result.value();
-  // Deterministic stateless scorer: a hash of (position, domain).
-  metrics::ScoreFn score = [](const data::Batch& batch, int64_t domain) {
-    std::vector<float> out(batch.labels.size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      const uint64_t h = (i * 2654435761ull + static_cast<uint64_t>(domain) *
-                                                  0x9E3779B97F4A7C15ull);
-      out[i] = static_cast<float>(h % 1000) / 1000.0f;
-    }
-    return out;
-  };
   const auto serial = metrics::EvaluateAllDomains(
-      ds, metrics::Split::kTest, score, metrics::EvalParallel::kSerial);
-  for (int64_t threads : {1, 4}) {
+      ds, metrics::Split::kTest, HashScore, metrics::EvalParallel::kSerial);
+  for (int64_t threads : {1, 2, 4, 7}) {
     SetKernelThreads(threads);
-    const auto parallel = metrics::EvaluateAllDomains(
-        ds, metrics::Split::kTest, score, metrics::EvalParallel::kParallel);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t d = 0; d < serial.size(); ++d) {
-      EXPECT_DOUBLE_EQ(serial[d], parallel[d]) << "domain " << d;
-    }
+    ExpectSameBits(serial,
+                   metrics::EvaluateAllDomains(
+                       ds, metrics::Split::kTest, HashScore,
+                       metrics::EvalParallel::kParallel),
+                   threads);
   }
+}
+
+TEST(EvaluatorParallelTest, EveryDomainScoredExactlyOnce) {
+  KernelThreadsGuard guard;
+  const auto ds = mamdr::testing::TinyDataset(5, 40);
+  for (int64_t threads : {1, 2, 4, 7}) {
+    SetKernelThreads(threads);
+    std::vector<std::atomic<int>> calls(5);
+    metrics::ScoreFn score = [&calls](const data::Batch& batch,
+                                      int64_t domain) {
+      calls[static_cast<size_t>(domain)].fetch_add(1);
+      return HashScore(batch, domain);
+    };
+    metrics::EvaluateAllDomains(ds, metrics::Split::kVal, score,
+                                metrics::EvalParallel::kParallel);
+    for (const auto& c : calls) EXPECT_EQ(c.load(), 1) << "width " << threads;
+  }
+}
+
+TEST(EvaluatorParallelTest, FewerDomainsThanThreads) {
+  KernelThreadsGuard guard;
+  SetKernelThreads(7);
+  for (int domains : {1, 2, 3}) {
+    const auto ds = mamdr::testing::TinyDataset(domains, 40);
+    const auto serial = metrics::EvaluateAllDomains(
+        ds, metrics::Split::kTest, HashScore, metrics::EvalParallel::kSerial);
+    ExpectSameBits(serial,
+                   metrics::EvaluateAllDomains(
+                       ds, metrics::Split::kTest, HashScore,
+                       metrics::EvalParallel::kParallel),
+                   7);
+  }
+}
+
+TEST(EvaluatorParallelTest, ScorerExceptionPropagatesAndNextCallSucceeds) {
+  KernelThreadsGuard guard;
+  SetKernelThreads(4);
+  const auto ds = mamdr::testing::TinyDataset(4, 40);
+  metrics::ScoreFn failing = [](const data::Batch& batch, int64_t domain) {
+    if (domain == 2) throw std::runtime_error("domain 2 failed");
+    return HashScore(batch, domain);
+  };
+  EXPECT_THROW(metrics::EvaluateAllDomains(ds, metrics::Split::kTest, failing,
+                                           metrics::EvalParallel::kParallel),
+               std::runtime_error);
+  const auto serial = metrics::EvaluateAllDomains(
+      ds, metrics::Split::kTest, HashScore, metrics::EvalParallel::kSerial);
+  ExpectSameBits(serial,
+                 metrics::EvaluateAllDomains(ds, metrics::Split::kTest,
+                                             HashScore,
+                                             metrics::EvalParallel::kParallel),
+                 4);
+}
+
+TEST(EvaluatorParallelTest, NestedFanOutDoesNotDeadlock) {
+  KernelThreadsGuard guard;
+  SetKernelThreads(2);
+  const auto ds = mamdr::testing::TinyDataset(3, 40);
+  const auto serial = metrics::EvaluateAllDomains(
+      ds, metrics::Split::kTest, HashScore, metrics::EvalParallel::kSerial);
+  // A scorer that itself fans out: each call builds its own pool, so the
+  // inner call never waits on the threads that run the outer one.
+  metrics::ScoreFn nested = [&](const data::Batch& batch, int64_t domain) {
+    ExpectSameBits(serial,
+                   metrics::EvaluateAllDomains(
+                       ds, metrics::Split::kTest, HashScore,
+                       metrics::EvalParallel::kParallel),
+                   2);
+    return HashScore(batch, domain);
+  };
+  ExpectSameBits(serial,
+                 metrics::EvaluateAllDomains(ds, metrics::Split::kTest,
+                                             nested,
+                                             metrics::EvalParallel::kParallel),
+                 2);
 }
 
 }  // namespace

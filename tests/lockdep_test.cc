@@ -17,6 +17,8 @@
 #include "common/retry.h"
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
+#include "metrics/evaluator.h"
+#include "test_util.h"
 
 namespace mamdr {
 namespace {
@@ -223,23 +225,36 @@ TEST_F(LockdepTest, HeldCountTracksThisThread) {
 }
 
 TEST_F(LockdepTest, CleanRunAcrossLibraryTraffic) {
-  // Drive the named locks of the library itself — thread pool dispatch,
-  // parallel_for latches, logging — concurrently and assert the order
-  // graph stays clean. The chaos suites extend this to the PS/serve stack.
-  std::atomic<int64_t> sum{0};
+  // Drive the named locks of the library itself — the per-call evaluation
+  // pools, their task dispatch, logging — from several threads at once and
+  // assert the order graph stays clean. The chaos suites extend this to the
+  // PS/serve stack.
+  const int64_t prev_threads = KernelThreads();
+  SetKernelThreads(3);
+  const auto ds = mamdr::testing::TinyDataset(4, 40);
+  metrics::ScoreFn score = [](const data::Batch& batch, int64_t domain) {
+    std::vector<float> out(batch.labels.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<float>((i * 7 + static_cast<size_t>(domain)) % 11);
+    }
+    return out;
+  };
+  std::atomic<int64_t> evaluated{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
-      for (int round = 0; round < 10; ++round) {
-        ParallelFor(0, 256, /*grain=*/16, [&](int64_t begin, int64_t end) {
-          int64_t local = 0;
-          for (int64_t i = begin; i < end; ++i) local += i;
-          sum.fetch_add(local, std::memory_order_relaxed);
-        });
+      for (int round = 0; round < 5; ++round) {
+        const auto aucs = metrics::EvaluateAllDomains(
+            ds, metrics::Split::kTest, score,
+            metrics::EvalParallel::kParallel);
+        evaluated.fetch_add(static_cast<int64_t>(aucs.size()),
+                            std::memory_order_relaxed);
       }
     });
   }
   for (auto& t : threads) t.join();
+  SetKernelThreads(prev_threads);
+  EXPECT_EQ(evaluated.load(), 4 * 5 * 4);
   EXPECT_EQ(lockdep::ViolationCount(), 0u) << lockdep::LastReport();
 }
 

@@ -762,7 +762,7 @@ TEST(DeadlineTest, StalledShardInFanoutIsCutWithinBoundedTime) {
   NetPsClientConfig cc = ClientConfig(2);
   cc.retry = TestRetry(/*attempts=*/2);
   cc.rpc_deadline_us = 50'000;
-  const HashRing ring(2, cc.vnodes_per_shard, cc.ring_seed);
+  const HashRing ring(2);
   bool owns[2] = {false, false};
   for (int i = 0; i < 8; ++i) owns[ring.ShardForDense(i)] = true;
   ASSERT_TRUE(owns[0] && owns[1]) << "layout must fan out to both shards";
@@ -1225,7 +1225,7 @@ TEST(NetClientPipelineTest, SnapshotAndRestoreWriteEveryShardBeforeReadingAny) {
   // shard's frames before reading any response never does.
   constexpr int kShards = 2;
   const NetPsClientConfig cc = ClientConfig(kShards);
-  const HashRing ring(kShards, cc.vnodes_per_shard, cc.ring_seed);
+  const HashRing ring(kShards);
   const std::vector<Tensor> params = TinyParams();
   // Requests per shard per op: one if it owns either dense tensor (0 and
   // 2), one if it owns any of table 1's six rows.

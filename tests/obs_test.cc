@@ -16,6 +16,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
+#include "ps/net/wire.h"
 
 namespace mamdr {
 namespace obs {
@@ -401,6 +402,31 @@ TEST(TraceTest, UntracedLiteralSpanDoesNotAllocate) {
   }
   EXPECT_EQ(literal_allocs, 0);
   EXPECT_GT(owned_allocs, 0);
+}
+
+TEST(TraceTest, UntracedPsSpanNameDoesNotAllocate) {
+  using ps::net::PsOp;
+  using ps::net::PsSpan;
+  using ps::net::PsSpanName;
+  StopTracing();
+  // Longer than the small-string buffer, so building it per RPC would
+  // allocate; the first call builds the table outside the counted scope.
+  EXPECT_STREQ(PsSpanName(PsSpan::kShardHandle, PsOp::kPushRows),
+               "ps.shard.handle:push_rows");
+  EXPECT_STREQ(PsSpanName(PsSpan::kClientFanout, static_cast<PsOp>(0x7f)),
+               "ps.client.fanout:unknown");
+  int64_t allocs = -1;
+  {
+    CountAllocations allocations;
+    {
+      ContextSpan handle(PsSpanName(PsSpan::kShardHandle, PsOp::kPushRows),
+                         "ps.shard");
+      ContextSpan fanout(PsSpanName(PsSpan::kClientFanout, PsOp::kPullRows),
+                         "ps.client");
+    }
+    allocs = allocations.count();
+  }
+  EXPECT_EQ(allocs, 0);
 }
 
 // ---------------------------------------------------------------------------

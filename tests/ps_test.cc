@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "models/registry.h"
+#include "optim/adam.h"
 #include "optim/param_snapshot.h"
+#include "optim/sgd.h"
 #include "ps/distributed_mamdr.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
@@ -312,6 +316,68 @@ TEST_F(DistributedTest, MoreWorkersStillLearn) {
   double sum = 0.0;
   for (double a : aucs) sum += a;
   EXPECT_GT(sum / static_cast<double>(aucs.size()), 0.5);
+}
+
+TEST_F(DistributedTest, WorkerDnEpochUsesTheConfiguredInnerOptimizer) {
+  // With the embedding cache on and one worker owning the PS outright, a DN
+  // epoch leaves the worker's replica exactly where a plain inner loop with
+  // the named optimizer puts a same-seed model.
+  for (const char* name : {"sgd", "adam"}) {
+    WorkerConfig wc;
+    wc.domains = {0, 2};
+    wc.train = MakeConfig(1, true).train;
+    wc.train.inner_optimizer = name;
+    wc.train.inner_lr = 0.05f;
+    wc.train.dn_max_batches = 3;
+
+    Rng wrng(mc_.seed);
+    auto model = models::CreateModel("MLP", mc_, &wrng).value();
+    std::vector<bool> is_embedding;
+    RowExtractor extractor =
+        MakeDefaultRowExtractor(model.get(), mc_, &is_embedding);
+    ParameterServer server(optim::Snapshot(model->Parameters()),
+                           is_embedding);
+    Worker worker(0, std::move(model),
+                  std::make_unique<DirectPsClient>(&server), &ds_, wc,
+                  std::move(extractor));
+    ASSERT_TRUE(worker.RunDnEpoch().ok()) << name;
+
+    Rng ref_init(mc_.seed);
+    auto ref = models::CreateModel("MLP", mc_, &ref_init).value();
+    std::vector<autograd::Var> params = ref->Parameters();
+    std::unique_ptr<optim::Optimizer> opt;
+    if (std::string(name) == "sgd") {
+      opt = std::make_unique<optim::Sgd>(params, wc.train.inner_lr);
+    } else {
+      opt = std::make_unique<optim::Adam>(params, wc.train.inner_lr);
+    }
+    Rng rng(wc.train.seed);  // worker 0's stream
+    std::vector<int64_t> order = wc.domains;
+    rng.Shuffle(&order);
+    nn::Context ctx{/*training=*/true, &rng};
+    data::Batch batch;
+    for (int64_t d : order) {
+      data::Batcher batcher(&ds_.domain(d).train, wc.train.batch_size, &rng);
+      for (int64_t b = 0; b < wc.train.dn_max_batches && batcher.Next(&batch);
+           ++b) {
+        opt->ZeroGrad();
+        ref->Loss(batch, d, ctx).Backward();
+        opt->Step();
+      }
+    }
+
+    const auto got = optim::Snapshot(worker.model()->Parameters());
+    const auto want = optim::Snapshot(params);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].size(), want[i].size());
+      EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                            static_cast<size_t>(got[i].size()) *
+                                sizeof(float)),
+                0)
+          << name << " param " << i;
+    }
+  }
 }
 
 }  // namespace

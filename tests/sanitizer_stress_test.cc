@@ -1,12 +1,11 @@
 // Concurrency stress tests, written for the sanitizer CI matrix (tier1
-// label): TSan proves the ThreadPool / ParallelFor / evaluator fan-out free
+// label): TSan proves the ThreadPool and the evaluator fan-out free
 // of data races, ASan+UBSan catch task-lifetime and index-math bugs. The
 // tests also run (fast) in plain builds.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -79,57 +78,73 @@ TEST(ThreadPoolStressTest, ThrowingTasksDoNotWedgeThePool) {
   }
 }
 
-TEST(ParallelForStressTest, ConcurrentCallersShareTheKernelPool) {
+/// Stateless scorer: a hash of (position, domain).
+std::vector<float> HashScore(const data::Batch& batch, int64_t domain) {
+  std::vector<float> out(batch.labels.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    const uint64_t h = i * 2654435761ull +
+                       static_cast<uint64_t>(domain) * 0x9E3779B97F4A7C15ull;
+    out[i] = static_cast<float>(h % 1000) / 1000.0f;
+  }
+  return out;
+}
+
+TEST(EvalFanOutStressTest, ConcurrentCallersGetSerialResults) {
   KernelThreadsGuard guard;
   SetKernelThreads(3);
+  const auto ds = mamdr::testing::TinyDataset(5, 40);
+  const auto serial = metrics::EvaluateAllDomains(
+      ds, metrics::Split::kTest, HashScore, metrics::EvalParallel::kSerial);
   constexpr int kCallers = 4;
-  constexpr int64_t kRange = 4096;
-  std::vector<std::vector<int64_t>> results(
-      kCallers, std::vector<int64_t>(static_cast<size_t>(kRange), 0));
+  std::vector<std::vector<double>> results(kCallers);
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
-    callers.emplace_back([&results, t] {
+    callers.emplace_back([&ds, &results, t] {
       for (int rep = 0; rep < 10; ++rep) {
-        int64_t* out = results[static_cast<size_t>(t)].data();
-        ParallelFor(0, kRange, 64, [out](int64_t s, int64_t e) {
-          for (int64_t i = s; i < e; ++i) out[i] += i;
-        });
+        results[static_cast<size_t>(t)] = metrics::EvaluateAllDomains(
+            ds, metrics::Split::kTest, HashScore,
+            metrics::EvalParallel::kParallel);
       }
     });
   }
   for (auto& t : callers) t.join();
-  for (const auto& r : results) {
-    for (int64_t i = 0; i < kRange; ++i) {
-      ASSERT_EQ(r[static_cast<size_t>(i)], 10 * i);
-    }
-  }
+  for (const auto& r : results) EXPECT_EQ(r, serial);
 }
 
-TEST(ParallelForStressTest, ExceptionFromOneCallerDoesNotPoisonOthers) {
+TEST(EvalFanOutStressTest, ExceptionFromOneCallerDoesNotPoisonOthers) {
   KernelThreadsGuard guard;
   SetKernelThreads(2);
+  const auto ds = mamdr::testing::TinyDataset(4, 40);
+  metrics::ScoreFn failing = [](const data::Batch& batch, int64_t domain) {
+    if (domain == 1) throw std::runtime_error("scorer failure");
+    return HashScore(batch, domain);
+  };
+  const auto serial = metrics::EvaluateAllDomains(
+      ds, metrics::Split::kTest, HashScore, metrics::EvalParallel::kSerial);
+  std::thread failer([&] {
+    for (int rep = 0; rep < 20; ++rep) {
+      EXPECT_THROW(metrics::EvaluateAllDomains(
+                       ds, metrics::Split::kTest, failing,
+                       metrics::EvalParallel::kParallel),
+                   std::runtime_error);
+    }
+  });
   for (int rep = 0; rep < 20; ++rep) {
-    EXPECT_THROW(
-        ParallelFor(0, 256, 1,
-                    [](int64_t s, int64_t) {
-                      if (s >= 0) throw std::runtime_error("chunk failure");
-                    }),
-        std::runtime_error);
-    std::atomic<int64_t> sum{0};
-    ParallelFor(0, 256, 1, [&sum](int64_t s, int64_t e) {
-      for (int64_t i = s; i < e; ++i) sum.fetch_add(1);
-    });
-    EXPECT_EQ(sum.load(), 256);
+    EXPECT_EQ(metrics::EvaluateAllDomains(ds, metrics::Split::kTest,
+                                          HashScore,
+                                          metrics::EvalParallel::kParallel),
+              serial);
   }
+  failer.join();
 }
 
-TEST(ParallelForStressTest, ParallelEvaluateAllDomainsWithNestedKernels) {
+TEST(EvalFanOutStressTest, ConcurrentEvaluateAllDomainsWithKernels) {
   KernelThreadsGuard guard;
   SetKernelThreads(3);
   const auto ds = mamdr::testing::TinyDataset(4);
-  // The scorer runs a real tensor kernel per call, so the domain-level
-  // ParallelFor nests kernel-level ParallelFor calls on the same pool.
+  // The scorer runs a real (serial) tensor kernel per call, from several
+  // pool threads and several callers at once.
   metrics::ScoreFn score = [](const data::Batch& batch, int64_t domain) {
     const int64_t n = batch.size();
     Tensor a({n, 8}), b({8, 1});
@@ -144,29 +159,34 @@ TEST(ParallelForStressTest, ParallelEvaluateAllDomainsWithNestedKernels) {
   };
   const auto serial = metrics::EvaluateAllDomains(
       ds, metrics::Split::kTest, score, metrics::EvalParallel::kSerial);
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto parallel = metrics::EvaluateAllDomains(
-        ds, metrics::Split::kTest, score, metrics::EvalParallel::kParallel);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t d = 0; d < serial.size(); ++d) {
-      EXPECT_DOUBLE_EQ(parallel[d], serial[d]);
-    }
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 3; ++t) {
+    callers.emplace_back([&] {
+      for (int rep = 0; rep < 5; ++rep) {
+        EXPECT_EQ(metrics::EvaluateAllDomains(
+                      ds, metrics::Split::kTest, score,
+                      metrics::EvalParallel::kParallel),
+                  serial);
+      }
+    });
   }
+  for (auto& t : callers) t.join();
 }
 
-TEST(ParallelForStressTest, PoolRebuildBetweenThreadCounts) {
+TEST(EvalFanOutStressTest, WidthChangesBetweenCalls) {
   KernelThreadsGuard guard;
-  // Exercises SetKernelThreads' teardown/lazy-rebuild path back to back;
-  // under ASan this catches use-after-free of retired pools (shared_ptr
-  // keeps a retired pool alive until its last chunk finished).
-  for (int64_t n : {2, 3, 1, 4, 2}) {
+  // Each call builds and joins its own pool, so changing the width between
+  // calls leaves nothing behind; ASan sees any task outliving its pool.
+  const auto ds = mamdr::testing::TinyDataset(4, 40);
+  const auto serial = metrics::EvaluateAllDomains(
+      ds, metrics::Split::kTest, HashScore, metrics::EvalParallel::kSerial);
+  for (int64_t n : {2, 3, 1, 4, 2, 7}) {
     SetKernelThreads(n);
-    std::vector<float> out(2048, 0.0f);
-    float* po = out.data();
-    ParallelFor(0, 2048, 64, [po](int64_t s, int64_t e) {
-      for (int64_t i = s; i < e; ++i) po[i] = static_cast<float>(i);
-    });
-    EXPECT_EQ(out[2047], 2047.0f);
+    EXPECT_EQ(metrics::EvaluateAllDomains(ds, metrics::Split::kTest,
+                                          HashScore,
+                                          metrics::EvalParallel::kParallel),
+              serial)
+        << "width " << n;
   }
 }
 

@@ -64,38 +64,6 @@ TEST(SimdDispatchTest, LevelNames) {
   EXPECT_STREQ(simd::LevelName(simd::Level::kAvx2), "avx2");
 }
 
-TEST(SimdDotTest, DispatchedMatchesScalarBitwise) {
-  SimdGuard guard;
-  simd::SetSimdEnabled(true);
-  Rng rng(17);
-  // Sweep every lane-tail shape: multiples of 8, each remainder, empty.
-  for (int64_t n = 0; n <= 67; ++n) {
-    const auto a = RandomVec(n, &rng);
-    const auto b = RandomVec(n, &rng);
-    const float want = simd::internal::DotLanesScalar(a.data(), b.data(), n);
-    const float got = simd::DotLanes(a.data(), b.data(), n);
-    EXPECT_EQ(want, got) << "n=" << n;
-  }
-}
-
-TEST(SimdDotTest, EmptyIsZero) {
-  EXPECT_EQ(simd::DotLanes(nullptr, nullptr, 0), 0.0f);
-  EXPECT_EQ(simd::internal::DotLanesScalar(nullptr, nullptr, 0), 0.0f);
-}
-
-TEST(SimdDotTest, KillSwitchPathAgreesToo) {
-  SimdGuard guard;
-  Rng rng(23);
-  const int64_t n = 41;
-  const auto a = RandomVec(n, &rng);
-  const auto b = RandomVec(n, &rng);
-  simd::SetSimdEnabled(true);
-  const float on = simd::DotLanes(a.data(), b.data(), n);
-  simd::SetSimdEnabled(false);
-  const float off = simd::DotLanes(a.data(), b.data(), n);
-  EXPECT_EQ(on, off);
-}
-
 /// Runs the panel kernel both ways over a fresh zeroed C and diffs bits.
 void ExpectPanelBitwise(int64_t m, int64_t k, int64_t n, int64_t sa_i,
                         int64_t sa_k, Rng* rng) {

@@ -14,6 +14,7 @@
 #include "models/registry.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
+#include "ps/distributed_mamdr.h"
 #include "test_util.h"
 
 namespace mamdr {
@@ -297,6 +298,44 @@ TEST(TrainingSpanTreeTest, MamdrEpochParentsDnAndDrPhases) {
   EXPECT_EQ(dr->trace_id, epoch->trace_id);
   EXPECT_EQ(eval->parent_span_id, 0u);
   EXPECT_NE(eval->trace_id, epoch->trace_id);
+}
+
+TEST(TrainingSpanTreeTest, DistributedWorkersJoinTheEpochTree) {
+  auto ds = mamdr::testing::TinyDataset(4, 60, 5);
+  ps::DistributedConfig dc;
+  dc.num_workers = 2;
+  dc.run_dr = true;
+  dc.train.epochs = 1;
+  dc.train.batch_size = 64;
+  dc.train.dr_sample_k = 1;
+  dc.train.dr_max_batches = 1;
+  dc.train.seed = 9;
+  ps::DistributedMamdr dist(mamdr::testing::TinyModelConfig(ds), &ds, dc);
+
+  StartTracing();
+  ASSERT_TRUE(dist.TrainEpoch().ok());
+  StopTracing();
+
+  const auto events = TraceRecorder::Global().SnapshotEvents();
+  const TraceEvent* epoch = FindByName(events, "distributed_epoch");
+  const TraceEvent* dr = FindByName(events, "distributed_dr_phase");
+  ASSERT_NE(epoch, nullptr);
+  ASSERT_NE(dr, nullptr);
+  int dn_workers = 0;
+  int dr_workers = 0;
+  for (const TraceEvent& e : events) {
+    if (e.name == "worker_dn_epoch") {
+      ++dn_workers;
+      EXPECT_EQ(e.parent_span_id, epoch->span_id);
+      EXPECT_EQ(e.trace_id, epoch->trace_id);
+    } else if (e.name == "worker_dr_phase") {
+      ++dr_workers;
+      EXPECT_EQ(e.parent_span_id, dr->span_id);
+      EXPECT_EQ(e.trace_id, dr->trace_id);
+    }
+  }
+  EXPECT_EQ(dn_workers, 2);
+  EXPECT_EQ(dr_workers, 2);
 }
 
 }  // namespace

@@ -76,8 +76,9 @@ the offending line):
                   ps/net fault proxy a faithful model of all real traffic.
                   A deliberate raw client (e.g. a test probing pre-frame
                   behavior) carries the allow comment.
-  kernel-parallel ``ParallelFor(`` or ``#include "common/parallel_for.h"``
-                  in src/tensor, src/autograd, src/nn or src/optim. Kernels
+  kernel-parallel ``#include "common/thread_pool.h"``, ``#include <thread>``
+                  or ``std::thread`` in src/tensor, src/autograd, src/nn or
+                  src/optim. Kernels
                   and the layers built on them are serial by decision:
                   bench_kernels and perfbench measured the intra-op split
                   slower than one thread at this repo's shapes, with
@@ -168,7 +169,8 @@ RAW_SOCKET_EXEMPT = ("src/common/net.cc",)
 MUTEX_LOCK_RE = re.compile(r"\bMutexLock\b")
 # Intra-op parallelism in the numeric layers; see kernel-parallel above.
 KERNEL_PARALLEL_RE = re.compile(
-    r"\bParallelFor\s*\(|^\s*#\s*include\s*\"common/parallel_for\.h\"")
+    r"^\s*#\s*include\s*(?:\"common/thread_pool\.h\"|<thread>)"
+    r"|\bstd\s*::\s*thread\b")
 KERNEL_PARALLEL_DIRS = ("src/tensor", "src/autograd", "src/nn", "src/optim")
 # A ContextSpan constructed directly, via a named object or make_unique<>,
 # whose whole first argument is std::string("literal"). A dynamic name

@@ -237,40 +237,45 @@ class NetRawClockRule(unittest.TestCase):
 
 
 class KernelParallelRule(unittest.TestCase):
-    def test_flags_parallel_for_in_every_numeric_layer(self):
+    def test_flags_std_thread_in_every_numeric_layer(self):
         for path in ("src/tensor/tensor_ops.cc", "src/autograd/ops.cc",
                      "src/nn/layers.cc", "src/optim/optimizers.cc"):
             findings = mamdr_lint.lint_text(
-                path, "  ParallelFor(0, m, 1, [&](int64_t s, int64_t e) {\n")
+                path, "  std::thread worker([&] { Split(0, m); });\n")
             self.assertEqual(rules(findings), ["kernel-parallel"], path)
 
-    def test_flags_the_include(self):
-        findings = mamdr_lint.lint_text(
-            "src/tensor/tensor_ops.cc", '#include "common/parallel_for.h"\n')
-        self.assertEqual(rules(findings), ["kernel-parallel"])
+    def test_flags_the_includes(self):
+        for include in ('#include "common/thread_pool.h"\n',
+                        "#include <thread>\n"):
+            findings = mamdr_lint.lint_text("src/tensor/tensor_ops.cc",
+                                            include)
+            self.assertEqual(rules(findings), ["kernel-parallel"], include)
 
     def test_allow_comment_is_not_honored(self):
         findings = mamdr_lint.lint_text(
             "src/nn/layers.cc",
-            "  ParallelFor(0, n, 1, fn);"
+            "  std::thread t(fn);"
             "  // mamdr-lint: allow(kernel-parallel)\n")
         self.assertEqual(rules(findings), ["kernel-parallel"])
 
     def test_evaluator_and_common_are_not_covered(self):
-        # The pool's remaining users fan out independent units.
-        for path in ("src/metrics/evaluator.cc", "src/common/flags.cc"):
+        # The evaluation fan-out and the pool itself fan out independent
+        # units.
+        for path in ("src/metrics/evaluator.cc", "src/common/thread_pool.cc"):
             findings = mamdr_lint.lint_text(
                 path,
-                '#include "common/parallel_for.h"\n'
-                "  ParallelFor(0, d, 1, fn);\n")
+                '#include "common/thread_pool.h"\n'
+                "#include <thread>\n"
+                "  std::thread t(fn);\n")
             self.assertEqual(rules(findings), [], path)
 
     def test_comment_mention_and_other_names_are_fine(self):
         findings = mamdr_lint.lint_text(
             "src/tensor/tensor_ops.cc",
-            "// no ParallelFor( here: kernels are serial\n"
-            "  detail::ParallelForImpl(0, n, 1, fn);\n"
-            "  MyParallelFor(0, n);\n")
+            "// no std::thread here: kernels are serial\n"
+            "  std::this_thread::yield();\n"
+            "  my::std_thread_count(0);\n"
+            '#include "tensor/thread_pool_stats.h"\n')
         self.assertEqual(rules(findings), [])
 
 

@@ -51,8 +51,9 @@ void PrintUsage(const char* prog) {
       "  --seed N           model/training seed (default 7)\n"
       "  --patience N       stop when val AUC stalls for N epochs "
       "(0 = off)\n"
-      "  --kernel-threads N evaluation fan-out pool size, one domain per "
-      "task (0 = hardware_concurrency, 1 = serial)\n"
+      "  --kernel-threads N evaluation fan-out width: each evaluation runs "
+      "its domains on a pool of min(N, domains) threads built for that "
+      "call (0 = hardware_concurrency, 1 = serial)\n"
       "  --metrics-out PATH write deterministic metrics/telemetry JSON "
       "(schema mamdr.metrics.v1) at exit\n"
       "  --metrics-port N   serve live /metrics (Prometheus text) and "
