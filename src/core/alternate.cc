@@ -11,10 +11,7 @@ Alternate::Alternate(models::CtrModel* model,
 }
 
 void Alternate::DoTrainEpoch() {
-  std::vector<int64_t> order(static_cast<size_t>(dataset_->num_domains()));
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  rng_.Shuffle(&order);
-  for (int64_t d : order) TrainDomainPass(d, opt_.get());
+  for (int64_t d : ShuffledDomains()) TrainDomainPass(d, opt_.get());
 }
 
 }  // namespace core

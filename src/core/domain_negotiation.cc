@@ -39,9 +39,12 @@ void DomainNegotiation::DoTrainEpoch() {
   // Randomly shuffle the domain order (Algorithm 1 line 3) — the shuffle is
   // what turns the Taylor cross-term into the symmetric InnerGrad (Eq. 19).
   // dn_shuffle=false keeps a fixed order, for the design-ablation bench.
-  std::vector<int64_t> order(static_cast<size_t>(dataset_->num_domains()));
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  if (config_.dn_shuffle) rng_.Shuffle(&order);
+  std::vector<int64_t> order;
+  if (config_.dn_shuffle) {
+    order = ShuffledDomains();
+  } else {
+    for (int64_t d = 0; d < dataset_->num_domains(); ++d) order.push_back(d);
+  }
 
   // Inner loop: sequential updates across domains (Eq. 2).
   for (int64_t d : order) {

@@ -24,12 +24,7 @@ void DomainRegularization::DoTrainEpoch() {
     // Standalone DR: shared parameters get a plain Alternate pass.
     SharedSpecificStore* s = store();
     s->InstallShared();
-    std::vector<int64_t> order(static_cast<size_t>(dataset_->num_domains()));
-    for (size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<int64_t>(i);
-    }
-    rng_.Shuffle(&order);
-    for (int64_t d : order) TrainDomainPass(d, shared_opt_.get());
+    for (int64_t d : ShuffledDomains()) TrainDomainPass(d, shared_opt_.get());
     s->UpdateSharedFromParams();
   }
   DrPhase();

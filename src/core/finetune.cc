@@ -13,10 +13,7 @@ AlternateFinetune::AlternateFinetune(models::CtrModel* model,
 }
 
 void AlternateFinetune::DoTrainEpoch() {
-  std::vector<int64_t> order(static_cast<size_t>(dataset_->num_domains()));
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  rng_.Shuffle(&order);
-  for (int64_t d : order) TrainDomainPass(d, opt_.get());
+  for (int64_t d : ShuffledDomains()) TrainDomainPass(d, opt_.get());
   ++epochs_done_;
   if (epochs_done_ == config_.epochs) FinalizeFinetune();
 }

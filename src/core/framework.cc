@@ -1,6 +1,7 @@
 #include "core/framework.h"
 
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -61,7 +62,7 @@ void Framework::TrainEpoch() {
   obs::TelemetrySink* sink = obs::Sink();
   if (sink != nullptr) {
     epoch_acc_.assign(static_cast<size_t>(dataset_->num_domains()),
-                      EpochAccumulator{});
+                      PassTelemetry{});
   }
   {
     obs::ContextSpan span(name() + "_epoch", "core");
@@ -69,7 +70,7 @@ void Framework::TrainEpoch() {
   }
   if (sink != nullptr) {
     for (size_t d = 0; d < epoch_acc_.size(); ++d) {
-      const EpochAccumulator& acc = epoch_acc_[d];
+      const PassTelemetry& acc = epoch_acc_[d];
       if (acc.batches == 0) continue;
       obs::DomainEpochRecord r;
       r.framework = name();
@@ -135,40 +136,64 @@ double Framework::AverageTestAuc() {
   return sum / static_cast<double>(aucs.size());
 }
 
-int64_t Framework::TrainDomainPass(int64_t domain, optim::Optimizer* opt,
-                                   int64_t max_batches) {
-  const auto& train = dataset_->domain(domain).train;
-  data::Batcher batcher(&train, config_.batch_size, &rng_);
-  nn::Context ctx{/*training=*/true, &rng_};
+Result<int64_t> TrainPass(models::CtrModel* model, int64_t domain,
+                          const std::vector<data::Interaction>& rows,
+                          int64_t batch_size, int64_t max_batches,
+                          optim::Optimizer* opt, Rng* rng,
+                          const PassHooks& hooks, PassTelemetry* telemetry) {
+  data::Batcher batcher(&rows, batch_size, rng);
+  nn::Context ctx{/*training=*/true, rng};
   data::Batch batch;
-  int64_t batches = 0;
-  // Accumulate telemetry only when a sink is installed: the per-batch loss
-  // read and gradient-norm reduction are pure overhead otherwise.
-  const bool telemetry =
-      obs::Sink() != nullptr &&
-      domain < static_cast<int64_t>(epoch_acc_.size());
-  EpochAccumulator* acc =
-      telemetry ? &epoch_acc_[static_cast<size_t>(domain)] : nullptr;
+  int64_t steps = 0;
   while (batcher.Next(&batch)) {
+    if (hooks.before_forward) {
+      MAMDR_RETURN_IF_ERROR(hooks.before_forward(batch));
+    }
     opt->ZeroGrad();
-    autograd::Var loss = model_->Loss(batch, domain, ctx);
+    autograd::Var loss = model->Loss(batch, domain, ctx);
     loss.Backward();
-    if (acc != nullptr) {
-      acc->loss_sum += static_cast<double>(loss.value().at(0));
-      for (const autograd::Var& p : params_) {
+    if (hooks.after_backward) {
+      MAMDR_RETURN_IF_ERROR(hooks.after_backward(batch));
+    }
+    if (telemetry != nullptr) {
+      telemetry->loss_sum += static_cast<double>(loss.value().at(0));
+      for (const autograd::Var& p : opt->params()) {
         if (p.has_grad()) {
-          acc->grad_sq_sum += static_cast<double>(ops::SquaredNorm(p.grad()));
+          telemetry->grad_sq_sum +=
+              static_cast<double>(ops::SquaredNorm(p.grad()));
         }
       }
-      ++acc->batches;
+      ++telemetry->batches;
     }
     opt->Step();
-    ++batches;
-    if (max_batches > 0 && batches >= max_batches) break;
+    ++steps;
+    if (max_batches > 0 && steps >= max_batches) break;
   }
+  return steps;
+}
+
+int64_t Framework::TrainDomainPass(int64_t domain, optim::Optimizer* opt,
+                                   int64_t max_batches, const PassHooks& hooks,
+                                   const std::vector<data::Interaction>* rows) {
+  // Accumulate telemetry only when a sink is installed: the per-batch loss
+  // read and gradient-norm reduction are pure overhead otherwise.
+  const bool telemetry = obs::Sink() != nullptr &&
+                         domain < static_cast<int64_t>(epoch_acc_.size());
+  const Result<int64_t> batches = TrainPass(
+      model_, domain, rows != nullptr ? *rows : dataset_->domain(domain).train,
+      config_.batch_size, max_batches, opt, &rng_, hooks,
+      telemetry ? &epoch_acc_[static_cast<size_t>(domain)] : nullptr);
+  MAMDR_CHECK(batches.ok()) << batches.status().ToString();
   ++domain_pass_count_;
-  batch_step_count_ += batches;
-  return batches;
+  batch_step_count_ += batches.value();
+  return batches.value();
+}
+
+std::vector<int64_t> Framework::ShuffledDomains() {
+  std::vector<int64_t> order(static_cast<size_t>(dataset_->num_domains()));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  rng_.Shuffle(&order);
+  return order;
 }
 
 metrics::ConflictReport Framework::MeasureDomainConflict() {

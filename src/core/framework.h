@@ -7,11 +7,13 @@
 #ifndef MAMDR_CORE_FRAMEWORK_H_
 #define MAMDR_CORE_FRAMEWORK_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "data/batch.h"
 #include "data/dataset.h"
 #include "metrics/conflict_probe.h"
 #include "metrics/evaluator.h"
@@ -63,6 +65,35 @@ struct TrainConfig {
   Status Validate() const;
 };
 
+/// Per-batch callbacks of a TrainPass; either may be empty. A non-OK Status
+/// ends the pass before that batch's optimizer step.
+struct PassHooks {
+  /// Before ZeroGrad and the forward pass.
+  std::function<Status(const data::Batch&)> before_forward;
+  /// After Backward, before Step; may read or rewrite the gradients.
+  std::function<Status(const data::Batch&)> after_backward;
+};
+
+/// One domain's loss / squared-gradient-norm totals over an epoch's passes.
+struct PassTelemetry {
+  double loss_sum = 0.0;
+  double grad_sq_sum = 0.0;
+  int64_t batches = 0;
+};
+
+/// The one mini-batch training loop, run by the frameworks' domain passes
+/// and the PS worker: a pass over `rows` shuffled by `rng` (which also
+/// drives dropout).
+/// Per batch: before_forward, ZeroGrad, Loss, Backward, after_backward, the
+/// `telemetry` update (when non-null), opt->Step(). Stops after max_batches
+/// steps (0 = no cap). Returns the steps taken, or the first failing hook's
+/// Status, in which case that batch took no step.
+Result<int64_t> TrainPass(models::CtrModel* model, int64_t domain,
+                          const std::vector<data::Interaction>& rows,
+                          int64_t batch_size, int64_t max_batches,
+                          optim::Optimizer* opt, Rng* rng,
+                          const PassHooks& hooks, PassTelemetry* telemetry);
+
 class Framework {
  public:
   Framework(models::CtrModel* model, const data::MultiDomainDataset* dataset,
@@ -96,7 +127,8 @@ class Framework {
   virtual bool ScorerIsThreadSafe() const { return true; }
 
   /// Per-domain AUC of any split with this framework's Scorer(). Domains
-  /// are evaluated on the kernel pool when ScorerIsThreadSafe().
+  /// are scored concurrently on a per-call ThreadPool when
+  /// ScorerIsThreadSafe().
   std::vector<double> Evaluate(metrics::Split split);
 
   /// Per-domain test AUC with this framework's Scorer().
@@ -118,13 +150,18 @@ class Framework {
   /// The algorithm body of one outer epoch, implemented per framework.
   virtual void DoTrainEpoch() = 0;
 
-  /// One pass of mini-batch training on a single domain with the given
-  /// optimizer. max_batches=0 means the full epoch worth of batches.
-  /// Returns the number of batches consumed. When a telemetry sink is
-  /// installed, also accumulates per-domain loss / gradient-norm totals for
-  /// the epoch's DomainEpochRecords.
+  /// TrainPass over `rows` (default: the domain's training split) with the
+  /// framework's model and RNG; max_batches=0 means a full pass. Returns the
+  /// number of batches consumed and advances the work counters. While a
+  /// telemetry sink is installed, also accumulates the domain's totals for
+  /// the epoch's DomainEpochRecords. In-process hooks cannot fail: a non-OK
+  /// hook Status aborts.
   int64_t TrainDomainPass(int64_t domain, optim::Optimizer* opt,
-                          int64_t max_batches = 0);
+                          int64_t max_batches = 0, const PassHooks& hooks = {},
+                          const std::vector<data::Interaction>* rows = nullptr);
+
+  /// Every domain id, in an order freshly shuffled with the training RNG.
+  std::vector<int64_t> ShuffledDomains();
 
   /// Pairwise gradient-conflict statistics of the per-domain full-batch
   /// gradients at the current parameters (§III-B diagnostics). Uses a local
@@ -147,12 +184,7 @@ class Framework {
  private:
   // Per-domain telemetry accumulators for the epoch in flight; only
   // maintained while a telemetry sink is installed.
-  struct EpochAccumulator {
-    double loss_sum = 0.0;
-    double grad_sq_sum = 0.0;
-    int64_t batches = 0;
-  };
-  std::vector<EpochAccumulator> epoch_acc_;
+  std::vector<PassTelemetry> epoch_acc_;
 };
 
 }  // namespace core

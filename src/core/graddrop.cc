@@ -1,30 +1,17 @@
 #include "core/graddrop.h"
 
-#include "data/batch.h"
-#include "optim/param_snapshot.h"
-
 namespace mamdr {
 namespace core {
 
 GradDrop::GradDrop(models::CtrModel* model,
                    const data::MultiDomainDataset* dataset, TrainConfig config,
                    float drop_rate)
-    : Framework(model, dataset, std::move(config)), drop_rate_(drop_rate) {
+    : Reptile(model, dataset, std::move(config)), drop_rate_(drop_rate) {
   MAMDR_CHECK_GE(drop_rate, 0.0f);
   MAMDR_CHECK_LT(drop_rate, 1.0f);
-}
-
-void GradDrop::MaskedDomainPass(int64_t domain, optim::Optimizer* opt) {
-  const auto& train = dataset_->domain(domain).train;
-  data::Batcher batcher(&train, config_.batch_size, &rng_);
-  nn::Context ctx{/*training=*/true, &rng_};
-  data::Batch batch;
+  // Inverted-dropout mask on every gradient element before the inner step.
   const float keep_scale = 1.0f / (1.0f - drop_rate_);
-  int64_t batches = 0;
-  while (batcher.Next(&batch)) {
-    opt->ZeroGrad();
-    model_->Loss(batch, domain, ctx).Backward();
-    // Inverted-dropout mask on every gradient element.
+  inner_hooks_.after_backward = [this, keep_scale](const data::Batch&) {
     for (auto& p : params_) {
       if (!p.has_grad()) continue;
       float* g = p.mutable_grad().data();
@@ -33,24 +20,8 @@ void GradDrop::MaskedDomainPass(int64_t domain, optim::Optimizer* opt) {
         g[i] = rng_.Bernoulli(drop_rate_) ? 0.0f : g[i] * keep_scale;
       }
     }
-    opt->Step();
-    ++batches;
-  }
-  ++domain_pass_count_;
-  batch_step_count_ += batches;
-}
-
-void GradDrop::DoTrainEpoch() {
-  std::vector<int64_t> order(static_cast<size_t>(dataset_->num_domains()));
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  rng_.Shuffle(&order);
-  for (int64_t d : order) {
-    const std::vector<Tensor> theta = optim::Snapshot(params_);
-    auto inner = MakeInnerOptimizer(config_.inner_lr);
-    MaskedDomainPass(d, inner.get());
-    // Reptile-style per-task interpolation.
-    optim::MetaInterpolate(params_, theta, config_.outer_lr);
-  }
+    return Status::OK();
+  };
 }
 
 }  // namespace core

@@ -9,28 +9,22 @@
 #ifndef MAMDR_CORE_GRADDROP_H_
 #define MAMDR_CORE_GRADDROP_H_
 
-#include <memory>
-
-#include "core/framework.h"
+#include "core/reptile.h"
 
 namespace mamdr {
 namespace core {
 
-class GradDrop : public Framework {
+class GradDrop : public Reptile {
  public:
   /// drop_rate is the probability an inner-gradient element is zeroed.
   GradDrop(models::CtrModel* model, const data::MultiDomainDataset* dataset,
            TrainConfig config, float drop_rate = 0.2f);
 
-  void DoTrainEpoch() override;
   std::string name() const override { return "GradDrop"; }
 
   float drop_rate() const { return drop_rate_; }
 
  private:
-  /// One masked-gradient pass over a domain.
-  void MaskedDomainPass(int64_t domain, optim::Optimizer* opt);
-
   float drop_rate_;
 };
 

@@ -24,11 +24,7 @@ Maml::Maml(models::CtrModel* model, const data::MultiDomainDataset* dataset,
 
 void Maml::DoTrainEpoch() {
   nn::Context ctx{/*training=*/true, &rng_};
-  std::vector<int64_t> order(static_cast<size_t>(dataset_->num_domains()));
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  rng_.Shuffle(&order);
-  data::Batch batch;
-  for (int64_t d : order) {
+  for (int64_t d : ShuffledDomains()) {
     if (support_[static_cast<size_t>(d)].empty() ||
         query_[static_cast<size_t>(d)].empty()) {
       continue;
@@ -36,13 +32,8 @@ void Maml::DoTrainEpoch() {
     const std::vector<Tensor> theta = optim::Snapshot(params_);
     // Inner adaptation on the support set (plain SGD, as in MAML).
     optim::Sgd inner(params_, config_.inner_lr);
-    data::Batcher sup(&support_[static_cast<size_t>(d)], config_.batch_size,
-                      &rng_);
-    while (sup.Next(&batch)) {
-      inner.ZeroGrad();
-      model_->Loss(batch, d, ctx).Backward();
-      inner.Step();
-    }
+    TrainDomainPass(d, &inner, /*max_batches=*/0, /*hooks=*/{},
+                    &support_[static_cast<size_t>(d)]);
     // Query gradient at the adapted point == first-order meta-gradient.
     data::Batch q = data::Batcher::Sample(
         query_[static_cast<size_t>(d)],

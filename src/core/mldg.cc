@@ -27,11 +27,7 @@ void Mldg::DoTrainEpoch() {
   steps = std::max<int64_t>(1, steps / std::max<int64_t>(1, n));
   for (int64_t step = 0; step < steps; ++step) {
     // Random split: one held-out meta-test domain, rest meta-train.
-    std::vector<int64_t> order(static_cast<size_t>(n));
-    for (size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<int64_t>(i);
-    }
-    rng_.Shuffle(&order);
+    std::vector<int64_t> order = ShuffledDomains();
     const int64_t meta_test = order.back();
     order.pop_back();
 

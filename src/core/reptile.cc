@@ -10,13 +10,10 @@ Reptile::Reptile(models::CtrModel* model,
     : Framework(model, dataset, std::move(config)) {}
 
 void Reptile::DoTrainEpoch() {
-  std::vector<int64_t> order(static_cast<size_t>(dataset_->num_domains()));
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  rng_.Shuffle(&order);
-  for (int64_t d : order) {
+  for (int64_t d : ShuffledDomains()) {
     const std::vector<Tensor> theta = optim::Snapshot(params_);
     auto inner = MakeInnerOptimizer(config_.inner_lr);
-    TrainDomainPass(d, inner.get());
+    TrainDomainPass(d, inner.get(), /*max_batches=*/0, inner_hooks_);
     // Θ <- Θ + β(Θ̃ − Θ), per task.
     optim::MetaInterpolate(params_, theta, config_.outer_lr);
   }

@@ -20,6 +20,11 @@ class Reptile : public Framework {
 
   void DoTrainEpoch() override;
   std::string name() const override { return "Reptile"; }
+
+ protected:
+  /// Hooks of every per-task inner pass; empty for plain Reptile. GradDrop
+  /// is this schedule with a gradient mask in after_backward.
+  PassHooks inner_hooks_;
 };
 
 }  // namespace core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "data/batch.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "optim/optimizer.h"
@@ -185,31 +184,27 @@ Status Worker::RunDnEpochOn(const std::vector<int64_t>& domains) {
   static_cache_ = optim::Snapshot(params_);
   for (auto& c : caches_) c.Clear();
 
-  // (3): DN inner loop over the domains.
+  // (3): DN inner loop over the domains; the no-cache baseline also pushes
+  // each batch's embedding gradients before the local step.
   auto inner = optim::MakeOptimizer(config_.train.inner_optimizer, params_,
                                     config_.train.inner_lr);
+  core::PassHooks hooks;
+  hooks.before_forward = [this](const data::Batch& b) {
+    return EnsureRowsFresh(b);
+  };
+  if (!config_.use_embedding_cache) {
+    hooks.after_backward = [this](const data::Batch& b) {
+      return PushBatchEmbeddingGrads(b);
+    };
+  }
   std::vector<int64_t> order = domains;
   rng_.Shuffle(&order);
-  nn::Context ctx{/*training=*/true, &rng_};
-  data::Batch batch;
   for (int64_t d : order) {
-    data::Batcher batcher(&dataset_->domain(d).train, config_.train.batch_size,
-                          &rng_);
-    int64_t batches = 0;
-    while (batcher.Next(&batch)) {
-      MAMDR_RETURN_IF_ERROR(EnsureRowsFresh(batch));
-      inner->ZeroGrad();
-      model_->Loss(batch, d, ctx).Backward();
-      if (!config_.use_embedding_cache) {
-        MAMDR_RETURN_IF_ERROR(PushBatchEmbeddingGrads(batch));
-      }
-      inner->Step();
-      ++batches;
-      if (config_.train.dn_max_batches > 0 &&
-          batches >= config_.train.dn_max_batches) {
-        break;
-      }
-    }
+    MAMDR_RETURN_IF_ERROR(
+        core::TrainPass(model_.get(), d, dataset_->domain(d).train,
+                        config_.train.batch_size, config_.train.dn_max_batches,
+                        inner.get(), &rng_, hooks, /*telemetry=*/nullptr)
+            .status());
   }
 
   // (4): push the meta-delta Θ̃ − Θ; the server applies Eq. 3 with β.

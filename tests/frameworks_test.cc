@@ -1,8 +1,10 @@
 #include <string>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "models/registry.h"
 
@@ -15,6 +17,7 @@
 #include "core/param_store.h"
 #include "core/weighted_loss.h"
 #include "optim/param_snapshot.h"
+#include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -314,6 +317,142 @@ TEST(WeightedLossTest, WeightsAdaptDuringTraining) {
     if (std::fabs(wl.DomainWeight(d) - w_before) > 1e-4f) any_changed = true;
   }
   EXPECT_TRUE(any_changed) << "loss weights never moved";
+}
+
+// Forwards to a real model and logs each forward pass, so a test can order
+// the TrainPass hooks against it.
+class ForwardLogModel : public models::CtrModel {
+ public:
+  ForwardLogModel(models::CtrModel* inner, std::vector<std::string>* events)
+      : inner_(inner), events_(events) {}
+
+  autograd::Var Forward(const data::Batch& batch, int64_t domain,
+                        const nn::Context& ctx) override {
+    events_->push_back("forward");
+    return inner_->Forward(batch, domain, ctx);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  models::CtrModel* inner_;
+  std::vector<std::string>* events_;
+};
+
+bool BitEqual(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data(), b[i].data(),
+                    static_cast<size_t>(a[i].size()) * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+double GradSquaredNorm(const std::vector<autograd::Var>& params) {
+  double sq = 0.0;
+  for (const auto& p : params) {
+    if (p.has_grad()) sq += static_cast<double>(ops::SquaredNorm(p.grad()));
+  }
+  return sq;
+}
+
+TEST(TrainPassTest, HooksBracketForwardAndBackwardBeforeTheStep) {
+  auto ds = mamdr::testing::TinyDataset(2, 100, 5);
+  auto mc = mamdr::testing::TinyModelConfig(ds);
+  Rng init(6);
+  auto model = models::CreateModel("MLP", mc, &init).value();
+  std::vector<std::string> events;
+  ForwardLogModel logged(model.get(), &events);
+  const std::vector<autograd::Var> params = model->Parameters();
+  const std::vector<Tensor> initial = optim::Snapshot(params);
+  optim::Sgd opt(params, 0.1f);
+
+  std::vector<Tensor> at_batch_start;
+  PassHooks hooks;
+  hooks.before_forward = [&](const data::Batch& batch) {
+    events.push_back("before_forward");
+    EXPECT_GT(batch.size(), 0);
+    at_batch_start = optim::Snapshot(params);
+    return Status::OK();
+  };
+  hooks.after_backward = [&](const data::Batch&) {
+    events.push_back("after_backward");
+    EXPECT_GT(GradSquaredNorm(params), 0.0) << "gradients not populated";
+    EXPECT_TRUE(BitEqual(optim::Snapshot(params), at_batch_start))
+        << "optimizer stepped before after_backward";
+    return Status::OK();
+  };
+  Rng rng(9);
+  PassTelemetry telemetry;
+  const Result<int64_t> batches =
+      TrainPass(&logged, 0, ds.domain(0).train, /*batch_size=*/32,
+                /*max_batches=*/3, &opt, &rng, hooks, &telemetry);
+  ASSERT_TRUE(batches.ok()) << batches.status().ToString();
+  EXPECT_EQ(batches.value(), 3);
+  EXPECT_EQ(telemetry.batches, 3);
+  EXPECT_GT(telemetry.grad_sq_sum, 0.0);
+  std::vector<std::string> want;
+  for (int b = 0; b < 3; ++b) {
+    want.insert(want.end(), {"before_forward", "forward", "after_backward"});
+  }
+  EXPECT_EQ(events, want);
+  EXPECT_FALSE(BitEqual(optim::Snapshot(params), initial));
+}
+
+TEST(TrainPassTest, FailingHookEndsThePassWithoutStepping) {
+  // The worker's crash recovery relies on this: an injected kAborted from a
+  // PS call inside a hook unwinds out of the pass before the local step.
+  for (const bool fail_before_forward : {true, false}) {
+    SCOPED_TRACE(fail_before_forward ? "before_forward" : "after_backward");
+    auto ds = mamdr::testing::TinyDataset(2, 100, 5);
+    auto mc = mamdr::testing::TinyModelConfig(ds);
+    Rng init(6);
+    auto model = models::CreateModel("MLP", mc, &init).value();
+    const std::vector<autograd::Var> params = model->Parameters();
+    optim::Sgd opt(params, 0.1f);
+
+    int64_t seen = 0;
+    std::vector<Tensor> at_batch_start;
+    const Status crash = Status::Aborted("worker crashed (injected)");
+    PassHooks hooks;
+    hooks.before_forward = [&](const data::Batch&) {
+      at_batch_start = optim::Snapshot(params);
+      ++seen;
+      return fail_before_forward && seen == 2 ? crash : Status::OK();
+    };
+    hooks.after_backward = [&](const data::Batch&) {
+      return !fail_before_forward && seen == 2 ? crash : Status::OK();
+    };
+    Rng rng(9);
+    PassTelemetry telemetry;
+    const Status s =
+        TrainPass(model.get(), 0, ds.domain(0).train, /*batch_size=*/32,
+                  /*max_batches=*/0, &opt, &rng, hooks, &telemetry)
+            .status();
+    EXPECT_EQ(s.code(), crash.code());
+    EXPECT_EQ(s.message(), crash.message());
+    EXPECT_EQ(seen, 2) << "pass continued past the failing batch";
+    EXPECT_EQ(telemetry.batches, 1) << "the failing batch was counted";
+    EXPECT_TRUE(BitEqual(optim::Snapshot(params), at_batch_start))
+        << "the failing batch took an optimizer step";
+  }
+}
+
+TEST(MamlTest, SupportPassesAdvanceTheWorkCounters) {
+  auto ds = mamdr::testing::TinyDataset(3, 120, 5);
+  auto mc = mamdr::testing::TinyModelConfig(ds);
+  Rng rng(2);
+  auto model = models::CreateModel("MLP", mc, &rng).value();
+  auto fw = CreateFramework("MAML", model.get(), &ds, FastConfig()).value();
+  fw->TrainEpoch();
+  int64_t non_empty_support = 0;
+  for (int64_t d = 0; d < ds.num_domains(); ++d) {
+    if (ds.domain(d).train.size() / 2 > 0) ++non_empty_support;
+  }
+  EXPECT_EQ(fw->domain_pass_count(), non_empty_support);
+  EXPECT_GT(fw->batch_step_count(), 0);
 }
 
 TEST(SeedDeterminismTest, SameSeedSameResult) {

@@ -3,8 +3,9 @@
 // Three contracts:
 //   1. Byte-identity: a fixed-seed 2-domain MAMDR run serializes to exactly
 //      the same deterministic metrics JSON when repeated in-process, and
-//      when the kernel pool runs 1 vs 4 threads (Stability::kRuntime
-//      metrics are excluded from this export precisely so this holds).
+//      when evaluation fans out over 1 vs 4 threads (SetKernelThreads sizes
+//      the per-call ThreadPool; Stability::kRuntime metrics are excluded
+//      from this export precisely so this holds).
 //   2. Schema: the document's structural signature (sorted "path:type"
 //      lines) matches the checked-in tests/golden/metrics_schema.txt.
 //      Regenerate after an intentional schema change with

@@ -85,6 +85,14 @@ the offending line):
                   identical bits. Parallelism belongs to independent units
                   (evaluation domains, DR targets, serving requests, PS
                   workers). Absolute: no allow comment is honored.
+  pass-loop       ``while (<ident>.Next(&`` anywhere in src/ outside
+                  src/core/framework.cc. core::TrainPass is the one
+                  mini-batch training loop that every framework and the PS
+                  worker run; a second copy drifts (hooks, telemetry, work
+                  counters land in one place only). Interleaved schedules
+                  that advance several batchers with ``if (!b.Next(&x))``
+                  are not a pass loop and stay legal. Absolute: no allow
+                  comment is honored.
   header-guard    headers must use the canonical include guard
                   ``MAMDR_<PATH>_H_`` (path relative to the repo root with a
                   leading ``src/`` dropped), not ``#pragma once``.
@@ -179,6 +187,9 @@ KERNEL_PARALLEL_DIRS = ("src/tensor", "src/autograd", "src/nn", "src/optim")
 SPAN_LITERAL_RE = re.compile(
     r"\bContextSpan\s*(?:>\s*|\s[A-Za-z_]\w*\s*)?\(\s*"
     r"std\s*::\s*string\s*\(\s*\"(?:[^\"\\]|\\.)*\"\s*\)\s*,")
+# A batcher-driven training loop; see pass-loop above.
+PASS_LOOP_RE = re.compile(r"\bwhile\s*\(\s*[A-Za-z_]\w*\s*\.\s*Next\s*\(\s*&")
+PASS_LOOP_HOME = "src/core/framework.cc"
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)")
 DEFINE_RE = re.compile(r"^\s*#\s*define\s+(\w+)")
@@ -311,6 +322,7 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
     mutex_wrapper_file = rel_path in NATIVE_MUTEX_EXEMPT
     socket_wrapper_file = rel_path in RAW_SOCKET_EXEMPT
     hot_path_file = HOT_PATH_MARKER_RE.search(text) is not None
+    pass_loop_file = _in_dir(rel_path, "src") and rel_path != PASS_LOOP_HOME
 
     for i, raw_line in enumerate(lines, start=1):
         allowed = _allowed_rules(raw_line)
@@ -364,6 +376,14 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
                             "kernels are serial; parallelize independent "
                             "units (domains, targets, requests) instead of "
                             "splitting one op (no allow comment honored)"))
+        if pass_loop_file:
+            # Deliberately ignores `allowed`: this rule has no escape hatch.
+            if PASS_LOOP_RE.search(line):
+                findings.append(
+                    Finding(rel_path, i, "pass-loop",
+                            "mini-batch training loop outside core::TrainPass; "
+                            "call core::TrainPass (with PassHooks) instead "
+                            "(no allow comment honored)"))
         if not mutex_wrapper_file and "native-mutex" not in allowed:
             if NATIVE_MUTEX_RE.search(line):
                 findings.append(

@@ -614,6 +614,48 @@ class SpanLiteralRule(unittest.TestCase):
         self.assertEqual(rules(findings), [])
 
 
+class PassLoopRule(unittest.TestCase):
+    def test_flags_batcher_loop_in_core(self):
+        findings = mamdr_lint.lint_text(
+            "src/core/graddrop.cc",
+            "  while (batcher.Next(&batch)) {\n    opt->Step();\n  }\n")
+        self.assertEqual(rules(findings), ["pass-loop"])
+        self.assertEqual(findings[0].line, 1)
+
+    def test_flags_loop_in_ps_worker(self):
+        findings = mamdr_lint.lint_text(
+            "src/ps/worker.cc", "while ( sup . Next ( &b ) ) {}\n")
+        self.assertEqual(rules(findings), ["pass-loop"])
+
+    def test_allow_comment_is_not_honored(self):
+        findings = mamdr_lint.lint_text(
+            "src/core/maml.cc",
+            "while (sup.Next(&batch)) {  // mamdr-lint: allow(pass-loop)\n")
+        self.assertEqual(rules(findings), ["pass-loop"])
+
+    def test_train_pass_home_is_exempt(self):
+        findings = mamdr_lint.lint_text(
+            "src/core/framework.cc", "  while (batcher.Next(&batch)) {\n")
+        self.assertNotIn("pass-loop", rules(findings))
+
+    def test_interleaved_batchers_are_fine(self):
+        findings = mamdr_lint.lint_text(
+            "src/core/pcgrad.cc",
+            "  if (!batchers[static_cast<size_t>(d)].Next(&batch)) continue;\n"
+            "  while (any) {\n")
+        self.assertNotIn("pass-loop", rules(findings))
+
+    def test_outside_src_is_fine(self):
+        findings = mamdr_lint.lint_text(
+            "tests/batch_test.cc", "  while (b.Next(&batch)) ++n;\n")
+        self.assertNotIn("pass-loop", rules(findings))
+
+    def test_comment_mention_is_fine(self):
+        findings = mamdr_lint.lint_text(
+            "src/core/reptile.cc", "// not a while (batcher.Next(&batch)) loop\n")
+        self.assertNotIn("pass-loop", rules(findings))
+
+
 class TreeIntegration(unittest.TestCase):
     def test_repository_is_clean(self):
         root = mamdr_lint.os.path.dirname(
