@@ -11,6 +11,9 @@ CdrTransfer::CdrTransfer(models::CtrModel* model,
     : Framework(model, dataset, std::move(config)) {
   per_domain_params_.assign(static_cast<size_t>(dataset_->num_domains()),
                             optim::Snapshot(params_));
+  install_domain_ = [this](int64_t d) {
+    optim::Restore(params_, per_domain_params_[static_cast<size_t>(d)]);
+  };
 }
 
 void CdrTransfer::DoTrainEpoch() {
@@ -28,14 +31,6 @@ void CdrTransfer::DoTrainEpoch() {
     per_domain_params_[static_cast<size_t>(target)] =
         optim::Snapshot(params_);
   }
-}
-
-metrics::ScoreFn CdrTransfer::Scorer() {
-  return [this](const data::Batch& batch, int64_t domain) {
-    optim::Restore(params_,
-                   per_domain_params_[static_cast<size_t>(domain)]);
-    return model_->Score(batch, domain);
-  };
 }
 
 }  // namespace core

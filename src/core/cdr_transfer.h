@@ -25,8 +25,6 @@ class CdrTransfer : public Framework {
 
   void DoTrainEpoch() override;
   std::string name() const override { return "CDR-Transfer"; }
-  metrics::ScoreFn Scorer() override;
-  bool ScorerIsThreadSafe() const override { return false; }
 
  private:
   std::vector<std::vector<Tensor>> per_domain_params_;

@@ -17,6 +17,7 @@ DomainRegularization::DomainRegularization(
         params_, dataset_->num_domains());
     shared_opt_ = MakeInnerOptimizer(config_.inner_lr);
   }
+  install_domain_ = [this](int64_t d) { store()->InstallComposite(d); };
 }
 
 void DomainRegularization::DoTrainEpoch() {
@@ -94,13 +95,6 @@ void DomainRegularization::DrForDomain(int64_t target) {
     optim::MetaInterpolate(params_, composite, config_.dr_lr);
   }
   s->UpdateSpecificFromComposite(target);
-}
-
-metrics::ScoreFn DomainRegularization::Scorer() {
-  return [this](const data::Batch& batch, int64_t domain) {
-    store()->InstallComposite(domain);
-    return model_->Score(batch, domain);
-  };
 }
 
 }  // namespace core

@@ -34,8 +34,6 @@ class DomainRegularization : public Framework {
 
   void DoTrainEpoch() override;
   std::string name() const override { return "DR"; }
-  metrics::ScoreFn Scorer() override;
-  bool ScorerIsThreadSafe() const override { return false; }
 
   /// Algorithm 2 for every domain's specific parameters.
   void DrPhase();

@@ -30,15 +30,8 @@ void AlternateFinetune::FinalizeFinetune() {
     per_domain_params_.push_back(optim::Snapshot(params_));
   }
   optim::Restore(params_, base);
-  finetuned_ = true;
-}
-
-metrics::ScoreFn AlternateFinetune::Scorer() {
-  if (!finetuned_) return Framework::Scorer();
-  return [this](const data::Batch& batch, int64_t domain) {
-    optim::Restore(params_,
-                   per_domain_params_[static_cast<size_t>(domain)]);
-    return model_->Score(batch, domain);
+  install_domain_ = [this](int64_t d) {
+    optim::Restore(params_, per_domain_params_[static_cast<size_t>(d)]);
   };
 }
 
@@ -52,6 +45,9 @@ Separate::Separate(models::CtrModel* model,
   for (int64_t d = 0; d < dataset_->num_domains(); ++d) {
     opts_.push_back(MakeInnerOptimizer(config_.inner_lr));
   }
+  install_domain_ = [this](int64_t d) {
+    optim::Restore(params_, per_domain_params_[static_cast<size_t>(d)]);
+  };
 }
 
 void Separate::DoTrainEpoch() {
@@ -60,14 +56,6 @@ void Separate::DoTrainEpoch() {
     TrainDomainPass(d, opts_[static_cast<size_t>(d)].get());
     per_domain_params_[static_cast<size_t>(d)] = optim::Snapshot(params_);
   }
-}
-
-metrics::ScoreFn Separate::Scorer() {
-  return [this](const data::Batch& batch, int64_t domain) {
-    optim::Restore(params_,
-                   per_domain_params_[static_cast<size_t>(domain)]);
-    return model_->Score(batch, domain);
-  };
 }
 
 }  // namespace core

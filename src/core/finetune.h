@@ -23,19 +23,15 @@ class AlternateFinetune : public Framework {
                     TrainConfig config);
 
   void DoTrainEpoch() override;
-  /// After the last epoch, call FinalizeFinetune() (Train() does this via
-  /// the epoch counter) to produce the per-domain snapshots.
   std::string name() const override { return "Alternate+Finetune"; }
-  metrics::ScoreFn Scorer() override;
-  // Thread-safe only until FinalizeFinetune() swaps in per-domain params.
-  bool ScorerIsThreadSafe() const override { return !finetuned_; }
 
  private:
+  /// Runs after the last epoch: finetunes one copy of Θ per domain and
+  /// from then on scores each domain with its own copy.
   void FinalizeFinetune();
 
   std::unique_ptr<optim::Optimizer> opt_;
   int64_t epochs_done_ = 0;
-  bool finetuned_ = false;
   std::vector<std::vector<Tensor>> per_domain_params_;
 };
 
@@ -46,8 +42,6 @@ class Separate : public Framework {
 
   void DoTrainEpoch() override;
   std::string name() const override { return "Separate"; }
-  metrics::ScoreFn Scorer() override;
-  bool ScorerIsThreadSafe() const override { return false; }
 
  private:
   std::vector<std::vector<Tensor>> per_domain_params_;

@@ -97,7 +97,13 @@ void Framework::Train() {
 }
 
 metrics::ScoreFn Framework::Scorer() {
+  if (!install_domain_) {
+    return [this](const data::Batch& batch, int64_t domain) {
+      return model_->Score(batch, domain);
+    };
+  }
   return [this](const data::Batch& batch, int64_t domain) {
+    install_domain_(domain);
     return model_->Score(batch, domain);
   };
 }

@@ -99,6 +99,10 @@ class Framework {
   Framework(models::CtrModel* model, const data::MultiDomainDataset* dataset,
             TrainConfig config);
   virtual ~Framework() = default;
+  // install_domain_ captures `this`, so a copy would install into the
+  // original.
+  Framework(const Framework&) = delete;
+  Framework& operator=(const Framework&) = delete;
 
   /// One outer epoch of the algorithm. Non-virtual wrapper: opens a trace
   /// span named "<name>_epoch", runs the algorithm (DoTrainEpoch), then — if
@@ -115,16 +119,17 @@ class Framework {
   /// Framework name as it appears in the paper's tables.
   virtual std::string name() const = 0;
 
-  /// Scoring callback for evaluation. The default scores with the model's
-  /// current parameters; frameworks with per-domain parameters override it
-  /// to install the right parameters per domain.
-  virtual metrics::ScoreFn Scorer();
+  /// Scoring callback for evaluation and serving: the model's forward pass
+  /// with its current parameters or, once a framework has set
+  /// install_domain_, that step for the batch's domain followed by the
+  /// forward pass.
+  metrics::ScoreFn Scorer();
 
-  /// Whether Scorer() may be called concurrently from multiple threads.
-  /// The default scorer is a pure forward pass and is; overrides that
-  /// install per-domain parameters into the shared model must return false
-  /// so Evaluate() falls back to serial per-domain evaluation.
-  virtual bool ScorerIsThreadSafe() const { return true; }
+  /// Whether Scorer() may be called concurrently from multiple threads:
+  /// true while install_domain_ is empty (a pure forward pass). Installing
+  /// per-domain parameters writes the shared model, so Evaluate() then
+  /// scores the domains one at a time and callers must serialize.
+  bool ScorerIsThreadSafe() const { return !install_domain_; }
 
   /// Per-domain AUC of any split with this framework's Scorer(). Domains
   /// are scored concurrently on a per-call ThreadPool when
@@ -139,10 +144,12 @@ class Framework {
   const TrainConfig& config() const { return config_; }
 
   /// Work counters for complexity comparisons (§III-C / §IV-C): how many
-  /// single-domain training passes and mini-batch steps this framework has
-  /// consumed. DN grows O(n) in the domain count; CDR-style transfer and
-  /// PCGrad grow O(n^2). Composite frameworks (MAMDR) override these to sum
-  /// their components.
+  /// single-domain training passes this framework has consumed, and how
+  /// many mini-batch forward/backward passes it has run — one per batch
+  /// whether or not an optimizer step follows it (MLDG's meta-step runs n,
+  /// MAML's query gradient one per domain). DN grows O(n) in the domain
+  /// count; CDR-style transfer and PCGrad grow O(n^2). Composite frameworks
+  /// (MAMDR) override these to sum their components.
   virtual int64_t domain_pass_count() const { return domain_pass_count_; }
   virtual int64_t batch_step_count() const { return batch_step_count_; }
 
@@ -176,6 +183,11 @@ class Framework {
   const data::MultiDomainDataset* dataset_;
   TrainConfig config_;
   std::vector<autograd::Var> params_;
+  /// How domain d's parameters reach the model before it is scored, for
+  /// frameworks that keep them outside it (MAMDR's θS + θd of Eq. 4, the
+  /// per-domain copies of Separate, CDR-Transfer and Alternate+Finetune).
+  /// Empty while every domain scores with the model's own parameters.
+  std::function<void(int64_t domain)> install_domain_;
   Rng rng_;
   int64_t domain_pass_count_ = 0;
   int64_t batch_step_count_ = 0;

@@ -9,6 +9,9 @@ GradDrop::GradDrop(models::CtrModel* model,
     : Reptile(model, dataset, std::move(config)), drop_rate_(drop_rate) {
   MAMDR_CHECK_GE(drop_rate, 0.0f);
   MAMDR_CHECK_LT(drop_rate, 1.0f);
+  // At rate 0 no mask is installed, so no RNG draw is made and the run is
+  // exactly Reptile's.
+  if (drop_rate_ == 0.0f) return;
   // Inverted-dropout mask on every gradient element before the inner step.
   const float keep_scale = 1.0f / (1.0f - drop_rate_);
   inner_hooks_.after_backward = [this, keep_scale](const data::Batch&) {

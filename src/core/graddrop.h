@@ -16,7 +16,8 @@ namespace core {
 
 class GradDrop : public Reptile {
  public:
-  /// drop_rate is the probability an inner-gradient element is zeroed.
+  /// drop_rate is the probability an inner-gradient element is zeroed;
+  /// at 0 the framework trains exactly like same-seed Reptile.
   GradDrop(models::CtrModel* model, const data::MultiDomainDataset* dataset,
            TrainConfig config, float drop_rate = 0.2f);
 

@@ -14,6 +14,7 @@ Mamdr::Mamdr(models::CtrModel* model, const data::MultiDomainDataset* dataset,
   sub.seed = rng_.NextU64();
   dr_ = std::make_unique<DomainRegularization>(model_, dataset_, sub,
                                                store_.get());
+  install_domain_ = [this](int64_t d) { store_->InstallComposite(d); };
 }
 
 void Mamdr::DoTrainEpoch() {
@@ -23,13 +24,6 @@ void Mamdr::DoTrainEpoch() {
   store_->UpdateSharedFromParams();
   // Lines 3-5: update every θᵢ with Domain Regularization.
   dr_->DrPhase();
-}
-
-metrics::ScoreFn Mamdr::Scorer() {
-  return [this](const data::Batch& batch, int64_t domain) {
-    store_->InstallComposite(domain);
-    return model_->Score(batch, domain);
-  };
 }
 
 int64_t Mamdr::AddDomain() { return store_->AddDomain(); }

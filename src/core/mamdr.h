@@ -21,8 +21,6 @@ class Mamdr : public Framework {
   /// Algorithm 3 body: line 2 (DN on θS), lines 3-5 (DR on every θᵢ).
   void DoTrainEpoch() override;
   std::string name() const override { return "MAMDR"; }
-  metrics::ScoreFn Scorer() override;
-  bool ScorerIsThreadSafe() const override { return false; }
 
   SharedSpecificStore* store() { return store_.get(); }
 

@@ -43,6 +43,7 @@ void Maml::DoTrainEpoch() {
         &rng_);
     for (auto& p : params_) p.ZeroGrad();
     model_->Loss(q, d, ctx).Backward();
+    ++batch_step_count_;
     const std::vector<Tensor> meta_grad = optim::GradSnapshot(params_);
     // Apply the meta-gradient at the *initial* parameters.
     optim::Restore(params_, theta);

@@ -62,7 +62,8 @@ void Mldg::DoTrainEpoch() {
     }
     optim::SetGrads(params_, g_train);
     opt_->Step();
-    ++batch_step_count_;
+    // One forward/backward per meta-train domain plus the meta-test one.
+    batch_step_count_ += n;
   }
 }
 

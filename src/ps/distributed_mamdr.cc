@@ -6,7 +6,7 @@
 
 #include "checkpoint/checkpoint.h"
 #include "common/logging.h"
-#include "metrics/auc.h"
+#include "metrics/evaluator.h"
 #include "models/registry.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -345,29 +345,28 @@ Result<int64_t> DistributedMamdr::RestoreFromCheckpoint() {
 }
 
 std::vector<double> DistributedMamdr::EvaluateTest() {
-  std::vector<double> out;
-  out.reserve(static_cast<size_t>(dataset_->num_domains()));
-  if (!config_.run_dr) {
+  metrics::ScoreFn score;
+  if (config_.run_dr) {
+    // With DR every score comes from the owner worker's composite
+    // θS + θd, so the PS is not read at all.
+    score = [this](const data::Batch& batch, int64_t d) {
+      Worker* owner = workers_[static_cast<size_t>(OwnerOf(d))].get();
+      owner->specific_store()->InstallComposite(d);
+      return owner->model()->Score(batch, d);
+    };
+  } else {
     // Without DR: score with the PS parameters through the reference
-    // replica. With DR every score comes from an owner worker's replica,
-    // so the PS is not read at all.
+    // replica.
     auto snapshot = admin_client_->Snapshot();
     MAMDR_CHECK(snapshot.ok()) << snapshot.status().ToString();
     optim::Restore(reference_params_, snapshot.value());
+    score = [this](const data::Batch& batch, int64_t d) {
+      return reference_model_->Score(batch, d);
+    };
   }
-  for (int64_t d = 0; d < dataset_->num_domains(); ++d) {
-    data::Batch batch = data::Batcher::All(dataset_->domain(d).test);
-    std::vector<float> scores;
-    if (config_.run_dr) {
-      Worker* owner = workers_[static_cast<size_t>(OwnerOf(d))].get();
-      owner->specific_store()->InstallComposite(d);
-      scores = owner->model()->Score(batch, d);
-    } else {
-      scores = reference_model_->Score(batch, d);
-    }
-    out.push_back(metrics::Auc(scores, batch.labels));
-  }
-  return out;
+  // Serial: domains with the same owner install into one shared replica.
+  return metrics::EvaluateAllDomains(*dataset_, metrics::Split::kTest, score,
+                                     metrics::EvalParallel::kSerial);
 }
 
 double DistributedMamdr::AverageTestAuc() {

@@ -26,8 +26,8 @@ struct RankedItem {
 /// Ranks candidate items for a (user, domain) pair.
 ///
 /// By default scores come from the model directly; pass the owning
-/// framework's Scorer() (e.g. Mamdr::Scorer()) to serve with Θ = θS + θi
-/// per domain.
+/// framework's Scorer() to serve with its per-domain parameters (for
+/// MAMDR, Θ = θS + θi installed before each domain's scoring pass).
 ///
 /// ## Concurrency contract (setup-then-serve, lock-free steady state)
 ///
@@ -48,9 +48,9 @@ struct RankedItem {
 ///
 /// Thread safety of the scoring pass itself is inherited from the scorer:
 /// the default model path is safe for concurrent read-only inference; a
-/// custom ScoreFn that mutates model parameters per domain (e.g.
-/// Mamdr::Scorer()) must be externally serialized, exactly as with
-/// Framework::ScorerIsThreadSafe().
+/// ScoreFn that installs parameters into the model per domain (a
+/// framework's Scorer() whenever Framework::ScorerIsThreadSafe() is false)
+/// must be externally serialized.
 class Recommender {
  public:
   explicit Recommender(models::CtrModel* model,

@@ -1,8 +1,10 @@
 #include <string>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -10,12 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel_for.h"
 #include "core/domain_negotiation.h"
 #include "core/domain_regularization.h"
 #include "core/framework_registry.h"
 #include "core/mamdr.h"
 #include "core/param_store.h"
 #include "core/weighted_loss.h"
+#include "metrics/auc.h"
 #include "optim/param_snapshot.h"
 #include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
@@ -101,6 +105,53 @@ TEST(FrameworkRegistryTest, UnknownNameFails) {
   auto fw = CreateFramework("Nope", model.get(), &ds, FastConfig());
   EXPECT_FALSE(fw.ok());
   EXPECT_EQ(fw.status().code(), StatusCode::kNotFound);
+}
+
+TEST(FrameworkScorerTest, InstallStepDecidesThreadSafetyAndEvaluateMatchesIt) {
+  // Frameworks that keep per-domain parameters outside the model install
+  // them before scoring; the other eight score with the model's own θ.
+  // Alternate+Finetune joins the first group when its last epoch finetunes
+  // the per-domain copies.
+  const std::set<std::string> installs = {"DR", "MAMDR", "Separate",
+                                          "CDR-Transfer"};
+  const std::vector<std::string> known = KnownFrameworks();
+  ASSERT_EQ(known.size(), 13u);
+  const int64_t threads = KernelThreads();
+  SetKernelThreads(3);  // one thread per domain: the parallel Evaluate path
+  int64_t shared_theta = 0;
+  for (const std::string& name : known) {
+    SCOPED_TRACE(name);
+    auto ds = mamdr::testing::TinyDataset(3, 120, 5);
+    auto mc = mamdr::testing::TinyModelConfig(ds);
+    Rng rng(2);
+    auto model = models::CreateModel("MLP", mc, &rng).value();
+    TrainConfig tc = FastConfig();
+    tc.epochs = 2;
+    auto fw = CreateFramework(name, model.get(), &ds, tc).value();
+    const bool per_domain = installs.count(name) > 0;
+    if (!per_domain && name != "Alternate+Finetune") ++shared_theta;
+    EXPECT_EQ(fw->ScorerIsThreadSafe(), !per_domain);
+    for (int64_t e = 1; e <= tc.epochs; ++e) {
+      fw->TrainEpoch();
+      const bool finetuned = name == "Alternate+Finetune" && e == tc.epochs;
+      EXPECT_EQ(fw->ScorerIsThreadSafe(), !per_domain && !finetuned)
+          << "after epoch " << e;
+    }
+    const std::vector<double> evaluated = fw->Evaluate(metrics::Split::kTest);
+    ASSERT_EQ(evaluated.size(), 3u);
+    const metrics::ScoreFn scorer = fw->Scorer();
+    for (int64_t d = 0; d < ds.num_domains(); ++d) {
+      const data::Batch batch = data::Batcher::All(ds.domain(d).test);
+      const double auc = metrics::Auc(scorer(batch, d), batch.labels);
+      EXPECT_EQ(std::memcmp(&auc, &evaluated[static_cast<size_t>(d)],
+                            sizeof(double)),
+                0)
+          << "domain " << d << ": " << auc << " vs "
+          << evaluated[static_cast<size_t>(d)];
+    }
+  }
+  SetKernelThreads(threads);
+  EXPECT_EQ(shared_theta, 8);
 }
 
 TEST(TrainConfigTest, DefaultsAndFastConfigValidate) {
@@ -453,6 +504,48 @@ TEST(MamlTest, SupportPassesAdvanceTheWorkCounters) {
   }
   EXPECT_EQ(fw->domain_pass_count(), non_empty_support);
   EXPECT_GT(fw->batch_step_count(), 0);
+}
+
+TEST(MamlTest, CountsOneForwardBackwardPerSupportBatchAndQuery) {
+  auto ds = mamdr::testing::TinyDataset(3, 120, 5);
+  auto mc = mamdr::testing::TinyModelConfig(ds);
+  Rng rng(2);
+  auto model = models::CreateModel("MLP", mc, &rng).value();
+  const TrainConfig tc = FastConfig();
+  auto fw = CreateFramework("MAML", model.get(), &ds, tc).value();
+  fw->TrainEpoch();
+  // Per domain: every support batch, then one query batch for the
+  // first-order meta-gradient.
+  int64_t want = 0;
+  for (int64_t d = 0; d < ds.num_domains(); ++d) {
+    const int64_t train = static_cast<int64_t>(ds.domain(d).train.size());
+    const int64_t support = train / 2;
+    if (support == 0 || train - support == 0) continue;
+    want += (support + tc.batch_size - 1) / tc.batch_size + 1;
+  }
+  EXPECT_EQ(fw->batch_step_count(), want);
+}
+
+TEST(MldgTest, CountsEveryDomainsForwardBackwardPerMetaStep) {
+  auto ds = mamdr::testing::TinyDataset(3, 120, 5);
+  auto mc = mamdr::testing::TinyModelConfig(ds);
+  Rng rng(2);
+  auto model = models::CreateModel("MLP", mc, &rng).value();
+  const TrainConfig tc = FastConfig();
+  auto fw = CreateFramework("MLDG", model.get(), &ds, tc).value();
+  fw->TrainEpoch();
+  // Each meta-step runs one batch on each of the n-1 meta-train domains
+  // and one on the held-out meta-test domain.
+  const int64_t n = ds.num_domains();
+  int64_t batches = 0;
+  for (int64_t d = 0; d < n; ++d) {
+    batches +=
+        (static_cast<int64_t>(ds.domain(d).train.size()) + tc.batch_size - 1) /
+        tc.batch_size;
+  }
+  const int64_t meta_steps = std::max<int64_t>(1, batches / n);
+  EXPECT_EQ(fw->batch_step_count(), meta_steps * n);
+  EXPECT_EQ(fw->domain_pass_count(), 0);
 }
 
 TEST(SeedDeterminismTest, SameSeedSameResult) {

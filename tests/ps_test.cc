@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "metrics/auc.h"
 #include "models/registry.h"
 #include "optim/adam.h"
 #include "optim/param_snapshot.h"
@@ -275,6 +276,47 @@ TEST_F(DistributedTest, DrEvaluationIssuesNoAdminOps) {
     const double auc = dist.AverageTestAuc();
     EXPECT_GT(auc, 0.0);
     EXPECT_EQ(admin_ops, run_dr ? 0 : 1) << "run_dr=" << run_dr;
+  }
+}
+
+TEST_F(DistributedTest, EvaluateTestScoresOwnerCompositesOrThePsState) {
+  for (const bool run_dr : {true, false}) {
+    SCOPED_TRACE(run_dr ? "run_dr" : "no dr");
+    auto dc = MakeConfig(2, true);
+    dc.run_dr = run_dr;
+    dc.pool_threads = 1;
+    dc.train.epochs = 2;
+    dc.train.dr_sample_k = 1;
+    dc.train.dr_max_batches = 2;
+    DistributedMamdr dist(mc_, &ds_, dc);
+    ASSERT_TRUE(dist.Train().ok());
+    const std::vector<double> evaluated = dist.EvaluateTest();
+    ASSERT_EQ(evaluated.size(), static_cast<size_t>(ds_.num_domains()));
+
+    // By hand: with DR, domain d scores on its owner's replica with
+    // θS + θd installed; without, on a same-seed replica holding the PS
+    // parameters.
+    Rng rng(mc_.seed);
+    auto reference = models::CreateModel("MLP", mc_, &rng).value();
+    auto reference_params = reference->Parameters();
+    optim::Restore(reference_params, dist.server()->SnapshotAll());
+    for (int64_t d = 0; d < ds_.num_domains(); ++d) {
+      const data::Batch batch = data::Batcher::All(ds_.domain(d).test);
+      std::vector<float> scores;
+      if (run_dr) {
+        Worker* owner = dist.worker(dist.OwnerOf(d));
+        owner->specific_store()->InstallComposite(d);
+        scores = owner->model()->Score(batch, d);
+      } else {
+        scores = reference->Score(batch, d);
+      }
+      const double auc = metrics::Auc(scores, batch.labels);
+      EXPECT_EQ(std::memcmp(&auc, &evaluated[static_cast<size_t>(d)],
+                            sizeof(double)),
+                0)
+          << "domain " << d << ": " << auc << " vs "
+          << evaluated[static_cast<size_t>(d)];
+    }
   }
 }
 

@@ -15,7 +15,9 @@
 #include "core/early_stopper.h"
 #include "common/flags.h"
 #include "common/string_util.h"
+#include "core/domain_regularization.h"
 #include "core/framework_registry.h"
+#include "core/mamdr.h"
 #include "data/io.h"
 #include "metrics/gauc.h"
 #include "metrics/logloss.h"
@@ -61,7 +63,10 @@ void PrintUsage(const char* prog) {
       "  --trace-out PATH   write chrome://tracing span JSON at exit\n"
       "  --probe-conflict   record per-epoch cross-domain gradient conflict "
       "(needs --metrics-out)\n"
-      "  --save-model PATH  write a parameter checkpoint after training\n"
+      "  --save-model PATH  write a parameter checkpoint after training; "
+      "MAMDR and DR write theta_S there and the shared/specific store to "
+      "PATH.store (not supported for Separate, CDR-Transfer, "
+      "Alternate+Finetune)\n"
       "  --topk-eval        also report HitRate@10 / NDCG@10 per domain\n"
       "  --stats            print dataset statistics before training\n"
       "  --list             list models and frameworks, then exit\n",
@@ -182,6 +187,14 @@ int main(int argc, char** argv) {
   const std::string fw_name = flags.GetString("framework", "MAMDR");
   const bool topk_eval = flags.GetBool("topk-eval", false);
   const std::string save_model = flags.GetString("save-model", "");
+  // These frameworks keep a whole parameter copy per domain, which no one
+  // model checkpoint can hold.
+  if (!save_model.empty() &&
+      (fw_name == "Separate" || fw_name == "CDR-Transfer" ||
+       fw_name == "Alternate+Finetune")) {
+    return reject("--save-model does not support --framework " + fw_name +
+                  ": it keeps one full parameter copy per domain");
+  }
   auto metrics_port = flags.GetIntChecked("metrics-port", 0);
   if (!metrics_port.ok()) {
     std::fprintf(stderr, "%s\n", metrics_port.status().ToString().c_str());
@@ -276,12 +289,29 @@ int main(int argc, char** argv) {
   }
 
   if (!save_model.empty()) {
+    // MAMDR and DR keep Θ = θS + θd outside the model (Eq. 4), and scoring
+    // leaves the last domain's composite installed: save θS as the model
+    // and every θd in the store, the pair examples/serving_pipeline loads.
+    core::SharedSpecificStore* store = nullptr;
+    if (auto* mamdr = dynamic_cast<core::Mamdr*>(fw.get())) {
+      store = mamdr->store();
+    } else if (auto* dr = dynamic_cast<core::DomainRegularization*>(fw.get())) {
+      store = dr->store();
+    }
+    if (store != nullptr) store->InstallShared();
     Status s = checkpoint::SaveModule(*model, save_model);
+    if (s.ok() && store != nullptr) {
+      s = checkpoint::SaveStore(*store, save_model + ".store");
+    }
     if (!s.ok()) {
       std::fprintf(stderr, "save-model: %s\n", s.ToString().c_str());
       return 1;
     }
     std::printf("\nmodel checkpoint written to %s\n", save_model.c_str());
+    if (store != nullptr) {
+      std::printf("shared/specific store written to %s.store\n",
+                  save_model.c_str());
+    }
   }
 
   if (std::string obs_error; !obs::WriteConfiguredOutputs(&obs_error)) {
