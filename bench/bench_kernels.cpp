@@ -5,9 +5,10 @@
 //   serial    — the growth seed's unblocked kernel (ops::MatMulNaive), the
 //               trajectory baseline;
 //   blocked   — the cache-blocked kernel (ops::MatMul).
-// Plus the blocked transposed variants, an elementwise bandwidth probe, and
-// two autograd layers at CTR shapes (relu, concat_cols), each timed as one
-// forward plus one backward-closure call.
+// Plus the blocked transposed variants, an elementwise bandwidth probe, two
+// autograd layers at CTR shapes (relu, concat_cols), each timed as one
+// forward plus one backward-closure call, and one Adam step over the
+// parameters of the MLP model mamdr_run trains on Amazon13Like.
 // Every kernel runs on the calling thread: kernels are serial by design
 // (parallelism lives in independent units, see common/parallel_for.h).
 // Results go to stdout and to a machine-readable BENCH_kernels.json so
@@ -29,8 +30,11 @@
 #include "autograd/ops.h"
 #include "common/flags.h"
 #include "common/random.h"
+#include "data/synthetic.h"
+#include "models/registry.h"
 #include "obs/clock.h"
 #include "obs/telemetry.h"
+#include "optim/adam.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -209,6 +213,40 @@ int main(int argc, char** argv) {
     entries.push_back(Measure(
         "concat_cols", "fwd_bwd", m, 4 * width, 1, repeats,
         [&] { autograd::ConcatCols(parts).node()->backward(g); }, 100));
+  }
+
+  // One Adam step over Amazon13Like's |Θ| with every parameter carrying a
+  // gradient: the optimizer's share of a DN batch step on that dataset.
+  // The shape is recorded as |Θ| x 1 x 1.
+  {
+    auto ds = data::Generate(data::Amazon13Like(1.0, 17));
+    if (!ds.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n", ds.status().ToString().c_str());
+      return 1;
+    }
+    models::ModelConfig mc;
+    mc.num_users = ds.value().num_users();
+    mc.num_items = ds.value().num_items();
+    mc.num_domains = ds.value().num_domains();
+    Rng model_rng(mc.seed);
+    auto model = models::CreateModel("MLP", mc, &model_rng);
+    if (!model.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n", model.status().ToString().c_str());
+      return 1;
+    }
+    std::vector<autograd::Var> params = model.value()->Parameters();
+    int64_t size = 0;
+    for (autograd::Var& p : params) {
+      Tensor grad(p.value().shape());
+      for (int64_t i = 0; i < grad.size(); ++i) {
+        grad.data()[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      }
+      p.mutable_grad() = grad;
+      size += grad.size();
+    }
+    optim::Adam adam(params, 1e-3f);
+    entries.push_back(Measure("adam", "step", size, 1, 1, repeats,
+                              [&] { adam.Step(); }, 10));
   }
 
   if (serial_512 > 0.0) {

@@ -1,6 +1,7 @@
 #include <cmath>
 
 #include "autograd/ops.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 
 namespace mamdr {
@@ -12,11 +13,7 @@ namespace autograd {
 
 Var Relu(const Var& a) {
   Tensor out(a.value().shape());
-  const float* pa = a.value().data();
-  float* po = out.data();
-  for (int64_t i = 0, n = out.size(); i < n; ++i) {
-    po[i] = pa[i] > 0.0f ? pa[i] : 0.0f;
-  }
+  ops::simd::ReluForward(a.value().data(), out.data(), out.size());
   auto an = a.node();
   Tensor av = a.value();
   return MakeOpNode(
@@ -25,14 +22,7 @@ Var Relu(const Var& a) {
         MAMDR_CHECK(g.shape() == av.shape());
         float* gi = GradBuffer(an, av.shape());
         if (gi == nullptr) return;
-        const float* pv = av.data();
-        const float* pg = g.data();
-        for (int64_t i = 0, n = g.size(); i < n; ++i) {
-          // Loading g unconditionally lets the compiler select with a mask
-          // instead of a branch that mispredicts on every sign change.
-          const float gv = pg[i];
-          gi[i] += pv[i] > 0.0f ? gv : 0.0f;
-        }
+        ops::simd::ReluBackward(av.data(), g.data(), gi, g.size());
       },
       "relu");
 }

@@ -115,20 +115,25 @@ std::vector<double> Framework::Evaluate(metrics::Split split) {
                                            : metrics::EvalParallel::kSerial;
   std::vector<double> aucs =
       metrics::EvaluateAllDomains(*dataset_, split, Scorer(), policy);
-  if (obs::TelemetrySink* sink = obs::Sink()) {
-    const char* split_name = split == metrics::Split::kTrain  ? "train"
-                             : split == metrics::Split::kVal ? "val"
-                                                             : "test";
-    for (size_t d = 0; d < aucs.size(); ++d) {
-      obs::EvalRecord r;
-      r.framework = name();
-      r.split = split_name;
-      r.domain = static_cast<int>(d);
-      r.auc = aucs[d];
-      sink->RecordEval(std::move(r));
-    }
-  }
+  RecordEval(split, aucs);
   return aucs;
+}
+
+void Framework::RecordEval(metrics::Split split,
+                           const std::vector<double>& aucs) const {
+  obs::TelemetrySink* sink = obs::Sink();
+  if (sink == nullptr) return;
+  const char* split_name = split == metrics::Split::kTrain  ? "train"
+                           : split == metrics::Split::kVal ? "val"
+                                                           : "test";
+  for (size_t d = 0; d < aucs.size(); ++d) {
+    obs::EvalRecord r;
+    r.framework = name();
+    r.split = split_name;
+    r.domain = static_cast<int>(d);
+    r.auc = aucs[d];
+    sink->RecordEval(std::move(r));
+  }
 }
 
 std::vector<double> Framework::EvaluateTest() {

@@ -136,6 +136,10 @@ class Framework {
   /// ScorerIsThreadSafe().
   std::vector<double> Evaluate(metrics::Split split);
 
+  /// Reports per-domain AUCs of a split to the telemetry sink, as
+  /// Evaluate() does, for callers that score the split themselves.
+  void RecordEval(metrics::Split split, const std::vector<double>& aucs) const;
+
   /// Per-domain test AUC with this framework's Scorer().
   std::vector<double> EvaluateTest();
   double AverageTestAuc();

@@ -1,6 +1,6 @@
 #include "optim/adagrad.h"
 
-#include <cmath>
+#include "tensor/simd.h"
 
 namespace mamdr {
 namespace optim {
@@ -17,15 +17,8 @@ void Adagrad::Step() {
     Var& p = params_[i];
     if (!p.has_grad()) continue;
     const Tensor& g = p.grad();
-    Tensor& acc = accum_[i];
-    float* pa = acc.data();
-    const float* pg = g.data();
-    float* pw = p.mutable_value().data();
-    const int64_t n = g.size();
-    for (int64_t j = 0; j < n; ++j) {
-      pa[j] += pg[j] * pg[j];
-      pw[j] -= lr_ * pg[j] / (std::sqrt(pa[j]) + eps_);
-    }
+    ops::simd::AdagradUpdate(lr_, eps_, g.data(), accum_[i].data(),
+                             p.mutable_value().data(), g.size());
   }
 }
 

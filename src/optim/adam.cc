@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/simd.h"
+
 namespace mamdr {
 namespace optim {
 
@@ -24,24 +26,13 @@ void Adam::Step() {
   ++t_;
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const ops::simd::AdamStep step{lr_, beta1_, beta2_, eps_, bc1, bc2};
   for (size_t i = 0; i < params_.size(); ++i) {
     Var& p = params_[i];
     if (!p.has_grad()) continue;
     const Tensor& g = p.grad();
-    Tensor& m = m_[i];
-    Tensor& v = v_[i];
-    float* pm = m.data();
-    float* pv = v.data();
-    const float* pg = g.data();
-    float* pw = p.mutable_value().data();
-    const int64_t n = g.size();
-    for (int64_t j = 0; j < n; ++j) {
-      pm[j] = beta1_ * pm[j] + (1.0f - beta1_) * pg[j];
-      pv[j] = beta2_ * pv[j] + (1.0f - beta2_) * pg[j] * pg[j];
-      const float mhat = pm[j] / bc1;
-      const float vhat = pv[j] / bc2;
-      pw[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    ops::simd::AdamUpdate(step, g.data(), m_[i].data(), v_[i].data(),
+                          p.mutable_value().data(), g.size());
   }
 }
 

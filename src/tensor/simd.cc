@@ -1,6 +1,7 @@
 #include "tensor/simd.h"
 
 #include <atomic>
+#include <cmath>
 
 // The AVX2 bodies are compiled via per-function target attributes so no
 // global -m flag is needed: the binary stays runnable on any x86-64 CPU
@@ -107,6 +108,83 @@ void MatMulPanelAvx2(const float* pa, int64_t sa_i, int64_t sa_k,
   }
 }
 
+// The elementwise kernels run eight elements per iteration and hand the
+// ragged tail (< 8 elements) to the scalar body, so every element gets the
+// scalar expression, lane for lane.
+
+MAMDR_TARGET_AVX2
+void ReluForwardAvx2(const float* x, float* out, int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // maxps(a, b) is `a > b ? a : b`: NaN and ±0 ties yield +0.
+    _mm256_storeu_ps(out + i, _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
+  }
+  internal::ReluForwardScalar(x + i, out + i, n - i);
+}
+
+MAMDR_TARGET_AVX2
+void ReluBackwardAvx2(const float* v, const float* g, float* gi, int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 pos =
+        _mm256_cmp_ps(_mm256_loadu_ps(v + i), zero, _CMP_GT_OQ);
+    const __m256 add = _mm256_and_ps(pos, _mm256_loadu_ps(g + i));
+    _mm256_storeu_ps(gi + i, _mm256_add_ps(_mm256_loadu_ps(gi + i), add));
+  }
+  internal::ReluBackwardScalar(v + i, g + i, gi + i, n - i);
+}
+
+MAMDR_TARGET_AVX2
+void AdamUpdateAvx2(const AdamStep& s, const float* g, float* m, float* v,
+                    float* w, int64_t n) {
+  const __m256 b1 = _mm256_set1_ps(s.beta1);
+  const __m256 c1 = _mm256_set1_ps(1.0f - s.beta1);
+  const __m256 b2 = _mm256_set1_ps(s.beta2);
+  const __m256 c2 = _mm256_set1_ps(1.0f - s.beta2);
+  const __m256 bc1 = _mm256_set1_ps(s.bc1);
+  const __m256 bc2 = _mm256_set1_ps(s.bc2);
+  const __m256 lr = _mm256_set1_ps(s.lr);
+  const __m256 eps = _mm256_set1_ps(s.eps);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 gv = _mm256_loadu_ps(g + i);
+    const __m256 mv = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(c1, gv));
+    const __m256 vv =
+        _mm256_add_ps(_mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+                      _mm256_mul_ps(_mm256_mul_ps(c2, gv), gv));
+    _mm256_storeu_ps(m + i, mv);
+    _mm256_storeu_ps(v + i, vv);
+    const __m256 mhat = _mm256_div_ps(mv, bc1);
+    const __m256 vhat = _mm256_div_ps(vv, bc2);
+    const __m256 step =
+        _mm256_div_ps(_mm256_mul_ps(lr, mhat),
+                      _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+    _mm256_storeu_ps(w + i, _mm256_sub_ps(_mm256_loadu_ps(w + i), step));
+  }
+  internal::AdamUpdateScalar(s, g + i, m + i, v + i, w + i, n - i);
+}
+
+MAMDR_TARGET_AVX2
+void AdagradUpdateAvx2(float lr, float eps, const float* g, float* acc,
+                       float* w, int64_t n) {
+  const __m256 lrv = _mm256_set1_ps(lr);
+  const __m256 epsv = _mm256_set1_ps(eps);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 gv = _mm256_loadu_ps(g + i);
+    const __m256 av =
+        _mm256_add_ps(_mm256_loadu_ps(acc + i), _mm256_mul_ps(gv, gv));
+    _mm256_storeu_ps(acc + i, av);
+    const __m256 step = _mm256_div_ps(
+        _mm256_mul_ps(lrv, gv), _mm256_add_ps(_mm256_sqrt_ps(av), epsv));
+    _mm256_storeu_ps(w + i, _mm256_sub_ps(_mm256_loadu_ps(w + i), step));
+  }
+  internal::AdagradUpdateScalar(lr, eps, g + i, acc + i, w + i, n - i);
+}
+
 #endif  // MAMDR_SIMD_X86_AVX2
 
 }  // namespace
@@ -154,6 +232,39 @@ void MatMulPanelScalar(const float* pa, int64_t sa_i, int64_t sa_k,
   }
 }
 
+void ReluForwardScalar(const float* x, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+void ReluBackwardScalar(const float* v, const float* g, float* gi,
+                        int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    // Loading g unconditionally lets the compiler select with a mask
+    // instead of a branch that mispredicts on every sign change.
+    const float gv = g[i];
+    gi[i] += v[i] > 0.0f ? gv : 0.0f;
+  }
+}
+
+void AdamUpdateScalar(const AdamStep& s, const float* g, float* m, float* v,
+                      float* w, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    m[i] = s.beta1 * m[i] + (1.0f - s.beta1) * g[i];
+    v[i] = s.beta2 * v[i] + (1.0f - s.beta2) * g[i] * g[i];
+    const float mhat = m[i] / s.bc1;
+    const float vhat = v[i] / s.bc2;
+    w[i] -= s.lr * mhat / (std::sqrt(vhat) + s.eps);
+  }
+}
+
+void AdagradUpdateScalar(float lr, float eps, const float* g, float* acc,
+                         float* w, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    acc[i] += g[i] * g[i];
+    w[i] -= lr * g[i] / (std::sqrt(acc[i]) + eps);
+  }
+}
+
 }  // namespace internal
 
 Level CompiledLevel() {
@@ -181,17 +292,44 @@ const char* LevelName(Level level) {
   return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
+// Every kernel dispatches the same way: the AVX2 body when active, else
+// the scalar reference body.
+#ifdef MAMDR_SIMD_X86_AVX2
+#define MAMDR_SIMD_DISPATCH(kernel, ...)            \
+  if (ActiveLevel() == Level::kAvx2) {              \
+    kernel##Avx2(__VA_ARGS__);                      \
+    return;                                         \
+  }                                                 \
+  internal::kernel##Scalar(__VA_ARGS__)
+#else
+#define MAMDR_SIMD_DISPATCH(kernel, ...) internal::kernel##Scalar(__VA_ARGS__)
+#endif
+
 void MatMulPanel(const float* pa, int64_t sa_i, int64_t sa_k,
                  const float* pb, float* pc, int64_t k, int64_t n,
                  int64_t r0, int64_t r1) {
-#ifdef MAMDR_SIMD_X86_AVX2
-  if (ActiveLevel() == Level::kAvx2) {
-    MatMulPanelAvx2(pa, sa_i, sa_k, pb, pc, k, n, r0, r1);
-    return;
-  }
-#endif
-  internal::MatMulPanelScalar(pa, sa_i, sa_k, pb, pc, k, n, r0, r1);
+  MAMDR_SIMD_DISPATCH(MatMulPanel, pa, sa_i, sa_k, pb, pc, k, n, r0, r1);
 }
+
+void ReluForward(const float* x, float* out, int64_t n) {
+  MAMDR_SIMD_DISPATCH(ReluForward, x, out, n);
+}
+
+void ReluBackward(const float* v, const float* g, float* gi, int64_t n) {
+  MAMDR_SIMD_DISPATCH(ReluBackward, v, g, gi, n);
+}
+
+void AdamUpdate(const AdamStep& s, const float* g, float* m, float* v,
+                float* w, int64_t n) {
+  MAMDR_SIMD_DISPATCH(AdamUpdate, s, g, m, v, w, n);
+}
+
+void AdagradUpdate(float lr, float eps, const float* g, float* acc, float* w,
+                   int64_t n) {
+  MAMDR_SIMD_DISPATCH(AdagradUpdate, lr, eps, g, acc, w, n);
+}
+
+#undef MAMDR_SIMD_DISPATCH
 
 }  // namespace simd
 }  // namespace ops

@@ -1,4 +1,7 @@
-// Runtime-dispatched SIMD microkernels for the tensor layer.
+// Runtime-dispatched SIMD microkernels for the tensor layer: the matmul
+// panel and the elementwise loops every training step runs over all of its
+// activations and parameters (ReLU forward/backward, the Adam and Adagrad
+// updates).
 //
 // Numerical contract — the part that makes dispatch safe to do silently:
 // every kernel here is BIT-IDENTICAL to its scalar fallback on every input.
@@ -8,6 +11,15 @@
 //     C(i, j) element keeps its own private accumulation chain over k in
 //     ascending order — exactly the chain the scalar seed kernel runs. The
 //     vector lanes are eight such independent scalar chains side by side.
+//   * The elementwise kernels compute each element independently, so a
+//     vector lane runs exactly the scalar expression, in the same operation
+//     order. ReLU forward is maxps(x, +0): maxps returns its second operand
+//     when either is NaN and when both are zero, so NaN -> +0 and -0 -> +0,
+//     exactly as `x > 0 ? x : 0`. ReLU backward adds `g & (v > 0)` (an
+//     ordered compare, false for NaN), which is +0 or g as in the scalar
+//     select. The optimizer updates use only IEEE-754 basic operations,
+//     each correctly rounded in both forms: mulps/addps/subps, divps for
+//     the bias corrections and the step, sqrtps for the root.
 //   * Multiplies and adds stay separate instructions (the AVX2 target does
 //     not enable FMA, and src/tensor builds with -ffp-contract=off), so no
 //     intermediate rounding step is ever fused away on one path but not the
@@ -61,12 +73,45 @@ void MatMulPanel(const float* pa, int64_t sa_i, int64_t sa_k,
                  const float* pb, float* pc, int64_t k, int64_t n,
                  int64_t r0, int64_t r1);
 
+/// ReLU forward: out[i] = x[i] > 0 ? x[i] : +0, so NaN and -0 map to +0.
+/// `out` may alias `x`.
+void ReluForward(const float* x, float* out, int64_t n);
+
+/// ReLU backward: gi[i] += v[i] > 0 ? g[i] : +0, where v is the forward
+/// input and g the upstream gradient.
+void ReluBackward(const float* v, const float* g, float* gi, int64_t n);
+
+/// Hyper-parameters of one Adam step; bc1/bc2 are the bias corrections
+/// 1 - beta1^t and 1 - beta2^t of step t.
+struct AdamStep {
+  float lr, beta1, beta2, eps, bc1, bc2;
+};
+
+/// Adam's per-element update of parameters w, moments m and v, from
+/// gradient g:
+///   m = beta1*m + (1-beta1)*g;   v = beta2*v + ((1-beta2)*g)*g;
+///   w -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps).
+void AdamUpdate(const AdamStep& s, const float* g, float* m, float* v,
+                float* w, int64_t n);
+
+/// Adagrad's per-element update of parameters w and accumulator acc:
+///   acc += g*g;   w -= (lr * g) / (sqrt(acc) + eps).
+void AdagradUpdate(float lr, float eps, const float* g, float* acc, float* w,
+                   int64_t n);
+
 namespace internal {
-/// Scalar reference body, exposed so tests can diff the dispatched kernel
-/// against it bit-for-bit without toggling the global kill switch.
+/// Scalar reference bodies, exposed so tests can diff the dispatched kernels
+/// against them bit-for-bit without toggling the global kill switch.
 void MatMulPanelScalar(const float* pa, int64_t sa_i, int64_t sa_k,
                        const float* pb, float* pc, int64_t k, int64_t n,
                        int64_t r0, int64_t r1);
+void ReluForwardScalar(const float* x, float* out, int64_t n);
+void ReluBackwardScalar(const float* v, const float* g, float* gi,
+                        int64_t n);
+void AdamUpdateScalar(const AdamStep& s, const float* g, float* m, float* v,
+                      float* w, int64_t n);
+void AdagradUpdateScalar(float lr, float eps, const float* g, float* acc,
+                         float* w, int64_t n);
 }  // namespace internal
 
 }  // namespace simd

@@ -1,12 +1,16 @@
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "common/random.h"
 #include "optim/adagrad.h"
 #include "optim/adam.h"
 #include "optim/param_snapshot.h"
 #include "optim/sgd.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 
 namespace mamdr {
@@ -169,6 +173,64 @@ TEST(SetGradsTest, OverwritesExisting) {
   a.mutable_grad().at(0) = 5.0f;
   SetGrads({a}, {Tensor::FromVector({2.0f})});
   EXPECT_FLOAT_EQ(a.grad().at(0), 2.0f);
+}
+
+
+/// Trains a two-layer ReLU net with `steps` optimizer steps and returns its
+/// parameters. The inputs, shapes and step count are fixed, so two calls
+/// differ only in the kernel path SetSimdEnabled selects. Neither layer's
+/// size is a multiple of the 8-lane vector width, so the tails run too.
+template <typename Opt>
+std::vector<Tensor> TrainTinyNet(bool simd, int steps, float lr) {
+  const bool prev = ops::simd::SetSimdEnabled(simd);
+  Rng rng(5);
+  auto random = [&rng](int64_t rows, int64_t cols) {
+    Tensor t({rows, cols});
+    for (int64_t i = 0; i < t.size(); ++i) {
+      t.data()[i] = static_cast<float>(rng.Normal());
+    }
+    return t;
+  };
+  Var w1(random(13, 19), true);
+  Var w2(random(19, 3), true);
+  const Var x(random(16, 13));
+  const Var y(random(16, 3));
+  Opt opt(std::vector<Var>{w1, w2}, lr);
+  for (int i = 0; i < steps; ++i) {
+    opt.ZeroGrad();
+    Var h = autograd::Relu(autograd::MatMul(x, w1));
+    Var out = autograd::MatMul(h, w2);
+    autograd::Mean(autograd::Square(autograd::Sub(out, y))).Backward();
+    opt.Step();
+  }
+  ops::simd::SetSimdEnabled(prev);
+  return Snapshot({w1, w2});
+}
+
+template <typename Opt>
+void ExpectSimdAndScalarTrainingBitEqual(float lr) {
+  const std::vector<Tensor> scalar = TrainTinyNet<Opt>(false, 50, lr);
+  const std::vector<Tensor> simd = TrainTinyNet<Opt>(true, 50, lr);
+  ASSERT_EQ(scalar.size(), simd.size());
+  for (size_t i = 0; i < scalar.size(); ++i) {
+    ASSERT_EQ(scalar[i].shape(), simd[i].shape());
+    EXPECT_EQ(std::memcmp(scalar[i].data(), simd[i].data(),
+                          static_cast<size_t>(scalar[i].size()) *
+                              sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
+  // The run must have moved the parameters, or the check is vacuous.
+  const std::vector<Tensor> start = TrainTinyNet<Opt>(false, 0, lr);
+  EXPECT_FALSE(ops::AllClose(start[0], scalar[0], 1e-6f));
+}
+
+TEST(AdamTest, SimdAndScalarStepsLeaveEqualBits) {
+  ExpectSimdAndScalarTrainingBitEqual<Adam>(0.01f);
+}
+
+TEST(AdagradTest, SimdAndScalarStepsLeaveEqualBits) {
+  ExpectSimdAndScalarTrainingBitEqual<Adagrad>(0.05f);
 }
 
 }  // namespace

@@ -5,8 +5,17 @@
 // tolerance anywhere. On machines without AVX2 the dispatched kernel IS
 // the scalar body and the tests degenerate to self-comparison (still
 // useful: they pin the kill-switch and dispatch semantics).
+//
+// The elementwise kernels are checked at every length 0..67, so every
+// residue of the 8-lane tail occurs, on inputs salted with NaN, ±0, ±inf,
+// denormals and mixed signs. The inputs carry a single NaN payload (the
+// positive quiet NaN): when two NaNs meet, x86 returns the payload of the
+// first operand, and the compiler may swap the operands of a commutative
+// add or mul, so two distinct payloads meeting would test register
+// allocation rather than the kernels.
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,6 +162,150 @@ TEST(SimdTensorOpsTest, MatMulIdenticalWithSimdOnAndOff) {
     ASSERT_EQ(std::memcmp(c_on.data(), naive.data(),
                           static_cast<size_t>(naive.size()) * sizeof(float)),
               0);
+  }
+}
+
+/// RandomVec salted with the IEEE special values: about one element in
+/// four is NaN, ±0, ±inf, a denormal or the largest float.
+std::vector<float> SpecialVec(int64_t n, Rng* rng) {
+  static const float kSpecials[] = {
+      std::numeric_limits<float>::quiet_NaN(),
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      1e-40f,
+      -3e-39f,
+      std::numeric_limits<float>::max(),
+  };
+  constexpr uint64_t kNumSpecials = sizeof(kSpecials) / sizeof(kSpecials[0]);
+  std::vector<float> v = RandomVec(n, rng);
+  for (auto& x : v) {
+    if (rng->UniformInt(4) == 0) x = kSpecials[rng->UniformInt(kNumSpecials)];
+  }
+  return v;
+}
+
+/// Bitwise equality of two float arrays, with the first differing index in
+/// the failure message.
+void ExpectBitsEqual(const std::vector<float>& want,
+                     const std::vector<float>& got, const char* what,
+                     int64_t n) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    uint32_t a, b;
+    std::memcpy(&a, &want[i], sizeof(a));
+    std::memcpy(&b, &got[i], sizeof(b));
+    ASSERT_EQ(a, b) << what << " n=" << n << " i=" << i << " scalar "
+                    << want[i] << " dispatched " << got[i];
+  }
+}
+
+TEST(SimdElementwiseTest, ReluForwardMatchesScalarBitwise) {
+  SimdGuard guard;
+  simd::SetSimdEnabled(true);
+  Rng rng(47);
+  for (int64_t n = 0; n <= 67; ++n) {
+    const auto x = SpecialVec(n, &rng);
+    std::vector<float> want(x.size(), 7.0f), got(x.size(), 7.0f);
+    simd::internal::ReluForwardScalar(x.data(), want.data(), n);
+    simd::ReluForward(x.data(), got.data(), n);
+    ExpectBitsEqual(want, got, "relu forward", n);
+    // In place, as the header allows.
+    std::vector<float> inplace = x;
+    simd::ReluForward(inplace.data(), inplace.data(), n);
+    ExpectBitsEqual(want, inplace, "relu forward in place", n);
+  }
+}
+
+TEST(SimdElementwiseTest, ReluForwardMapsNanAndNegativeZeroToPositiveZero) {
+  SimdGuard guard;
+  simd::SetSimdEnabled(true);
+  // Sixteen elements for the vector body plus a ragged tail of three for
+  // the scalar one; NaN and -0 sit in both.
+  std::vector<float> x(19, -1.0f);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (size_t i : {size_t{0}, size_t{9}, size_t{17}}) x[i] = nan;
+  for (size_t i : {size_t{3}, size_t{12}, size_t{18}}) x[i] = -0.0f;
+  x[5] = 2.5f;
+  const auto n = static_cast<int64_t>(x.size());
+  std::vector<float> scalar(x.size()), dispatched(x.size());
+  simd::internal::ReluForwardScalar(x.data(), scalar.data(), n);
+  simd::ReluForward(x.data(), dispatched.data(), n);
+  for (const auto* out : {&scalar, &dispatched}) {
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (i == 5) {
+        EXPECT_EQ((*out)[i], 2.5f);
+        continue;
+      }
+      EXPECT_EQ((*out)[i], 0.0f) << i;
+      EXPECT_FALSE(std::signbit((*out)[i])) << i;
+    }
+  }
+}
+
+TEST(SimdElementwiseTest, ReluBackwardMatchesScalarBitwise) {
+  SimdGuard guard;
+  simd::SetSimdEnabled(true);
+  Rng rng(53);
+  for (int64_t n = 0; n <= 67; ++n) {
+    const auto v = SpecialVec(n, &rng);
+    const auto g = SpecialVec(n, &rng);
+    const auto gi = SpecialVec(n, &rng);
+    std::vector<float> want = gi, got = gi;
+    simd::internal::ReluBackwardScalar(v.data(), g.data(), want.data(), n);
+    simd::ReluBackward(v.data(), g.data(), got.data(), n);
+    ExpectBitsEqual(want, got, "relu backward", n);
+  }
+}
+
+TEST(SimdElementwiseTest, AdamUpdateMatchesScalarBitwise) {
+  SimdGuard guard;
+  simd::SetSimdEnabled(true);
+  Rng rng(59);
+  // Step 1 (bias corrections far from 1) and a late step (close to 1).
+  const simd::AdamStep steps[] = {
+      {1e-3f, 0.9f, 0.999f, 1e-8f, 1.0f - 0.9f, 1.0f - 0.999f},
+      {0.05f, 0.8f, 0.99f, 1e-6f, 0.99f, 0.7f},
+  };
+  for (const simd::AdamStep& step : steps) {
+    for (int64_t n = 0; n <= 67; ++n) {
+      const auto g = SpecialVec(n, &rng);
+      std::vector<float> m = SpecialVec(n, &rng);
+      std::vector<float> v = SpecialVec(n, &rng);
+      std::vector<float> w = SpecialVec(n, &rng);
+      std::vector<float> m2 = m, v2 = v, w2 = w;
+      // Two updates in a row, so the second reads moments the first wrote.
+      for (int rep = 0; rep < 2; ++rep) {
+        simd::internal::AdamUpdateScalar(step, g.data(), m.data(), v.data(),
+                                         w.data(), n);
+        simd::AdamUpdate(step, g.data(), m2.data(), v2.data(), w2.data(), n);
+      }
+      ExpectBitsEqual(m, m2, "adam m", n);
+      ExpectBitsEqual(v, v2, "adam v", n);
+      ExpectBitsEqual(w, w2, "adam w", n);
+    }
+  }
+}
+
+TEST(SimdElementwiseTest, AdagradUpdateMatchesScalarBitwise) {
+  SimdGuard guard;
+  simd::SetSimdEnabled(true);
+  Rng rng(61);
+  for (int64_t n = 0; n <= 67; ++n) {
+    const auto g = SpecialVec(n, &rng);
+    std::vector<float> acc = SpecialVec(n, &rng);
+    std::vector<float> w = SpecialVec(n, &rng);
+    std::vector<float> acc2 = acc, w2 = w;
+    for (int rep = 0; rep < 2; ++rep) {
+      simd::internal::AdagradUpdateScalar(0.05f, 1e-10f, g.data(), acc.data(),
+                                          w.data(), n);
+      simd::AdagradUpdate(0.05f, 1e-10f, g.data(), acc2.data(), w2.data(), n);
+    }
+    ExpectBitsEqual(acc, acc2, "adagrad acc", n);
+    ExpectBitsEqual(w, w2, "adagrad w", n);
   }
 }
 

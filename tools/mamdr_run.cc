@@ -7,9 +7,11 @@
 //             --save-dataset ./data_out --topk-eval
 //   mamdr_run --load-dataset ./data_out --framework Alternate
 //   mamdr_run --list
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "checkpoint/checkpoint.h"
 #include "core/early_stopper.h"
@@ -19,6 +21,7 @@
 #include "core/framework_registry.h"
 #include "core/mamdr.h"
 #include "data/io.h"
+#include "metrics/auc.h"
 #include "metrics/gauc.h"
 #include "metrics/logloss.h"
 #include "obs/telemetry.h"
@@ -51,8 +54,9 @@ void PrintUsage(const char* prog) {
       "  --k N              DR sample count (default 5)\n"
       "  --inner-opt NAME   adam|sgd|adagrad (default adam)\n"
       "  --seed N           model/training seed (default 7)\n"
-      "  --patience N       stop when val AUC stalls for N epochs "
-      "(0 = off)\n"
+      "  --patience N       stop when val AUC stalls for N epochs and "
+      "report the best epoch's parameters (0 = off; not supported for "
+      "Separate, CDR-Transfer, Alternate+Finetune)\n"
       "  --kernel-threads N evaluation fan-out width: each evaluation runs "
       "its domains on a pool of min(N, domains) threads built for that "
       "call (0 = hardware_concurrency, 1 = serial)\n"
@@ -98,6 +102,33 @@ Result<data::MultiDomainDataset> BuildDataset(const FlagParser& flags,
     return Status::InvalidArgument("unknown dataset '" + name + "'");
   }
   return data::Generate(config);
+}
+
+/// Frameworks that keep one full parameter copy per domain outside the
+/// model, which neither one model checkpoint nor a model snapshot can hold.
+bool KeepsPerDomainCopies(const std::string& fw_name) {
+  return fw_name == "Separate" || fw_name == "CDR-Transfer" ||
+         fw_name == "Alternate+Finetune";
+}
+
+/// MAMDR and DR keep Θ = θS + θd outside the model (Eq. 4): the model only
+/// holds whichever composite was installed last. Null for other frameworks.
+core::SharedSpecificStore* StoreOf(core::Framework* fw) {
+  if (auto* mamdr = dynamic_cast<core::Mamdr*>(fw)) return mamdr->store();
+  if (auto* dr = dynamic_cast<core::DomainRegularization*>(fw)) {
+    return dr->store();
+  }
+  return nullptr;
+}
+
+/// θS followed by every θd: the parameters MAMDR and DR train.
+std::vector<Tensor*> StoreTensors(core::SharedSpecificStore* store) {
+  std::vector<Tensor*> out;
+  for (Tensor& t : *store->mutable_shared()) out.push_back(&t);
+  for (int64_t d = 0; d < store->num_domains(); ++d) {
+    for (Tensor& t : *store->mutable_specific(d)) out.push_back(&t);
+  }
+  return out;
 }
 
 }  // namespace
@@ -187,13 +218,14 @@ int main(int argc, char** argv) {
   const std::string fw_name = flags.GetString("framework", "MAMDR");
   const bool topk_eval = flags.GetBool("topk-eval", false);
   const std::string save_model = flags.GetString("save-model", "");
-  // These frameworks keep a whole parameter copy per domain, which no one
-  // model checkpoint can hold.
-  if (!save_model.empty() &&
-      (fw_name == "Separate" || fw_name == "CDR-Transfer" ||
-       fw_name == "Alternate+Finetune")) {
+  if (!save_model.empty() && KeepsPerDomainCopies(fw_name)) {
     return reject("--save-model does not support --framework " + fw_name +
                   ": it keeps one full parameter copy per domain");
+  }
+  if (patience > 0 && KeepsPerDomainCopies(fw_name)) {
+    return reject("--patience does not support --framework " + fw_name +
+                  ": it keeps one full parameter copy per domain, so the "
+                  "best epoch cannot be restored");
   }
   auto metrics_port = flags.GetIntChecked("metrics-port", 0);
   if (!metrics_port.ok()) {
@@ -239,7 +271,11 @@ int main(int argc, char** argv) {
               model_name.c_str(), fw_name.c_str(), ds.name().c_str(),
               static_cast<long long>(ds.num_domains()),
               static_cast<long long>(ds.TotalTrain()));
-  core::EarlyStopper stopper(patience > 0 ? patience : tc.epochs);
+  core::SharedSpecificStore* store = StoreOf(fw.get());
+  // With --patience, the best epoch's parameters: the model's, and for
+  // MAMDR and DR also the store's (StoreTensors order).
+  core::EarlyStopper stopper(patience > 0 ? patience : 1);
+  std::vector<Tensor> best_store;
   for (int64_t e = 1; e <= tc.epochs; ++e) {
     fw->TrainEpoch();
     const auto val = fw->Evaluate(metrics::Split::kVal);
@@ -250,8 +286,14 @@ int main(int argc, char** argv) {
                 static_cast<long long>(e),
                 static_cast<long long>(tc.epochs), avg_val,
                 fw->AverageTestAuc());
-    stopper.Observe(avg_val, *model);
-    if (patience > 0 && stopper.ShouldStop()) {
+    if (patience == 0) continue;
+    if (stopper.Observe(avg_val, *model) && store != nullptr) {
+      best_store.clear();
+      for (const Tensor* t : StoreTensors(store)) {
+        best_store.push_back(t->Clone());
+      }
+    }
+    if (stopper.ShouldStop()) {
       std::printf("early stop: no val improvement for %lld epochs "
                   "(best epoch %lld, val %.4f)\n",
                   static_cast<long long>(patience),
@@ -260,20 +302,38 @@ int main(int argc, char** argv) {
       break;
     }
   }
+  if (patience > 0) {
+    stopper.RestoreBest(model.get());
+    if (!best_store.empty()) {
+      const std::vector<Tensor*> tensors = StoreTensors(store);
+      for (size_t i = 0; i < tensors.size(); ++i) {
+        std::copy(best_store[i].data(),
+                  best_store[i].data() + best_store[i].size(),
+                  tensors[i]->data());
+      }
+    }
+  }
 
+  // One scoring pass over every domain's test split feeds all three
+  // columns; the AUCs also go to the telemetry sink, as Evaluate() would.
   std::printf("\nper-domain test AUC / LogLoss:\n");
-  const auto aucs = fw->EvaluateTest();
   auto scorer = fw->Scorer();
+  std::vector<double> aucs;
   for (int64_t d = 0; d < ds.num_domains(); ++d) {
     data::Batch test_batch = data::Batcher::All(ds.domain(d).test);
     const auto domain_scores = scorer(test_batch, d);
+    aucs.push_back(metrics::Auc(domain_scores, test_batch.labels));
     const double ll = metrics::LogLoss(domain_scores, test_batch.labels);
     const double gauc =
         metrics::GAuc(test_batch.users, domain_scores, test_batch.labels);
     std::printf("  %-28s auc %.4f  gauc %.4f  logloss %.4f\n",
-                ds.domain(d).name.c_str(), aucs[static_cast<size_t>(d)],
-                gauc, ll);
+                ds.domain(d).name.c_str(), aucs.back(), gauc, ll);
   }
+  fw->RecordEval(metrics::Split::kTest, aucs);
+  double auc_sum = 0.0;
+  for (double a : aucs) auc_sum += a;
+  std::printf("  mean test AUC %.4f\n",
+              auc_sum / static_cast<double>(aucs.size()));
 
   if (topk_eval) {
     std::printf("\ntop-K evaluation (HitRate@10 / NDCG@10, 50 negatives):\n");
@@ -289,15 +349,9 @@ int main(int argc, char** argv) {
   }
 
   if (!save_model.empty()) {
-    // MAMDR and DR keep Θ = θS + θd outside the model (Eq. 4), and scoring
-    // leaves the last domain's composite installed: save θS as the model
-    // and every θd in the store, the pair examples/serving_pipeline loads.
-    core::SharedSpecificStore* store = nullptr;
-    if (auto* mamdr = dynamic_cast<core::Mamdr*>(fw.get())) {
-      store = mamdr->store();
-    } else if (auto* dr = dynamic_cast<core::DomainRegularization*>(fw.get())) {
-      store = dr->store();
-    }
+    // Scoring leaves the last domain's composite installed: for MAMDR and
+    // DR, save θS as the model and every θd in the store, the pair
+    // examples/serving_pipeline loads.
     if (store != nullptr) store->InstallShared();
     Status s = checkpoint::SaveModule(*model, save_model);
     if (s.ok() && store != nullptr) {
