@@ -3,16 +3,19 @@
 #include <atomic>
 #include <cmath>
 
-// The AVX2 bodies are compiled via per-function target attributes so no
+// The SIMD bodies are compiled via per-function target attributes so no
 // global -m flag is needed: the binary stays runnable on any x86-64 CPU
-// and the dispatcher picks the wide path only when CPUID reports AVX2.
-// The target list deliberately omits FMA — with the ISA absent the
-// compiler cannot fuse the mul+add pairs, which is what keeps the AVX2
-// results bit-identical to the scalar chains (see simd.h).
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define MAMDR_SIMD_X86_AVX2 1
+// and the dispatcher picks a wide path only when CPUID reports its ISA.
+// The AVX2 target list deliberately omits FMA — with the ISA absent the
+// compiler cannot fuse the mul+add pairs. AVX-512F does carry FMA
+// encodings, so for the zmm body -ffp-contract=off (src/CMakeLists.txt) is
+// what keeps every result bit-identical to the scalar chains (see simd.h);
+// the fp_contract_objdump ctest fails if a fused multiply-add ever appears
+// in libmamdr_tensor.a.
+#ifdef MAMDR_SIMD_X86
 #include <immintrin.h>
 #define MAMDR_TARGET_AVX2 __attribute__((target("avx2")))
+#define MAMDR_TARGET_AVX512 __attribute__((target("avx512f")))
 #endif
 
 namespace mamdr {
@@ -32,79 +35,67 @@ constexpr int64_t kTileJ = 32;
 
 std::atomic<bool> g_simd_enabled{true};
 
-bool CpuHasAvx2() {
-#ifdef MAMDR_SIMD_X86_AVX2
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
+Level CpuLevel() {
+#ifdef MAMDR_SIMD_X86
+  if (__builtin_cpu_supports("avx512f")) return Level::kAvx512;
+  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
 #endif
+  return Level::kScalar;
 }
 
 Level DetectedLevel() {
-  static const Level level =
-      CpuHasAvx2() ? Level::kAvx2 : Level::kScalar;
+  static const Level level = CpuLevel();
   return level;
 }
 
-#ifdef MAMDR_SIMD_X86_AVX2
+#ifdef MAMDR_SIMD_X86
 
-// AVX2 panel kernel: four 8-lane accumulators cover the same kTileJ = 32
-// C elements the scalar kernel keeps in registers. Each lane is one
+// One C row over one k-block [kb, kmax) with AVX2: four 8-lane accumulators
+// cover the same kTileJ = 32 C elements the scalar kernel keeps in
+// registers, then an 8-wide tail, then the scalar chain. Each lane is one
 // C(i, j) chain receiving its k-terms in ascending order via broadcast
 // mul + add — never FMA — so every output bit matches the scalar body.
-MAMDR_TARGET_AVX2
-void MatMulPanelAvx2(const float* pa, int64_t sa_i, int64_t sa_k,
-                     const float* pb, float* pc, int64_t k, int64_t n,
-                     int64_t r0, int64_t r1) {
-  for (int64_t ib = r0; ib < r1; ib += kBlockM) {
-    const int64_t imax = ib + kBlockM < r1 ? ib + kBlockM : r1;
-    for (int64_t kb = 0; kb < k; kb += kBlockK) {
-      const int64_t kmax = kb + kBlockK < k ? kb + kBlockK : k;
-      for (int64_t i = ib; i < imax; ++i) {
-        const float* abase = pa + i * sa_i;
-        float* crow = pc + i * n;
-        int64_t j = 0;
-        for (; j + kTileJ <= n; j += kTileJ) {
-          float* cseg = crow + j;
-          __m256 c0 = _mm256_loadu_ps(cseg);
-          __m256 c1 = _mm256_loadu_ps(cseg + 8);
-          __m256 c2 = _mm256_loadu_ps(cseg + 16);
-          __m256 c3 = _mm256_loadu_ps(cseg + 24);
-          for (int64_t kk = kb; kk < kmax; ++kk) {
-            const __m256 av = _mm256_set1_ps(abase[kk * sa_k]);
-            const float* brow = pb + kk * n + j;
-            c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
-            c1 = _mm256_add_ps(c1,
-                               _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
-            c2 = _mm256_add_ps(c2,
-                               _mm256_mul_ps(av, _mm256_loadu_ps(brow + 16)));
-            c3 = _mm256_add_ps(c3,
-                               _mm256_mul_ps(av, _mm256_loadu_ps(brow + 24)));
-          }
-          _mm256_storeu_ps(cseg, c0);
-          _mm256_storeu_ps(cseg + 8, c1);
-          _mm256_storeu_ps(cseg + 16, c2);
-          _mm256_storeu_ps(cseg + 24, c3);
-        }
-        for (; j + 8 <= n; j += 8) {  // 8-wide ragged tail
-          float* cseg = crow + j;
-          __m256 c0 = _mm256_loadu_ps(cseg);
-          for (int64_t kk = kb; kk < kmax; ++kk) {
-            const __m256 av = _mm256_set1_ps(abase[kk * sa_k]);
-            c0 = _mm256_add_ps(
-                c0, _mm256_mul_ps(av, _mm256_loadu_ps(pb + kk * n + j)));
-          }
-          _mm256_storeu_ps(cseg, c0);
-        }
-        for (; j < n; ++j) {  // scalar ragged tail, same ascending-k chain
-          float acc = crow[j];
-          for (int64_t kk = kb; kk < kmax; ++kk) {
-            acc += abase[kk * sa_k] * pb[kk * n + j];
-          }
-          crow[j] = acc;
-        }
-      }
+// Always inlined, into the AVX2 panel and into the AVX-512 panel's
+// leftover rows (AVX-512F implies AVX2, so the inline is legal there).
+MAMDR_TARGET_AVX2 inline __attribute__((always_inline)) void PanelRowAvx2(
+    const float* abase, int64_t sa_k, const float* pb, float* crow,
+    int64_t n, int64_t kb, int64_t kmax) {
+  int64_t j = 0;
+  for (; j + kTileJ <= n; j += kTileJ) {
+    float* cseg = crow + j;
+    __m256 c0 = _mm256_loadu_ps(cseg);
+    __m256 c1 = _mm256_loadu_ps(cseg + 8);
+    __m256 c2 = _mm256_loadu_ps(cseg + 16);
+    __m256 c3 = _mm256_loadu_ps(cseg + 24);
+    for (int64_t kk = kb; kk < kmax; ++kk) {
+      const __m256 av = _mm256_set1_ps(abase[kk * sa_k]);
+      const float* brow = pb + kk * n + j;
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 16)));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 24)));
     }
+    _mm256_storeu_ps(cseg, c0);
+    _mm256_storeu_ps(cseg + 8, c1);
+    _mm256_storeu_ps(cseg + 16, c2);
+    _mm256_storeu_ps(cseg + 24, c3);
+  }
+  for (; j + 8 <= n; j += 8) {  // 8-wide ragged tail
+    float* cseg = crow + j;
+    __m256 c0 = _mm256_loadu_ps(cseg);
+    for (int64_t kk = kb; kk < kmax; ++kk) {
+      const __m256 av = _mm256_set1_ps(abase[kk * sa_k]);
+      c0 = _mm256_add_ps(c0,
+                         _mm256_mul_ps(av, _mm256_loadu_ps(pb + kk * n + j)));
+    }
+    _mm256_storeu_ps(cseg, c0);
+  }
+  for (; j < n; ++j) {  // scalar ragged tail, same ascending-k chain
+    float acc = crow[j];
+    for (int64_t kk = kb; kk < kmax; ++kk) {
+      acc += abase[kk * sa_k] * pb[kk * n + j];
+    }
+    crow[j] = acc;
   }
 }
 
@@ -185,11 +176,125 @@ void AdagradUpdateAvx2(float lr, float eps, const float* g, float* acc,
   internal::AdagradUpdateScalar(lr, eps, g + i, acc + i, w + i, n - i);
 }
 
-#endif  // MAMDR_SIMD_X86_AVX2
+#endif  // MAMDR_SIMD_X86
 
 }  // namespace
 
 namespace internal {
+
+#ifdef MAMDR_SIMD_X86
+
+MAMDR_TARGET_AVX2
+void MatMulPanelAvx2(const float* pa, int64_t sa_i, int64_t sa_k,
+                     const float* pb, float* pc, int64_t k, int64_t n,
+                     int64_t r0, int64_t r1) {
+  for (int64_t ib = r0; ib < r1; ib += kBlockM) {
+    const int64_t imax = ib + kBlockM < r1 ? ib + kBlockM : r1;
+    for (int64_t kb = 0; kb < k; kb += kBlockK) {
+      const int64_t kmax = kb + kBlockK < k ? kb + kBlockK : k;
+      for (int64_t i = ib; i < imax; ++i) {
+        PanelRowAvx2(pa + i * sa_i, sa_k, pb, pc + i * n, n, kb, kmax);
+      }
+    }
+  }
+}
+
+// AVX-512 panel kernel: a register tile of kTileRows C rows x kTileJ
+// columns in eight 16-lane accumulators, so each B load feeds four rows
+// and each broadcast of A feeds two vectors. Every lane is still one
+// C(i, j) chain that receives its k-terms in ascending order through a
+// separate mul and add. Leftover columns (< kTileJ) run masked 16-lane
+// vectors: a masked-off lane's memory is neither read nor written, and on
+// an AVX-512 Xeon this beat the scalar chain on the 1- and 16-column
+// shapes the models use. Leftover rows (< kTileRows) take the AVX2 row
+// body for the same k-block.
+MAMDR_TARGET_AVX512
+void MatMulPanelAvx512(const float* pa, int64_t sa_i, int64_t sa_k,
+                       const float* pb, float* pc, int64_t k, int64_t n,
+                       int64_t r0, int64_t r1) {
+  constexpr int64_t kTileRows = 4;
+  for (int64_t ib = r0; ib < r1; ib += kBlockM) {
+    const int64_t imax = ib + kBlockM < r1 ? ib + kBlockM : r1;
+    for (int64_t kb = 0; kb < k; kb += kBlockK) {
+      const int64_t kmax = kb + kBlockK < k ? kb + kBlockK : k;
+      int64_t i = ib;
+      for (; i + kTileRows <= imax; i += kTileRows) {
+        const float* a0 = pa + i * sa_i;
+        const float* a1 = a0 + sa_i;
+        const float* a2 = a1 + sa_i;
+        const float* a3 = a2 + sa_i;
+        float* c0 = pc + i * n;
+        float* c1 = c0 + n;
+        float* c2 = c1 + n;
+        float* c3 = c2 + n;
+        int64_t j = 0;
+        for (; j + kTileJ <= n; j += kTileJ) {
+          __m512 c00 = _mm512_loadu_ps(c0 + j);
+          __m512 c01 = _mm512_loadu_ps(c0 + j + 16);
+          __m512 c10 = _mm512_loadu_ps(c1 + j);
+          __m512 c11 = _mm512_loadu_ps(c1 + j + 16);
+          __m512 c20 = _mm512_loadu_ps(c2 + j);
+          __m512 c21 = _mm512_loadu_ps(c2 + j + 16);
+          __m512 c30 = _mm512_loadu_ps(c3 + j);
+          __m512 c31 = _mm512_loadu_ps(c3 + j + 16);
+          for (int64_t kk = kb; kk < kmax; ++kk) {
+            const float* brow = pb + kk * n + j;
+            const __m512 b0 = _mm512_loadu_ps(brow);
+            const __m512 b1 = _mm512_loadu_ps(brow + 16);
+            const int64_t ak = kk * sa_k;
+            __m512 av = _mm512_set1_ps(a0[ak]);
+            c00 = _mm512_add_ps(c00, _mm512_mul_ps(av, b0));
+            c01 = _mm512_add_ps(c01, _mm512_mul_ps(av, b1));
+            av = _mm512_set1_ps(a1[ak]);
+            c10 = _mm512_add_ps(c10, _mm512_mul_ps(av, b0));
+            c11 = _mm512_add_ps(c11, _mm512_mul_ps(av, b1));
+            av = _mm512_set1_ps(a2[ak]);
+            c20 = _mm512_add_ps(c20, _mm512_mul_ps(av, b0));
+            c21 = _mm512_add_ps(c21, _mm512_mul_ps(av, b1));
+            av = _mm512_set1_ps(a3[ak]);
+            c30 = _mm512_add_ps(c30, _mm512_mul_ps(av, b0));
+            c31 = _mm512_add_ps(c31, _mm512_mul_ps(av, b1));
+          }
+          _mm512_storeu_ps(c0 + j, c00);
+          _mm512_storeu_ps(c0 + j + 16, c01);
+          _mm512_storeu_ps(c1 + j, c10);
+          _mm512_storeu_ps(c1 + j + 16, c11);
+          _mm512_storeu_ps(c2 + j, c20);
+          _mm512_storeu_ps(c2 + j + 16, c21);
+          _mm512_storeu_ps(c3 + j, c30);
+          _mm512_storeu_ps(c3 + j + 16, c31);
+        }
+        for (; j < n; j += 16) {  // masked ragged tail, same chains
+          const int64_t left = n - j;
+          const __mmask16 mask =
+              left >= 16 ? static_cast<__mmask16>(0xFFFF)
+                         : static_cast<__mmask16>((1u << left) - 1u);
+          __m512 t0 = _mm512_maskz_loadu_ps(mask, c0 + j);
+          __m512 t1 = _mm512_maskz_loadu_ps(mask, c1 + j);
+          __m512 t2 = _mm512_maskz_loadu_ps(mask, c2 + j);
+          __m512 t3 = _mm512_maskz_loadu_ps(mask, c3 + j);
+          for (int64_t kk = kb; kk < kmax; ++kk) {
+            const __m512 b = _mm512_maskz_loadu_ps(mask, pb + kk * n + j);
+            const int64_t ak = kk * sa_k;
+            t0 = _mm512_add_ps(t0, _mm512_mul_ps(_mm512_set1_ps(a0[ak]), b));
+            t1 = _mm512_add_ps(t1, _mm512_mul_ps(_mm512_set1_ps(a1[ak]), b));
+            t2 = _mm512_add_ps(t2, _mm512_mul_ps(_mm512_set1_ps(a2[ak]), b));
+            t3 = _mm512_add_ps(t3, _mm512_mul_ps(_mm512_set1_ps(a3[ak]), b));
+          }
+          _mm512_mask_storeu_ps(c0 + j, mask, t0);
+          _mm512_mask_storeu_ps(c1 + j, mask, t1);
+          _mm512_mask_storeu_ps(c2 + j, mask, t2);
+          _mm512_mask_storeu_ps(c3 + j, mask, t3);
+        }
+      }
+      for (; i < imax; ++i) {
+        PanelRowAvx2(pa + i * sa_i, sa_k, pb, pc + i * n, n, kb, kmax);
+      }
+    }
+  }
+}
+
+#endif  // MAMDR_SIMD_X86
 
 // Scalar panel body — the register-tiled seed kernel (moved here from
 // tensor_ops.cc so the dispatcher owns exactly one reference body).
@@ -268,8 +373,8 @@ void AdagradUpdateScalar(float lr, float eps, const float* g, float* acc,
 }  // namespace internal
 
 Level CompiledLevel() {
-#ifdef MAMDR_SIMD_X86_AVX2
-  return Level::kAvx2;
+#ifdef MAMDR_SIMD_X86
+  return Level::kAvx512;
 #else
   return Level::kScalar;
 #endif
@@ -289,14 +394,40 @@ bool SimdEnabled() {
 }
 
 const char* LevelName(Level level) {
-  return level == Level::kAvx2 ? "avx2" : "scalar";
+  switch (level) {
+    case Level::kAvx512:
+      return "avx512";
+    case Level::kAvx2:
+      return "avx2";
+    case Level::kScalar:
+      break;
+  }
+  return "scalar";
 }
 
-// Every kernel dispatches the same way: the AVX2 body when active, else
-// the scalar reference body.
-#ifdef MAMDR_SIMD_X86_AVX2
+void MatMulPanel(const float* pa, int64_t sa_i, int64_t sa_k,
+                 const float* pb, float* pc, int64_t k, int64_t n,
+                 int64_t r0, int64_t r1) {
+#ifdef MAMDR_SIMD_X86
+  switch (ActiveLevel()) {
+    case Level::kAvx512:
+      internal::MatMulPanelAvx512(pa, sa_i, sa_k, pb, pc, k, n, r0, r1);
+      return;
+    case Level::kAvx2:
+      internal::MatMulPanelAvx2(pa, sa_i, sa_k, pb, pc, k, n, r0, r1);
+      return;
+    case Level::kScalar:
+      break;
+  }
+#endif
+  internal::MatMulPanelScalar(pa, sa_i, sa_k, pb, pc, k, n, r0, r1);
+}
+
+// The elementwise kernels have no zmm body (see simd.h), so they take the
+// AVX2 body at either wide level, else the scalar reference body.
+#ifdef MAMDR_SIMD_X86
 #define MAMDR_SIMD_DISPATCH(kernel, ...)            \
-  if (ActiveLevel() == Level::kAvx2) {              \
+  if (ActiveLevel() >= Level::kAvx2) {              \
     kernel##Avx2(__VA_ARGS__);                      \
     return;                                         \
   }                                                 \
@@ -304,12 +435,6 @@ const char* LevelName(Level level) {
 #else
 #define MAMDR_SIMD_DISPATCH(kernel, ...) internal::kernel##Scalar(__VA_ARGS__)
 #endif
-
-void MatMulPanel(const float* pa, int64_t sa_i, int64_t sa_k,
-                 const float* pb, float* pc, int64_t k, int64_t n,
-                 int64_t r0, int64_t r1) {
-  MAMDR_SIMD_DISPATCH(MatMulPanel, pa, sa_i, sa_k, pb, pc, k, n, r0, r1);
-}
 
 void ReluForward(const float* x, float* out, int64_t n) {
   MAMDR_SIMD_DISPATCH(ReluForward, x, out, n);

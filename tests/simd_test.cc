@@ -1,10 +1,12 @@
 // Bitwise-equivalence tests for the runtime-dispatched SIMD kernels
-// (tensor/simd.h). The dispatch contract is that the AVX2 bodies are
-// BIT-IDENTICAL to their scalar references on every input — not "close",
-// identical — so every comparison here is EXPECT_EQ on float bits, no
-// tolerance anywhere. On machines without AVX2 the dispatched kernel IS
-// the scalar body and the tests degenerate to self-comparison (still
-// useful: they pin the kill-switch and dispatch semantics).
+// (tensor/simd.h). The dispatch contract is that the AVX2 and AVX-512
+// bodies are BIT-IDENTICAL to their scalar references on every input — not
+// "close", identical — so every comparison here is EXPECT_EQ on float
+// bits, no tolerance anywhere. On machines without AVX2 the dispatched
+// kernel IS the scalar body and the tests degenerate to self-comparison
+// (still useful: they pin the kill-switch and dispatch semantics); the
+// tests that call one wide panel body directly skip when the CPU lacks its
+// ISA.
 //
 // The elementwise kernels are checked at every length 0..67, so every
 // residue of the 8-lane tail occurs, on inputs salted with NaN, ±0, ±inf,
@@ -66,11 +68,17 @@ TEST(SimdDispatchTest, ActiveNeverExceedsCompiled) {
   simd::SetSimdEnabled(true);
   EXPECT_LE(static_cast<int>(simd::ActiveLevel()),
             static_cast<int>(simd::CompiledLevel()));
+#ifdef MAMDR_SIMD_X86
+  EXPECT_EQ(simd::CompiledLevel(), simd::Level::kAvx512);
+#else
+  EXPECT_EQ(simd::CompiledLevel(), simd::Level::kScalar);
+#endif
 }
 
 TEST(SimdDispatchTest, LevelNames) {
   EXPECT_STREQ(simd::LevelName(simd::Level::kScalar), "scalar");
   EXPECT_STREQ(simd::LevelName(simd::Level::kAvx2), "avx2");
+  EXPECT_STREQ(simd::LevelName(simd::Level::kAvx512), "avx512");
 }
 
 /// Runs the panel kernel both ways over a fresh zeroed C and diffs bits.
@@ -166,8 +174,8 @@ TEST(SimdTensorOpsTest, MatMulIdenticalWithSimdOnAndOff) {
 }
 
 /// RandomVec salted with the IEEE special values: about one element in
-/// four is NaN, ±0, ±inf, a denormal or the largest float.
-std::vector<float> SpecialVec(int64_t n, Rng* rng) {
+/// `one_in` is NaN, ±0, ±inf, a denormal or the largest float.
+std::vector<float> SpecialVec(int64_t n, Rng* rng, uint64_t one_in = 4) {
   static const float kSpecials[] = {
       std::numeric_limits<float>::quiet_NaN(),
       0.0f,
@@ -183,7 +191,9 @@ std::vector<float> SpecialVec(int64_t n, Rng* rng) {
   constexpr uint64_t kNumSpecials = sizeof(kSpecials) / sizeof(kSpecials[0]);
   std::vector<float> v = RandomVec(n, rng);
   for (auto& x : v) {
-    if (rng->UniformInt(4) == 0) x = kSpecials[rng->UniformInt(kNumSpecials)];
+    if (rng->UniformInt(one_in) == 0) {
+      x = kSpecials[rng->UniformInt(kNumSpecials)];
+    }
   }
   return v;
 }
@@ -202,6 +212,85 @@ void ExpectBitsEqual(const std::vector<float>& want,
                     << want[i] << " dispatched " << got[i];
   }
 }
+
+#ifdef MAMDR_SIMD_X86
+
+using PanelFn = void (*)(const float*, int64_t, int64_t, const float*, float*,
+                         int64_t, int64_t, int64_t, int64_t);
+
+/// SpecialVec for the panel. One element in 128 is special, so that a
+/// k = 130 chain still ends finite about half the time (at one in four
+/// every chain past a few terms is NaN or inf, which hides reordering).
+/// The panel makes NaNs of its own (inf * 0, inf - inf), and x86 gives
+/// those the default payload, the negative quiet NaN; salting with that
+/// same payload keeps a single payload in play (see the file comment).
+std::vector<float> PanelVec(int64_t n, Rng* rng) {
+  std::vector<float> v = SpecialVec(n, rng, /*one_in=*/128);
+  for (auto& x : v) {
+    if (std::isnan(x)) x = -std::numeric_limits<float>::quiet_NaN();
+  }
+  return v;
+}
+
+/// Diffs one wide panel body against the scalar body, bit for bit, over
+/// every row count 1-9 (the AVX-512 tile is 4 rows: full tiles, leftover
+/// rows, both), column counts around the 8/16-lane widths and the 32-column
+/// tile, k around kBlockK = 64, both stride forms, and partial [r0, r1)
+/// ranges. Inputs, including the C the kernel accumulates into, are salted
+/// with NaN, ±0, ±inf, denormals and FLT_MAX.
+void ExpectWidePanelMatchesScalar(PanelFn panel, uint64_t seed) {
+  Rng rng(seed);
+  const int64_t ns[] = {1, 7, 15, 16, 17, 31, 32, 33, 64, 65};
+  const int64_t ks[] = {1, 63, 64, 65, 130};
+  for (int64_t m = 1; m <= 9; ++m) {
+    for (int64_t n : ns) {
+      for (int64_t k : ks) {
+        const auto a = PanelVec(m * k, &rng);
+        const auto b = PanelVec(k * n, &rng);
+        const auto c0 = PanelVec(m * n, &rng);
+        // Plain (sa_i=k, sa_k=1) and transposed-A (sa_i=1, sa_k=m).
+        const int64_t strides[2][2] = {{k, 1}, {1, m}};
+        for (const auto& st : strides) {
+          // The whole panel, then a range that starts and ends mid-tile.
+          const int64_t ranges[2][2] = {{0, m}, {m / 3, m - m / 4}};
+          for (const auto& r : ranges) {
+            std::vector<float> want = c0, got = c0;
+            simd::internal::MatMulPanelScalar(a.data(), st[0], st[1],
+                                              b.data(), want.data(), k, n,
+                                              r[0], r[1]);
+            panel(a.data(), st[0], st[1], b.data(), got.data(), k, n, r[0],
+                  r[1]);
+            SCOPED_TRACE(::testing::Message()
+                         << "m=" << m << " k=" << k << " n=" << n
+                         << " sa_i=" << st[0] << " sa_k=" << st[1]
+                         << " rows=[" << r[0] << "," << r[1] << ")");
+            ExpectBitsEqual(want, got, "panel", n);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdMatMulPanelTest, Avx2BodyMatchesScalarBitwise) {
+  SimdGuard guard;
+  simd::SetSimdEnabled(true);
+  if (simd::ActiveLevel() < simd::Level::kAvx2) {
+    GTEST_SKIP() << "CPU lacks AVX2";
+  }
+  ExpectWidePanelMatchesScalar(&simd::internal::MatMulPanelAvx2, 67);
+}
+
+TEST(SimdMatMulPanelTest, Avx512BodyMatchesScalarBitwise) {
+  SimdGuard guard;
+  simd::SetSimdEnabled(true);
+  if (simd::ActiveLevel() < simd::Level::kAvx512) {
+    GTEST_SKIP() << "CPU lacks AVX-512F";
+  }
+  ExpectWidePanelMatchesScalar(&simd::internal::MatMulPanelAvx512, 71);
+}
+
+#endif  // MAMDR_SIMD_X86
 
 TEST(SimdElementwiseTest, ReluForwardMatchesScalarBitwise) {
   SimdGuard guard;

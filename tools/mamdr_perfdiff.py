@@ -34,6 +34,13 @@ regardless of what the baseline file says (a baseline recorded with the
 bug must not grandfather it in). ``--no-thread-scaling-check`` disables
 the gate. Groups with a single thread count are skipped.
 
+SIMD level: ``bench_kernels`` records the kernel level it dispatched to
+as a top-level ``simd_level`` (scalar, avx2, avx512). When the baseline
+and the current run name different levels, a NOTE says so: the two ran
+different matmul bodies (a CI runner may lack AVX-512), so their
+``matmul*`` ratios compare hardware, not code. The NOTE does not change
+the exit status.
+
 Usage:
   tools/mamdr_perfdiff.py BASELINE.json CURRENT.json
       [--warn-ratio X] [--fail-ratio X] [--strict]
@@ -48,7 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 LOWER_BETTER_SUFFIXES = ("_ms", "_us")
 LOWER_BETTER_NAMES = ("ms",)
@@ -76,16 +83,34 @@ def entry_key(entry: dict) -> Tuple:
         (k, v) for k, v in entry.items() if not is_metric(k)))
 
 
-def load_entries(path: str) -> List[dict]:
+def load_doc(path: str) -> dict:
+    """The whole bench document; exits on an unreadable file or a missing
+    or empty ``entries`` list."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise SystemExit(f"mamdr_perfdiff: cannot read {path}: {e}")
-    entries = doc.get("entries")
+    entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:
         raise SystemExit(f"mamdr_perfdiff: {path} has no 'entries' list")
-    return entries
+    return doc
+
+
+def load_entries(path: str) -> List[dict]:
+    return load_doc(path)["entries"]
+
+
+def simd_level_note(baseline_doc: dict, current_doc: dict) -> Optional[str]:
+    """A NOTE line when the two runs dispatched to different SIMD levels,
+    else None (also when either file predates the field)."""
+    base = baseline_doc.get("simd_level")
+    cur = current_doc.get("simd_level")
+    if base is None or cur is None or base == cur:
+        return None
+    return (f"simd_level differs: baseline {base}, current {cur}; the "
+            f"kernels ran different SIMD bodies, so their ratios compare "
+            f"CPUs, not code")
 
 
 def format_key(key: Tuple) -> str:
@@ -183,8 +208,13 @@ def main(argv: List[str]) -> int:
               file=sys.stderr)
         return 2
 
-    baseline = load_entries(args.baseline)
-    current = load_entries(args.current)
+    baseline_doc = load_doc(args.baseline)
+    current_doc = load_doc(args.current)
+    baseline = baseline_doc["entries"]
+    current = current_doc["entries"]
+    note = simd_level_note(baseline_doc, current_doc)
+    if note is not None:
+        print(f"NOTE: {note}")
     warnings, failures = diff(baseline, current, args.warn_ratio,
                               args.fail_ratio)
     if not args.no_thread_scaling_check:

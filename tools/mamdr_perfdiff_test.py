@@ -8,6 +8,8 @@ acceptance case: a synthetic 2x regression must exit non-zero).
 Run directly (``python3 tools/mamdr_perfdiff_test.py``) or via ctest.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -183,6 +185,23 @@ class ThreadScaling(unittest.TestCase):
             len(mamdr_perfdiff.thread_scaling_failures(base, 0.95)), 1)
 
 
+class SimdLevelNote(unittest.TestCase):
+    def test_same_or_missing_level_is_silent(self):
+        avx2 = dict(kernels_doc(), simd_level="avx2")
+        self.assertIsNone(mamdr_perfdiff.simd_level_note(avx2, avx2))
+        self.assertIsNone(
+            mamdr_perfdiff.simd_level_note(kernels_doc(), avx2))
+        self.assertIsNone(
+            mamdr_perfdiff.simd_level_note(avx2, kernels_doc()))
+
+    def test_different_levels_name_both(self):
+        note = mamdr_perfdiff.simd_level_note(
+            dict(kernels_doc(), simd_level="avx512"),
+            dict(kernels_doc(), simd_level="avx2"))
+        self.assertIn("baseline avx512", note)
+        self.assertIn("current avx2", note)
+
+
 class EndToEnd(unittest.TestCase):
     def _write(self, doc):
         f = tempfile.NamedTemporaryFile(
@@ -223,6 +242,18 @@ class EndToEnd(unittest.TestCase):
         # A looser floor admits the same file.
         self.assertEqual(
             mamdr_perfdiff.main([p, p, "--min-thread-scaling", "0.8"]), 0)
+
+    def test_simd_level_mismatch_prints_note_and_keeps_exit_status(self):
+        base = self._write(dict(kernels_doc(), simd_level="avx512"))
+        cur = self._write(dict(kernels_doc(), simd_level="avx2"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(mamdr_perfdiff.main([base, cur]), 0)
+        self.assertIn("NOTE: simd_level differs", out.getvalue())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(mamdr_perfdiff.main([base, base]), 0)
+        self.assertNotIn("NOTE", out.getvalue())
 
     def test_missing_entries_list_is_schema_error(self):
         p = self._write({"bench": "serving"})
