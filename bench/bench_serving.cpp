@@ -9,6 +9,19 @@
 // serial: requests are embarrassingly parallel across serving threads, so
 // the axis to scale is request concurrency.
 //
+// Two scorers run the same request stream, named by each entry's
+// "scorer" field: "model" scores with the model's own parameters, and
+// "mamdr" through an (untrained) MAMDR framework's Scorer(), which
+// installs the domain's composite θS + θd into an idle pooled model
+// before every forward pass.
+//
+// Thread placement: on a host whose scheduler does not balance load
+// across CPUs, threads spawned by one thread can stay on its CPU, and
+// then qps stays flat across the sweep whatever the code does. So on
+// Linux serving thread t pins itself to the t-th CPU (round robin) of
+// the process's affinity mask, and the sweep reads the code's scaling,
+// not the scheduler's placement.
+//
 // scaling_efficiency = qps@N / (min(N, hw_threads) * qps@1). The min()
 // clamp keeps the metric meaningful on machines with fewer cores than the
 // sweep's widest point: with 1 hardware thread, perfect scaling is flat
@@ -61,7 +74,13 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "common/flags.h"
+#include "core/mamdr.h"
 #include "data/synthetic.h"
 #include "models/registry.h"
 #include "obs/clock.h"
@@ -74,6 +93,7 @@ using namespace mamdr;
 namespace {
 
 struct Entry {
+  const char* scorer;
   int64_t threads;
   int64_t domains;
   int64_t requests;
@@ -93,14 +113,45 @@ double SampleQuantile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(rank, sorted.size()) - 1];
 }
 
+/// The CPUs this process may run on, ascending; empty where the platform
+/// does not say.
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    }
+  }
+#endif
+  return cpus;
+}
+
+/// Pins the calling thread to `cpu`. Best effort: on failure the thread
+/// runs wherever the scheduler puts it.
+void PinCallingThread(int cpu) {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+#else
+  (void)cpu;
+#endif
+}
+
 /// Spawns `threads` serving threads running `body(t)` and measures only
 /// the serving work: threads rendezvous on a start barrier after spawn,
 /// each stamps its own start/end around the request loop, and the wall
 /// time is max(end) - min(start). std::thread creation costs tens of
 /// microseconds apiece — ~1% of a sweep entry at 8 threads, a systematic
 /// per-thread-count bias the monotonicity gate would otherwise eat.
+/// Thread t pins itself to AllowedCpus()[t % size] before the barrier.
 double TimedServe(int64_t threads,
                   const std::function<void(int64_t)>& body) {
+  static const std::vector<int> cpus = AllowedCpus();
   std::atomic<int64_t> ready{0};
   std::atomic<bool> go{false};
   std::vector<double> t_start(static_cast<size_t>(threads));
@@ -108,6 +159,9 @@ double TimedServe(int64_t threads,
   std::vector<std::thread> pool;
   for (int64_t t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
+      if (!cpus.empty()) {
+        PinCallingThread(cpus[static_cast<size_t>(t) % cpus.size()]);
+      }
       ready.fetch_add(1, std::memory_order_relaxed);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       t_start[static_cast<size_t>(t)] = obs::MonotonicSeconds();
@@ -164,12 +218,12 @@ void WriteJson(const std::string& path, int64_t requests,
   for (size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     std::fprintf(f,
-                 "    {\"threads\": %" PRId64
+                 "    {\"scorer\": \"%s\", \"threads\": %" PRId64
                  ", \"domains\": %" PRId64 ", \"requests\": %" PRId64
                  ", \"qps\": %.2f, \"scaling_efficiency\": %.3f"
                  ", \"mean_us\": %.2f, \"p50_us\": %.2f, "
                  "\"p95_us\": %.2f, \"p99_us\": %.2f}%s\n",
-                 e.threads, e.domains, e.requests, e.qps,
+                 e.scorer, e.threads, e.domains, e.requests, e.qps,
                  e.scaling_efficiency, e.mean_us, e.p50_us, e.p95_us,
                  e.p99_us, i + 1 == entries.size() ? "" : ",");
   }
@@ -207,11 +261,20 @@ int main(int argc, char** argv) {
   mc.hidden = {64, 32};
   Rng rng(mc.seed);
   auto model = models::CreateModel("MLP", mc, &rng).value();
-  serve::Recommender rec(model.get());
-  for (int64_t d = 0; d < ds.num_domains(); ++d) {
-    std::set<int64_t> items;
-    for (const auto& it : ds.domain(d).train) items.insert(it.item);
-    rec.SetCandidates(d, {items.begin(), items.end()});
+  core::Mamdr mamdr(model.get(), &ds, core::TrainConfig{});
+  serve::Recommender plain(model.get());
+  serve::Recommender composite(model.get(), mamdr.Scorer());
+  struct Scorer {
+    const char* name;
+    serve::Recommender* rec;
+  };
+  const Scorer scorers[] = {{"model", &plain}, {"mamdr", &composite}};
+  for (const Scorer& sc : scorers) {
+    for (int64_t d = 0; d < ds.num_domains(); ++d) {
+      std::set<int64_t> items;
+      for (const auto& it : ds.domain(d).train) items.insert(it.item);
+      sc.rec->SetCandidates(d, {items.begin(), items.end()});
+    }
   }
 
   const unsigned hw_raw = std::thread::hardware_concurrency();
@@ -221,14 +284,23 @@ int main(int argc, char** argv) {
               requests, topk, ds.num_domains(), hw);
 
   // Warmup: touch every domain once so snapshot growth and metric
-  // registration happen off the timed path.
-  for (int64_t d = 0; d < ds.num_domains(); ++d) rec.TopK(0, d, topk);
+  // registration happen off the timed path, and let the composite scorer
+  // grow its model pool under the widest sweep point.
+  for (const Scorer& sc : scorers) {
+    for (int64_t d = 0; d < ds.num_domains(); ++d) sc.rec->TopK(0, d, topk);
+  }
+  {
+    std::vector<double> unused;
+    RunTopK(composite, 8, requests, ds.num_domains(), ds.num_users(), topk,
+            &unused);
+  }
 
   // One config per thread count. Every cycle measures every config;
   // each entry then reports the trimmed mean of its middle-third cycle
   // wall times, with latencies from the median cycle (see the --repeats
   // comment for why).
   struct Config {
+    const Scorer* scorer = nullptr;
     int64_t threads = 1;
     double best_secs = 0.0;
     std::vector<double> lat_us;
@@ -236,11 +308,14 @@ int main(int argc, char** argv) {
     std::vector<std::vector<double>> cycle_lat;
   };
   std::vector<Config> configs;
-  for (const int64_t threads :
-       {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8}}) {
-    Config c;
-    c.threads = threads;
-    configs.push_back(std::move(c));
+  for (const Scorer& sc : scorers) {
+    for (const int64_t threads :
+         {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8}}) {
+      Config c;
+      c.scorer = &sc;
+      c.threads = threads;
+      configs.push_back(std::move(c));
+    }
   }
   // Serpentine cycle order: even cycles sweep configs forward, odd ones
   // backward. A slow monotone speed drift WITHIN a cycle otherwise always
@@ -254,8 +329,8 @@ int main(int argc, char** argv) {
       Config& c = configs[ci];
       std::vector<double> rep_lat;
       const double secs =
-          RunTopK(rec, c.threads, requests, ds.num_domains(), ds.num_users(),
-                  topk, &rep_lat);
+          RunTopK(*c.scorer->rec, c.threads, requests, ds.num_domains(),
+                  ds.num_users(), topk, &rep_lat);
       c.cycle_secs.push_back(secs);
       c.cycle_lat.push_back(std::move(rep_lat));
     }
@@ -293,15 +368,18 @@ int main(int argc, char** argv) {
   // Efficiency is computed from the final best-of-N numbers so both sides
   // of the ratio come from quiet-window measurements.
   std::vector<Entry> entries;
-  double qps1 = 0.0;
-  for (const Config& c : configs) {
-    if (c.threads == 1) qps1 = static_cast<double>(requests) / c.best_secs;
-  }
   for (Config& c : configs) {
+    double qps1 = 0.0;  // the same scorer at one thread
+    for (const Config& one : configs) {
+      if (one.scorer == c.scorer && one.threads == 1) {
+        qps1 = static_cast<double>(requests) / one.best_secs;
+      }
+    }
     std::sort(c.lat_us.begin(), c.lat_us.end());
     double sum = 0.0;
     for (double v : c.lat_us) sum += v;
     Entry e;
+    e.scorer = c.scorer->name;
     e.threads = c.threads;
     e.domains = ds.num_domains();
     e.requests = requests;
@@ -314,9 +392,9 @@ int main(int argc, char** argv) {
     e.p95_us = SampleQuantile(c.lat_us, 0.95);
     e.p99_us = SampleQuantile(c.lat_us, 0.99);
     entries.push_back(e);
-    std::printf("  threads=%-2" PRId64 " %8.1f qps  eff %.3f  "
+    std::printf("  %-5s threads=%-2" PRId64 " %8.1f qps  eff %.3f  "
                 "mean %8.1f us  p50 %8.1f  p95 %8.1f  p99 %8.1f\n",
-                e.threads, e.qps, e.scaling_efficiency,
+                e.scorer, e.threads, e.qps, e.scaling_efficiency,
                 e.mean_us, e.p50_us, e.p95_us, e.p99_us);
   }
 

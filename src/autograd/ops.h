@@ -66,7 +66,15 @@ Var Reshape(const Var& a, Shape shape);
 
 // ---- Embedding ----------------------------------------------------------
 /// Gather rows of `table` ([V,d]) by ids -> [B,d]. Backward scatter-adds.
+/// The one-table case of EmbeddingConcat.
 Var EmbeddingLookup(const Var& table, const std::vector<int64_t>& ids);
+/// ConcatCols of EmbeddingLookup(tables[k], ids[k]) over k, as one node: rows
+/// are gathered straight into the [B, sum d_k] output, and backward
+/// scatter-adds the output gradient's column blocks straight into each
+/// table's gradient, in the same order, so the bits match the unfused form.
+/// Every id is checked against its table's rows.
+Var EmbeddingConcat(const std::vector<Var>& tables,
+                    std::vector<std::vector<int64_t>> ids);
 
 // ---- Regularization -----------------------------------------------------
 /// Inverted dropout. Identity when !training or p == 0.

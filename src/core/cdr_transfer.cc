@@ -11,8 +11,8 @@ CdrTransfer::CdrTransfer(models::CtrModel* model,
     : Framework(model, dataset, std::move(config)) {
   per_domain_params_.assign(static_cast<size_t>(dataset_->num_domains()),
                             optim::Snapshot(params_));
-  install_domain_ = [this](int64_t d) {
-    optim::Restore(params_, per_domain_params_[static_cast<size_t>(d)]);
+  install_domain_ = [this](int64_t d, const std::vector<autograd::Var>& dst) {
+    optim::Restore(dst, per_domain_params_[static_cast<size_t>(d)]);
   };
 }
 

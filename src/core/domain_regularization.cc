@@ -17,7 +17,9 @@ DomainRegularization::DomainRegularization(
         params_, dataset_->num_domains());
     shared_opt_ = MakeInnerOptimizer(config_.inner_lr);
   }
-  install_domain_ = [this](int64_t d) { store()->InstallComposite(d); };
+  install_domain_ = [this](int64_t d, const std::vector<autograd::Var>& dst) {
+    store()->InstallComposite(d, dst);
+  };
 }
 
 void DomainRegularization::DoTrainEpoch() {

@@ -30,8 +30,8 @@ void AlternateFinetune::FinalizeFinetune() {
     per_domain_params_.push_back(optim::Snapshot(params_));
   }
   optim::Restore(params_, base);
-  install_domain_ = [this](int64_t d) {
-    optim::Restore(params_, per_domain_params_[static_cast<size_t>(d)]);
+  install_domain_ = [this](int64_t d, const std::vector<autograd::Var>& dst) {
+    optim::Restore(dst, per_domain_params_[static_cast<size_t>(d)]);
   };
 }
 
@@ -45,8 +45,8 @@ Separate::Separate(models::CtrModel* model,
   for (int64_t d = 0; d < dataset_->num_domains(); ++d) {
     opts_.push_back(MakeInnerOptimizer(config_.inner_lr));
   }
-  install_domain_ = [this](int64_t d) {
-    optim::Restore(params_, per_domain_params_[static_cast<size_t>(d)]);
+  install_domain_ = [this](int64_t d, const std::vector<autograd::Var>& dst) {
+    optim::Restore(dst, per_domain_params_[static_cast<size_t>(d)]);
   };
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "data/batch.h"
+#include "models/registry.h"
 #include "obs/telemetry.h"
 #include "obs/trace_context.h"
 #include "optim/param_snapshot.h"
@@ -56,6 +57,10 @@ Framework::Framework(models::CtrModel* model,
   MAMDR_CHECK(dataset != nullptr);
   MAMDR_CHECK_GT(dataset->num_domains(), 0);
   params_ = model_->Parameters();
+  MutexLock lock(&pool_mu_);
+  pool_.push_back(
+      std::make_unique<PooledModel>(PooledModel{model_, params_, nullptr}));
+  idle_.push_back(pool_.back().get());
 }
 
 void Framework::TrainEpoch() {
@@ -103,18 +108,63 @@ metrics::ScoreFn Framework::Scorer() {
     };
   }
   return [this](const data::Batch& batch, int64_t domain) {
-    install_domain_(domain);
-    return model_->Score(batch, domain);
+    PooledModel* m = TakeModel();
+    struct Lease {
+      Framework* fw;
+      PooledModel* m;
+      ~Lease() { fw->ReturnModel(m); }
+    } lease{this, m};
+    install_domain_(domain, m->params);
+    return m->model->Score(batch, domain);
   };
+}
+
+Framework::PooledModel* Framework::TakeModel() {
+  PooledModel* m = nullptr;
+  {
+    MutexLock lock(&pool_mu_);
+    while (idle_.empty() && model_->spec() == nullptr) pool_cv_.Wait(&pool_mu_);
+    if (!idle_.empty()) {
+      m = idle_.back();
+      idle_.pop_back();
+    }
+  }
+  if (m == nullptr) {
+    // Every pooled model is busy: build one more, off the lock. A local RNG
+    // leaves the training stream alone; every parameter is installed and
+    // every buffer copied before it scores.
+    const models::ModelSpec& spec = *model_->spec();
+    Rng rng(spec.config.seed);
+    auto replica = models::CreateModel(spec.name, spec.config, &rng);
+    MAMDR_CHECK(replica.ok()) << replica.status().ToString();
+    auto owned = std::make_unique<PooledModel>();
+    owned->owned = std::move(replica).value();
+    owned->model = owned->owned.get();
+    owned->params = owned->model->Parameters();
+    MAMDR_CHECK_EQ(owned->params.size(), params_.size());
+    m = owned.get();
+    MutexLock lock(&pool_mu_);
+    pool_.push_back(std::move(owned));
+  }
+  if (m->owned != nullptr) m->model->CopyBuffersFrom(*model_);
+  return m;
+}
+
+void Framework::ReturnModel(PooledModel* m) {
+  MutexLock lock(&pool_mu_);
+  idle_.push_back(m);
+  pool_cv_.NotifyOne();
+}
+
+int64_t Framework::scoring_pool_size() const {
+  MutexLock lock(&pool_mu_);
+  return static_cast<int64_t>(pool_.size());
 }
 
 std::vector<double> Framework::Evaluate(metrics::Split split) {
   obs::ContextSpan span("evaluate", "core");
-  const metrics::EvalParallel policy = ScorerIsThreadSafe()
-                                           ? metrics::EvalParallel::kParallel
-                                           : metrics::EvalParallel::kSerial;
-  std::vector<double> aucs =
-      metrics::EvaluateAllDomains(*dataset_, split, Scorer(), policy);
+  std::vector<double> aucs = metrics::EvaluateAllDomains(
+      *dataset_, split, Scorer(), metrics::EvalParallel::kParallel);
   RecordEval(split, aucs);
   return aucs;
 }

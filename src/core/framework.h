@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "data/batch.h"
 #include "data/dataset.h"
 #include "metrics/conflict_probe.h"
@@ -119,21 +121,32 @@ class Framework {
   /// Framework name as it appears in the paper's tables.
   virtual std::string name() const = 0;
 
-  /// Scoring callback for evaluation and serving: the model's forward pass
-  /// with its current parameters or, once a framework has set
-  /// install_domain_, that step for the batch's domain followed by the
-  /// forward pass.
+  /// Scoring callback for evaluation and serving, safe to call from any
+  /// number of threads: the model's forward pass with its current
+  /// parameters or, once a framework has set install_domain_, a forward
+  /// pass of an idle pooled model with the batch's domain installed into
+  /// it. The pool starts as the model alone, so serial callers score on it
+  /// exactly as before; a caller that finds every pooled model busy builds
+  /// one more from the model's spec() (and copies its non-parameter state,
+  /// see nn::Module::CopyBuffersFrom, on every take). A model without a
+  /// spec stays a pool of one, and concurrent callers wait for it. Must not
+  /// overlap training. Memory: each replica is a full model, embedding
+  /// tables included, kept until the framework is destroyed, so a parallel
+  /// Evaluate() keeps up to min(KernelThreads(), domains) - 1 extra models
+  /// (+2 MB peak RSS for MAMDR on Amazon-13 at --kernel-threads 4).
   metrics::ScoreFn Scorer();
 
-  /// Whether Scorer() may be called concurrently from multiple threads:
-  /// true while install_domain_ is empty (a pure forward pass). Installing
-  /// per-domain parameters writes the shared model, so Evaluate() then
-  /// scores the domains one at a time and callers must serialize.
-  bool ScorerIsThreadSafe() const { return !install_domain_; }
+  /// Always true: Scorer() may be called concurrently from any number of
+  /// threads. perfbench/workloads.cc still reads it.
+  bool ScorerIsThreadSafe() const { return true; }
+
+  /// Models in Scorer()'s pool: the model plus every replica built so far
+  /// for concurrent callers.
+  int64_t scoring_pool_size() const;
 
   /// Per-domain AUC of any split with this framework's Scorer(). Domains
-  /// are scored concurrently on a per-call ThreadPool when
-  /// ScorerIsThreadSafe().
+  /// are scored concurrently on a per-call ThreadPool of
+  /// min(KernelThreads(), domains) threads.
   std::vector<double> Evaluate(metrics::Split split);
 
   /// Reports per-domain AUCs of a split to the telemetry sink, as
@@ -187,20 +200,40 @@ class Framework {
   const data::MultiDomainDataset* dataset_;
   TrainConfig config_;
   std::vector<autograd::Var> params_;
-  /// How domain d's parameters reach the model before it is scored, for
-  /// frameworks that keep them outside it (MAMDR's θS + θd of Eq. 4, the
-  /// per-domain copies of Separate, CDR-Transfer and Alternate+Finetune).
-  /// Empty while every domain scores with the model's own parameters.
-  std::function<void(int64_t domain)> install_domain_;
+  /// Writes domain d's parameters into `dst`, a parameter list of the
+  /// model's structure (params_ or a pooled replica's), before it is
+  /// scored, for frameworks that keep them outside the model (MAMDR's
+  /// θS + θd of Eq. 4, the per-domain copies of Separate, CDR-Transfer and
+  /// Alternate+Finetune). Empty while every domain scores with the model's
+  /// own parameters. Called concurrently for distinct `dst`.
+  std::function<void(int64_t domain, const std::vector<autograd::Var>& dst)>
+      install_domain_;
   Rng rng_;
   int64_t domain_pass_count_ = 0;
   int64_t batch_step_count_ = 0;
   int64_t epochs_completed_ = 0;
 
  private:
+  // One model of the scoring pool and its parameter list.
+  struct PooledModel {
+    models::CtrModel* model;
+    std::vector<autograd::Var> params;
+    std::unique_ptr<models::CtrModel> owned;  // null for model_
+  };
+
+  // An idle pooled model, or a replica built from model_->spec() when
+  // every one is busy; waits when model_ has no spec.
+  PooledModel* TakeModel();
+  void ReturnModel(PooledModel* m);
+
   // Per-domain telemetry accumulators for the epoch in flight; only
   // maintained while a telemetry sink is installed.
   std::vector<PassTelemetry> epoch_acc_;
+
+  mutable Mutex pool_mu_{MAMDR_LOCK_CLASS("core.framework.scoring_pool")};
+  CondVar pool_cv_;
+  std::vector<std::unique_ptr<PooledModel>> pool_ MAMDR_GUARDED_BY(pool_mu_);
+  std::vector<PooledModel*> idle_ MAMDR_GUARDED_BY(pool_mu_);
 };
 
 }  // namespace core

@@ -14,7 +14,9 @@ Mamdr::Mamdr(models::CtrModel* model, const data::MultiDomainDataset* dataset,
   sub.seed = rng_.NextU64();
   dr_ = std::make_unique<DomainRegularization>(model_, dataset_, sub,
                                                store_.get());
-  install_domain_ = [this](int64_t d) { store_->InstallComposite(d); };
+  install_domain_ = [this](int64_t d, const std::vector<autograd::Var>& dst) {
+    store_->InstallComposite(d, dst);
+  };
 }
 
 void Mamdr::DoTrainEpoch() {

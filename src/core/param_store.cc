@@ -25,17 +25,16 @@ void SharedSpecificStore::InstallShared() {
 }
 
 void SharedSpecificStore::InstallComposite(int64_t domain) {
-  MAMDR_CHECK_GE(domain, 0);
-  MAMDR_CHECK_LT(domain, num_domains());
-  const auto& spec = specific_[static_cast<size_t>(domain)];
-  for (size_t i = 0; i < params_.size(); ++i) {
-    autograd::Var p = params_[i];
-    Tensor& v = p.mutable_value();
-    const float* ps = shared_[i].data();
-    const float* pd = spec[i].data();
-    float* pv = v.data();
-    const int64_t n = v.size();
-    for (int64_t j = 0; j < n; ++j) pv[j] = ps[j] + pd[j];
+  InstallComposite(domain, params_);
+}
+
+void SharedSpecificStore::InstallComposite(
+    int64_t domain, const std::vector<autograd::Var>& dst) const {
+  const std::vector<Tensor>& spec = specific(domain);
+  MAMDR_CHECK_EQ(dst.size(), shared_.size());
+  for (size_t i = 0; i < dst.size(); ++i) {
+    autograd::Var p = dst[i];
+    ops::AddInto(shared_[i], spec[i], &p.mutable_value());
   }
 }
 
@@ -48,12 +47,7 @@ void SharedSpecificStore::UpdateSpecificFromComposite(int64_t domain) {
   MAMDR_CHECK_LT(domain, num_domains());
   auto& spec = specific_[static_cast<size_t>(domain)];
   for (size_t i = 0; i < params_.size(); ++i) {
-    const Tensor& v = params_[i].value();
-    const float* pv = v.data();
-    const float* ps = shared_[i].data();
-    float* pd = spec[i].data();
-    const int64_t n = v.size();
-    for (int64_t j = 0; j < n; ++j) pd[j] = pv[j] - ps[j];
+    ops::SubInto(params_[i].value(), shared_[i], &spec[i]);
   }
 }
 

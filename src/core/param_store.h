@@ -31,6 +31,12 @@ class SharedSpecificStore {
   /// params <- θS + θ_domain.
   void InstallComposite(int64_t domain);
 
+  /// dst <- θS + θ_domain, for any parameter list of the store's layout
+  /// (the store's own params or a replica's). Reads the store only, so
+  /// concurrent calls into distinct lists are safe.
+  void InstallComposite(int64_t domain,
+                        const std::vector<autograd::Var>& dst) const;
+
   /// θS <- current param values (after a phase that trained θS in place).
   void UpdateSharedFromParams();
 

@@ -8,7 +8,9 @@
 #define MAMDR_MODELS_CTR_MODEL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -50,9 +52,20 @@ struct ModelConfig {
   Status Validate() const;
 };
 
+/// What CreateModel built a model from: its registry name and config.
+struct ModelSpec {
+  std::string name;
+  ModelConfig config;
+};
+
 class CtrModel : public nn::Module {
  public:
   ~CtrModel() override = default;
+
+  /// The spec CreateModel recorded, from which another model of the same
+  /// structure can be built; nullptr for a model constructed directly.
+  const ModelSpec* spec() const { return spec_ ? &*spec_ : nullptr; }
+  void set_spec(ModelSpec spec) { spec_ = std::move(spec); }
 
   /// Click logits [B, 1].
   virtual Var Forward(const data::Batch& batch, int64_t domain,
@@ -66,6 +79,9 @@ class CtrModel : public nn::Module {
 
   /// Mean BCE loss over the batch (builds a graph for Backward()).
   Var Loss(const data::Batch& batch, int64_t domain, const nn::Context& ctx);
+
+ private:
+  std::optional<ModelSpec> spec_;
 };
 
 }  // namespace models

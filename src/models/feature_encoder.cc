@@ -22,21 +22,30 @@ FeatureEncoder::FeatureEncoder(const ModelConfig& config, Rng* rng)
   RegisterModule("item_cat_emb", item_cat_emb_.get());
 }
 
+namespace {
+
+// The derived categorical field: each id's hash bucket.
+std::vector<int64_t> Buckets(const std::vector<int64_t>& ids,
+                             int64_t buckets) {
+  std::vector<int64_t> out(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) out[i] = ids[i] % buckets;
+  return out;
+}
+
+}  // namespace
+
 std::vector<Var> FeatureEncoder::Fields(const data::Batch& batch) const {
-  std::vector<int64_t> groups(batch.users.size());
-  std::vector<int64_t> cats(batch.items.size());
-  for (size_t i = 0; i < batch.users.size(); ++i) {
-    groups[i] = batch.users[i] % num_user_groups_;
-  }
-  for (size_t i = 0; i < batch.items.size(); ++i) {
-    cats[i] = batch.items[i] % num_item_cats_;
-  }
   return {user_emb_->Forward(batch.users), item_emb_->Forward(batch.items),
-          user_group_emb_->Forward(groups), item_cat_emb_->Forward(cats)};
+          user_group_emb_->Forward(Buckets(batch.users, num_user_groups_)),
+          item_cat_emb_->Forward(Buckets(batch.items, num_item_cats_))};
 }
 
 Var FeatureEncoder::Concat(const data::Batch& batch) const {
-  return autograd::ConcatCols(Fields(batch));
+  return autograd::EmbeddingConcat(
+      {user_emb_->table(), item_emb_->table(), user_group_emb_->table(),
+       item_cat_emb_->table()},
+      {batch.users, batch.items, Buckets(batch.users, num_user_groups_),
+       Buckets(batch.items, num_item_cats_)});
 }
 
 }  // namespace models

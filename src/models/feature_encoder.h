@@ -24,7 +24,8 @@ class FeatureEncoder : public nn::Module {
   /// Field embeddings, each [B, embedding_dim].
   std::vector<Var> Fields(const data::Batch& batch) const;
 
-  /// ConcatCols of Fields -> [B, num_fields * embedding_dim].
+  /// ConcatCols of Fields -> [B, num_fields * embedding_dim], gathered in
+  /// one EmbeddingConcat node.
   Var Concat(const data::Batch& batch) const;
 
   int64_t num_fields() const { return 4; }

@@ -48,6 +48,7 @@ Result<std::unique_ptr<CtrModel>> CreateModel(const std::string& name,
   } else {
     return Status::NotFound("unknown model structure '" + name + "'");
   }
+  model->set_spec({name, config});
   return model;
 }
 

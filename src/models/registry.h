@@ -14,7 +14,7 @@ namespace mamdr {
 namespace models {
 
 /// Known names: MLP, WDL, NeurFM, DeepFM, AutoInt, Shared-Bottom, MMOE, CGC,
-/// PLE, STAR, RAW.
+/// PLE, STAR, RAW. The model records (name, config) as its spec().
 Result<std::unique_ptr<CtrModel>> CreateModel(const std::string& name,
                                               const ModelConfig& config,
                                               Rng* rng);

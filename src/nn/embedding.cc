@@ -20,5 +20,11 @@ Var Embedding::Forward(const std::vector<int64_t>& ids) const {
   return autograd::EmbeddingLookup(table_, ids);
 }
 
+void Embedding::CopyOwnBuffersFrom(const Module& src) {
+  const auto& o = dynamic_cast<const Embedding&>(src);
+  MAMDR_CHECK(o.table_.shape() == table_.shape());
+  if (!table_.requires_grad()) table_ = o.table_;
+}
+
 }  // namespace nn
 }  // namespace mamdr

@@ -24,6 +24,10 @@ class Embedding : public Module {
   int64_t dim() const { return dim_; }
   const Var& table() const { return table_; }
 
+ protected:
+  /// A frozen table is not among Parameters(): share src's.
+  void CopyOwnBuffersFrom(const Module& src) override;
+
  private:
   int64_t vocab_size_;
   int64_t dim_;

@@ -33,6 +33,14 @@ void Module::ZeroGrad() {
   for (auto& p : Parameters()) p.ZeroGrad();
 }
 
+void Module::CopyBuffersFrom(const Module& src) {
+  MAMDR_CHECK_EQ(children_.size(), src.children_.size());
+  CopyOwnBuffersFrom(src);
+  for (size_t i = 0; i < children_.size(); ++i) {
+    children_[i].second->CopyBuffersFrom(*src.children_[i].second);
+  }
+}
+
 Var Module::RegisterParameter(const std::string& name, Tensor value) {
   Var v(std::move(value), /*requires_grad=*/true, name);
   params_.emplace_back(name, v);

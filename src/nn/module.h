@@ -43,7 +43,16 @@ class Module {
   /// Zero every parameter gradient.
   void ZeroGrad();
 
+  /// Copy the state inference reads beyond Parameters() (moving statistics,
+  /// frozen tables) from `src`, a module of the same structure, here and in
+  /// every child.
+  void CopyBuffersFrom(const Module& src);
+
  protected:
+  /// This module's own part of CopyBuffersFrom; `src` has this module's
+  /// dynamic type. Modules without such state keep the no-op.
+  virtual void CopyOwnBuffersFrom(const Module& src) { (void)src; }
+
   /// Register a trainable tensor; returns the parameter Var.
   Var RegisterParameter(const std::string& name, Tensor value);
 

@@ -111,5 +111,16 @@ Var PartitionedNorm::Forward(const Var& x, int64_t domain,
   return autograd::Add(autograd::Mul(x_hat, gamma_full), beta_full);
 }
 
+void PartitionedNorm::CopyOwnBuffersFrom(const Module& src) {
+  const auto& o = dynamic_cast<const PartitionedNorm&>(src);
+  MAMDR_CHECK_EQ(o.num_domains_, num_domains_);
+  MAMDR_CHECK_EQ(o.features_, features_);
+  for (size_t d = 0; d < moving_mean_.size(); ++d) {
+    moving_mean_[d] = o.moving_mean_[d].Clone();
+    moving_var_[d] = o.moving_var_[d].Clone();
+  }
+  stats_initialized_ = o.stats_initialized_;
+}
+
 }  // namespace nn
 }  // namespace mamdr

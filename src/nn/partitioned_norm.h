@@ -31,6 +31,10 @@ class PartitionedNorm : public Module {
 
   int64_t num_domains() const { return num_domains_; }
 
+ protected:
+  /// The per-domain moving statistics.
+  void CopyOwnBuffersFrom(const Module& src) override;
+
  private:
   int64_t features_;
   int64_t num_domains_;

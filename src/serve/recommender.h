@@ -27,7 +27,8 @@ struct RankedItem {
 ///
 /// By default scores come from the model directly; pass the owning
 /// framework's Scorer() to serve with its per-domain parameters (for
-/// MAMDR, Θ = θS + θi installed before each domain's scoring pass).
+/// MAMDR, Θ = θS + θi installed into an idle pooled model before each
+/// domain's scoring pass).
 ///
 /// ## Concurrency contract (setup-then-serve, lock-free steady state)
 ///
@@ -47,10 +48,9 @@ struct RankedItem {
 /// a hot-path operation.
 ///
 /// Thread safety of the scoring pass itself is inherited from the scorer:
-/// the default model path is safe for concurrent read-only inference; a
-/// ScoreFn that installs parameters into the model per domain (a
-/// framework's Scorer() whenever Framework::ScorerIsThreadSafe() is false)
-/// must be externally serialized.
+/// the default model path is safe for concurrent read-only inference, and
+/// so is every framework's Scorer(), which installs per-domain parameters
+/// into a model no other request is using.
 class Recommender {
  public:
   explicit Recommender(models::CtrModel* model,

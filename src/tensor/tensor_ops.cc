@@ -164,23 +164,33 @@ Tensor Transpose(const Tensor& a) {
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b);
   Tensor out(a.shape());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] + pb[i];
+  AddInto(a, b, &out);
   return out;
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b);
   Tensor out(a.shape());
+  SubInto(a, b, &out);
+  return out;
+}
+
+void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
+  CheckSameShape(a, b);
+  CheckSameShape(a, *out);
   const float* pa = a.data();
   const float* pb = b.data();
-  float* po = out.data();
+  float* po = out->data();
+  for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] + pb[i];
+}
+
+void SubInto(const Tensor& a, const Tensor& b, Tensor* out) {
+  CheckSameShape(a, b);
+  CheckSameShape(a, *out);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out->data();
   for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] - pb[i];
-  return out;
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {

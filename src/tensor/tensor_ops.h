@@ -30,6 +30,12 @@ Tensor Transpose(const Tensor& a);
 /// Elementwise binary ops; shapes must match exactly.
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
+
+/// *out = a + b and *out = a - b into an existing tensor of the same shape,
+/// without allocating; out may alias a or b. One IEEE add or subtract per
+/// element, so the vectorized loop gives the scalar loop's bits.
+void AddInto(const Tensor& a, const Tensor& b, Tensor* out);
+void SubInto(const Tensor& a, const Tensor& b, Tensor* out);
 Tensor Mul(const Tensor& a, const Tensor& b);
 
 /// out = a + alpha * b (shapes must match).

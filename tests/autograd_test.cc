@@ -706,6 +706,86 @@ TEST(RawKernelTest, EmbeddingLookupScatterMatchesCheckedReference) {
   }
 }
 
+// EmbeddingConcat against ConcatCols of one EmbeddingLookup per table,
+// both run through the tape with upstream gradient g (Sum(y * g) seeds
+// dL/dy = 1 * g, which keeps every bit of g, -0 included).
+void ExpectEmbeddingConcatMatchesUnfused(
+    const std::vector<Tensor>& values, const std::vector<bool>& trainable,
+    const std::vector<std::vector<int64_t>>& ids, bool seeded,
+    const std::string& what) {
+  std::vector<Var> fused_tables, unfused_tables;
+  for (size_t k = 0; k < values.size(); ++k) {
+    for (std::vector<Var>* tables : {&fused_tables, &unfused_tables}) {
+      tables->push_back(trainable[k] ? Leaf(values[k], seeded, 200 + k)
+                                     : Var(values[k].Clone()));
+    }
+  }
+  std::vector<Var> lookups;
+  for (size_t k = 0; k < values.size(); ++k) {
+    lookups.push_back(EmbeddingLookup(unfused_tables[k], ids[k]));
+  }
+  Var unfused = ConcatCols(lookups);
+  Var fused = EmbeddingConcat(fused_tables, ids);
+  ExpectBitEqual(fused.value(), unfused.value(), what + " forward");
+  const Var g(OddValues(unfused.value().shape(), 300));
+  Sum(Mul(unfused, g)).Backward();
+  Sum(Mul(fused, g)).Backward();
+  for (size_t k = 0; k < values.size(); ++k) {
+    const std::string table = what + " table " + std::to_string(k);
+    ASSERT_EQ(fused_tables[k].has_grad(), unfused_tables[k].has_grad())
+        << table;
+    EXPECT_EQ(fused_tables[k].has_grad(), static_cast<bool>(trainable[k]))
+        << table;
+    if (trainable[k]) {
+      ExpectBitEqual(fused_tables[k].grad(), unfused_tables[k].grad(), table);
+    }
+  }
+}
+
+TEST(EmbeddingConcatTest, MatchesConcatOfLookupsBitForBit) {
+  // Four fields of different vocabularies and widths, as FeatureEncoder
+  // has (but with unequal widths to cover the column offsets).
+  const std::vector<Tensor> values = {OddValues({37, 16}, 1),
+                                      OddValues({11, 16}, 2),
+                                      OddValues({5, 8}, 3),
+                                      OddValues({3, 4}, 4)};
+  const std::vector<bool> all = {true, true, true, true};
+  const std::vector<std::vector<int64_t>> repeated = {
+      {36, 0, 5, 5, 36, 17, 0},
+      {1, 1, 1, 10, 0, 3, 1},
+      {4, 0, 4, 4, 2, 1, 0},
+      {2, 2, 2, 2, 0, 1, 2}};
+  for (bool seeded : {false, true}) {
+    const std::string tag = seeded ? " (seeded)" : " (fresh)";
+    ExpectEmbeddingConcatMatchesUnfused(values, all, repeated, seeded,
+                                        "repeated ids" + tag);
+    ExpectEmbeddingConcatMatchesUnfused(values, {true, false, true, true},
+                                        repeated, seeded,
+                                        "frozen table" + tag);
+    ExpectEmbeddingConcatMatchesUnfused(values, all, {{9}, {10}, {0}, {2}},
+                                        seeded, "B = 1" + tag);
+  }
+}
+
+TEST(EmbeddingConcatTest, GradCheck) {
+  Rng rng(56);
+  const std::vector<Var> tables = {Var(RandTensor({5, 3}, &rng), true),
+                                   Var(RandTensor({4, 2}, &rng), true)};
+  const std::vector<std::vector<int64_t>> ids = {{0, 2, 2, 4, 1},
+                                                 {3, 3, 0, 1, 3}};
+  auto forward = [&]() { return Sum(Square(EmbeddingConcat(tables, ids))); };
+  auto result = CheckGradients(forward, tables);
+  EXPECT_TRUE(result.ok) << result.max_rel_err;
+}
+
+TEST(EmbeddingConcatDeathTest, OutOfRangeIdAborts) {
+  const Var table(Tensor({3, 2}), true);
+  const Var other(Tensor({4, 2}), true);
+  EXPECT_DEATH(EmbeddingConcat({table, other}, {{0, 3}, {0, 1}}), "");
+  EXPECT_DEATH(EmbeddingConcat({table, other}, {{0, 1}, {-1, 1}}), "");
+  EXPECT_DEATH(EmbeddingLookup(table, {3}), "");
+}
+
 }  // namespace
 }  // namespace autograd
 }  // namespace mamdr

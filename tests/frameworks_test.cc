@@ -1,13 +1,17 @@
 #include <string>
 
 #include <algorithm>
+#include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <set>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "models/mlp_model.h"
 #include "models/registry.h"
 
 #include <gtest/gtest.h>
@@ -107,18 +111,15 @@ TEST(FrameworkRegistryTest, UnknownNameFails) {
   EXPECT_EQ(fw.status().code(), StatusCode::kNotFound);
 }
 
-TEST(FrameworkScorerTest, InstallStepDecidesThreadSafetyAndEvaluateMatchesIt) {
-  // Frameworks that keep per-domain parameters outside the model install
-  // them before scoring; the other eight score with the model's own θ.
-  // Alternate+Finetune joins the first group when its last epoch finetunes
-  // the per-domain copies.
-  const std::set<std::string> installs = {"DR", "MAMDR", "Separate",
-                                          "CDR-Transfer"};
+TEST(FrameworkScorerTest, EveryScorerIsThreadSafeAndEvaluateMatchesIt) {
+  // Every framework scores concurrently, including the ones that install
+  // per-domain parameters (DR, MAMDR, Separate, CDR-Transfer, and
+  // Alternate+Finetune after its last epoch); the parallel Evaluate equals
+  // serial Scorer() calls bit for bit.
   const std::vector<std::string> known = KnownFrameworks();
   ASSERT_EQ(known.size(), 13u);
   const int64_t threads = KernelThreads();
   SetKernelThreads(3);  // one thread per domain: the parallel Evaluate path
-  int64_t shared_theta = 0;
   for (const std::string& name : known) {
     SCOPED_TRACE(name);
     auto ds = mamdr::testing::TinyDataset(3, 120, 5);
@@ -128,15 +129,9 @@ TEST(FrameworkScorerTest, InstallStepDecidesThreadSafetyAndEvaluateMatchesIt) {
     TrainConfig tc = FastConfig();
     tc.epochs = 2;
     auto fw = CreateFramework(name, model.get(), &ds, tc).value();
-    const bool per_domain = installs.count(name) > 0;
-    if (!per_domain && name != "Alternate+Finetune") ++shared_theta;
-    EXPECT_EQ(fw->ScorerIsThreadSafe(), !per_domain);
-    for (int64_t e = 1; e <= tc.epochs; ++e) {
-      fw->TrainEpoch();
-      const bool finetuned = name == "Alternate+Finetune" && e == tc.epochs;
-      EXPECT_EQ(fw->ScorerIsThreadSafe(), !per_domain && !finetuned)
-          << "after epoch " << e;
-    }
+    EXPECT_TRUE(fw->ScorerIsThreadSafe());
+    fw->Train();
+    EXPECT_TRUE(fw->ScorerIsThreadSafe());
     const std::vector<double> evaluated = fw->Evaluate(metrics::Split::kTest);
     ASSERT_EQ(evaluated.size(), 3u);
     const metrics::ScoreFn scorer = fw->Scorer();
@@ -151,7 +146,179 @@ TEST(FrameworkScorerTest, InstallStepDecidesThreadSafetyAndEvaluateMatchesIt) {
     }
   }
   SetKernelThreads(threads);
-  EXPECT_EQ(shared_theta, 8);
+}
+
+// Each domain's test split, repeated to a few thousand rows: a scoring
+// call long enough that threads sharing one CPU get preempted inside it.
+std::vector<data::Batch> LongTestBatches(const data::MultiDomainDataset& ds) {
+  std::vector<data::Batch> out;
+  for (int64_t d = 0; d < ds.num_domains(); ++d) {
+    const data::Batch test = data::Batcher::All(ds.domain(d).test);
+    data::Batch b;
+    while (b.size() < 4096) {
+      b.users.insert(b.users.end(), test.users.begin(), test.users.end());
+      b.items.insert(b.items.end(), test.items.begin(), test.items.end());
+      b.labels.insert(b.labels.end(), test.labels.begin(), test.labels.end());
+    }
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+using DomainScores = std::vector<std::vector<float>>;
+
+DomainScores ScoreEveryDomain(const metrics::ScoreFn& scorer,
+                              const std::vector<data::Batch>& batches) {
+  DomainScores out;
+  for (size_t d = 0; d < batches.size(); ++d) {
+    out.push_back(scorer(batches[d], static_cast<int64_t>(d)));
+  }
+  return out;
+}
+
+bool SameBits(const DomainScores& a, const DomainScores& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(float)) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Four threads score every domain, starting together, round after round
+// until a call found the pooled model busy and built a replica (or, for a
+// model without a spec, for a fixed number of rounds); every thread's
+// scores must equal serial calls bit for bit.
+void ExpectConcurrentScoresMatchSerial(Framework* fw,
+                                       const std::vector<data::Batch>& batches,
+                                       int max_rounds) {
+  const metrics::ScoreFn scorer = fw->Scorer();
+  const DomainScores serial = ScoreEveryDomain(scorer, batches);
+  EXPECT_EQ(fw->scoring_pool_size(), 1) << "serial calls build no replica";
+  constexpr int kThreads = 4;
+  for (int round = 0; round < max_rounds && fw->scoring_pool_size() == 1;
+       ++round) {
+    std::atomic<int> ready{0};
+    std::vector<DomainScores> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        got[static_cast<size_t>(t)] = ScoreEveryDomain(scorer, batches);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_TRUE(SameBits(got[static_cast<size_t>(t)], serial))
+          << "round " << round << ", thread " << t;
+    }
+  }
+  // Replicas stay pooled; serial calls on whichever model they take still
+  // give the same bits.
+  EXPECT_TRUE(SameBits(ScoreEveryDomain(scorer, batches), serial));
+}
+
+// The five frameworks that install per-domain parameters before scoring,
+// each over a model without non-parameter state (MLP) and one with it
+// (STAR's per-domain moving statistics).
+using ScorerConcurrencyCase = std::tuple<std::string, std::string>;
+
+class ScorerConcurrencyTest
+    : public ::testing::TestWithParam<ScorerConcurrencyCase> {
+ protected:
+  void SetUp() override {
+    ds_ = mamdr::testing::TinyDataset(3, 120, 5);
+    Rng rng(2);
+    model_ = models::CreateModel(std::get<1>(GetParam()),
+                                 mamdr::testing::TinyModelConfig(ds_), &rng)
+                 .value();
+    TrainConfig tc = FastConfig();
+    tc.epochs = 2;  // Alternate+Finetune finetunes in its last epoch
+    fw_ = CreateFramework(std::get<0>(GetParam()), model_.get(), &ds_, tc)
+              .value();
+    fw_->Train();
+  }
+
+  data::MultiDomainDataset ds_;
+  std::unique_ptr<models::CtrModel> model_;
+  std::unique_ptr<Framework> fw_;
+};
+
+TEST_P(ScorerConcurrencyTest, ConcurrentScorerCallsMatchSerialBits) {
+  ExpectConcurrentScoresMatchSerial(fw_.get(), LongTestBatches(ds_), 100);
+  EXPECT_GT(fw_->scoring_pool_size(), 1) << "no call ever ran concurrently";
+}
+
+TEST_P(ScorerConcurrencyTest, ParallelEvaluateEqualsSerialEvaluate) {
+  const int64_t threads = KernelThreads();
+  SetKernelThreads(1);
+  const std::vector<double> serial = fw_->Evaluate(metrics::Split::kTest);
+  const std::vector<double> serial_val = fw_->Evaluate(metrics::Split::kVal);
+  EXPECT_EQ(fw_->scoring_pool_size(), 1)
+      << "a single-threaded Evaluate builds no replica";
+  SetKernelThreads(4);
+  const std::vector<double> parallel = fw_->Evaluate(metrics::Split::kTest);
+  const std::vector<double> parallel_val = fw_->Evaluate(metrics::Split::kVal);
+  SetKernelThreads(threads);
+  ASSERT_EQ(parallel.size(), serial.size());
+  EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
+                        serial.size() * sizeof(double)),
+            0);
+  ASSERT_EQ(parallel_val.size(), serial_val.size());
+  EXPECT_EQ(std::memcmp(parallel_val.data(), serial_val.data(),
+                        serial_val.size() * sizeof(double)),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InstallingFrameworks, ScorerConcurrencyTest,
+    ::testing::Combine(
+        ::testing::Values(std::string("MAMDR"), std::string("DR"),
+                          std::string("Separate"), std::string("CDR-Transfer"),
+                          std::string("Alternate+Finetune")),
+        ::testing::Values(std::string("MLP"), std::string("STAR"))),
+    [](const ::testing::TestParamInfo<ScorerConcurrencyCase>& pinfo) {
+      std::string name =
+          std::get<0>(pinfo.param) + "_" + std::get<1>(pinfo.param);
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
+
+TEST(ScorerPoolTest, ReplicasScoreWithTheModelsFrozenTables) {
+  // Frozen embedding tables are not parameters, so no install step writes
+  // them: a replica must take the model's.
+  auto ds = mamdr::testing::TinyDataset(3, 120, 5);
+  models::ModelConfig mc = mamdr::testing::TinyModelConfig(ds);
+  mc.frozen_embeddings = true;
+  Rng rng(2);
+  auto model = models::CreateModel("MLP", mc, &rng).value();
+  TrainConfig tc = FastConfig();
+  tc.epochs = 1;
+  Mamdr fw(model.get(), &ds, tc);
+  fw.Train();
+  ExpectConcurrentScoresMatchSerial(&fw, LongTestBatches(ds), 100);
+  EXPECT_GT(fw.scoring_pool_size(), 1) << "no call ever ran concurrently";
+}
+
+TEST(ScorerPoolTest, ModelWithoutSpecIsAPoolOfOne) {
+  // A model constructed directly records no spec, so concurrent callers
+  // take turns on it instead of building replicas.
+  auto ds = mamdr::testing::TinyDataset(3, 120, 5);
+  Rng rng(2);
+  models::MlpModel model(mamdr::testing::TinyModelConfig(ds), &rng);
+  ASSERT_EQ(model.spec(), nullptr);
+  TrainConfig tc = FastConfig();
+  tc.epochs = 1;
+  Mamdr fw(&model, &ds, tc);
+  fw.Train();
+  ExpectConcurrentScoresMatchSerial(&fw, LongTestBatches(ds), 3);
+  EXPECT_EQ(fw.scoring_pool_size(), 1);
 }
 
 TEST(TrainConfigTest, DefaultsAndFastConfigValidate) {

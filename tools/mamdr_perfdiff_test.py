@@ -255,6 +255,36 @@ class EndToEnd(unittest.TestCase):
             self.assertEqual(mamdr_perfdiff.main([base, base]), 0)
         self.assertNotIn("NOTE", out.getvalue())
 
+    def test_simd_level_mismatch_demotes_matmul_regressions(self):
+        # A runner without AVX-512 reads the matmul rows 3x slower than an
+        # AVX-512 baseline: a warning under the NOTE, not a failure.
+        base = self._write(dict(kernels_doc(ms=1.0), simd_level="avx512"))
+        cur = self._write(dict(kernels_doc(ms=3.0), simd_level="avx2"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(mamdr_perfdiff.main([base, cur]), 0)
+        self.assertIn("NOTE: simd_level differs", out.getvalue())
+        self.assertIn("WARNING: ms 1.00 -> 3.00", out.getvalue())
+        self.assertNotIn("FAIL", out.getvalue())
+        # The same regression between equal levels still fails.
+        same = self._write(dict(kernels_doc(ms=3.0), simd_level="avx512"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            self.assertEqual(mamdr_perfdiff.main([base, same]), 1)
+
+    def test_simd_level_mismatch_still_gates_other_kernels(self):
+        def relu_doc(ms, level):
+            doc = kernels_doc()
+            doc["entries"].append({"kernel": "relu", "variant": "fwd_bwd",
+                                   "m": 256, "k": 64, "n": 1, "ms": ms})
+            doc["simd_level"] = level
+            return doc
+        base = self._write(relu_doc(0.01, "avx512"))
+        cur = self._write(relu_doc(0.03, "avx2"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(mamdr_perfdiff.main([base, cur]), 1)
+        self.assertIn("FAIL: ms 0.01 -> 0.03", out.getvalue())
+
     def test_missing_entries_list_is_schema_error(self):
         p = self._write({"bench": "serving"})
         with self.assertRaises(SystemExit):
