@@ -7,8 +7,13 @@
 //   blocked   — the cache-blocked kernel (ops::MatMul).
 // Plus the blocked transposed variants, an elementwise bandwidth probe, two
 // autograd layers at CTR shapes (relu, concat_cols), each timed as one
-// forward plus one backward-closure call, and one Adam step over the
-// parameters of the MLP model mamdr_run trains on Amazon13Like.
+// forward plus one backward-closure call, one Adam step over the
+// parameters of the MLP model mamdr_run trains on Amazon13Like, and one
+// whole training step (forward, backward, Adam) of mamdr_run's MLP on
+// Taobao10Like and Amazon13Like batches of 256, run the way core::TrainPass
+// runs it: once on reused step buffers, once allocating every tensor. The
+// train_step rows also report tensor storage allocations and minor page
+// faults (getrusage) per step.
 // Every kernel runs on the calling thread: kernels are serial by design
 // (parallelism lives in independent units, see common/parallel_for.h).
 // Results go to stdout and to a machine-readable BENCH_kernels.json so
@@ -21,6 +26,8 @@
 //   --out PATH    JSON output path (default BENCH_kernels.json)
 // Plus the global observability flags (--metrics-out/--trace-out), so a
 // bench run can emit spans alongside its JSON.
+#include <sys/resource.h>
+
 #include <cinttypes>
 #include <cstdio>
 #include <functional>
@@ -38,6 +45,7 @@
 #include "obs/telemetry.h"
 #include "optim/adam.h"
 #include "tensor/simd.h"
+#include "tensor/step_buffers.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -89,7 +97,94 @@ Entry Measure(const std::string& kernel, const std::string& variant,
   return e;
 }
 
-void WriteJson(const std::string& path, const std::vector<Entry>& entries) {
+/// Allocation and page-fault counts of one train_step variant.
+struct StepCost {
+  std::string dataset, variant;
+  double allocations_per_step, minor_faults_per_step;
+};
+
+int64_t MinorFaults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+/// The MLP mamdr_run trains (embedding 16, hidden {64, 32}) on `config`'s
+/// dataset, stepped on one batch of `batch` rows of domain 0: ZeroGrad,
+/// Loss and Backward in a StepScope on `buffers` (null: no reuse), then an
+/// Adam step. Appends the step's time and cost.
+bool MeasureTrainStep(const std::string& dataset,
+                      const data::SyntheticConfig& config, int64_t batch,
+                      int repeats, std::vector<Entry>* entries,
+                      std::vector<StepCost>* costs) {
+  auto ds = data::Generate(config);
+  if (!ds.ok()) {
+    std::fprintf(stderr, "FATAL: %s\n", ds.status().ToString().c_str());
+    return false;
+  }
+  models::ModelConfig mc;
+  mc.num_users = ds.value().num_users();
+  mc.num_items = ds.value().num_items();
+  mc.num_domains = ds.value().num_domains();
+  mc.embedding_dim = 16;
+  mc.hidden = {64, 32};
+  Rng data_rng(3);
+  const data::Batch rows =
+      data::Batcher::Sample(ds.value().domain(0).train, batch, &data_rng);
+  // Forward + backward of the dense layers: 2 FLOPs per multiply-add, three
+  // products per layer (forward, dX, dW).
+  int64_t flops = 0;
+  int64_t in = 4 * mc.embedding_dim;
+  for (int64_t h : {mc.hidden[0], mc.hidden[1], int64_t{1}}) {
+    flops += 6 * rows.size() * in * h;
+    in = h;
+  }
+  for (bool reuse : {true, false}) {
+    Rng model_rng(mc.seed);
+    auto model = models::CreateModel("MLP", mc, &model_rng);
+    if (!model.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n", model.status().ToString().c_str());
+      return false;
+    }
+    models::CtrModel* m = model.value().get();
+    optim::Adam adam(m->Parameters(), 1e-3f);
+    StepBuffers buffers;
+    Rng dropout_rng(5);
+    const nn::Context ctx{/*training=*/true, &dropout_rng};
+    auto step = [&] {
+      adam.ZeroGrad();
+      autograd::Var loss;
+      {
+        StepScope scope(reuse ? &buffers : nullptr);
+        loss = m->Loss(rows, 0, ctx);
+        loss.Backward();
+      }
+      adam.Step();
+    };
+    constexpr int kCalls = 50;
+    const double secs = TimeBest(step, repeats, kCalls);
+    const int64_t allocations = ThreadTensorAllocations();
+    const int64_t faults = MinorFaults();
+    for (int c = 0; c < kCalls; ++c) step();
+    const std::string variant = reuse ? "reused" : "fresh";
+    const StepCost cost{
+        dataset, variant,
+        static_cast<double>(ThreadTensorAllocations() - allocations) / kCalls,
+        static_cast<double>(MinorFaults() - faults) / kCalls};
+    Entry e{"train_step_" + dataset, variant, rows.size(), 4 * mc.embedding_dim,
+            mc.hidden[0], secs * 1e3, static_cast<double>(flops) / secs / 1e9};
+    std::printf("  %-22s %-7s B=%" PRId64 "  %8.3f ms  %7.2f GFLOP/s  "
+                "%5.1f allocs/step  %7.1f minflt/step\n",
+                e.kernel.c_str(), e.variant.c_str(), e.m, e.ms, e.gflops,
+                cost.allocations_per_step, cost.minor_faults_per_step);
+    entries->push_back(e);
+    costs->push_back(cost);
+  }
+  return true;
+}
+
+void WriteJson(const std::string& path, const std::vector<Entry>& entries,
+               const std::vector<StepCost>& costs) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -120,7 +215,19 @@ void WriteJson(const std::string& path, const std::vector<Entry>& entries) {
     std::fprintf(f, "    \"%s\": %.4f%s\n", label.c_str(), ms,
                  ++written == breakdown.size() ? "" : ",");
   }
-  std::fprintf(f, "  }\n}\n");
+  // Per-step costs of the train_step rows; kept out of `entries`, whose
+  // non-metric fields identify an entry for mamdr_perfdiff.
+  std::fprintf(f, "  },\n  \"train_step_costs\": [\n");
+  for (size_t i = 0; i < costs.size(); ++i) {
+    const StepCost& c = costs[i];
+    std::fprintf(f,
+                 "    {\"dataset\": \"%s\", \"variant\": \"%s\", "
+                 "\"allocations_per_step\": %.2f, "
+                 "\"minor_faults_per_step\": %.2f}%s\n",
+                 c.dataset.c_str(), c.variant.c_str(), c.allocations_per_step,
+                 c.minor_faults_per_step, i + 1 == costs.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
 }
@@ -255,11 +362,20 @@ int main(int argc, char** argv) {
                               [&] { adam.Step(); }, 10));
   }
 
+  std::printf("\n");
+  std::vector<StepCost> costs;
+  if (!MeasureTrainStep("taobao10", data::TaobaoLike(10), 256, repeats,
+                        &entries, &costs) ||
+      !MeasureTrainStep("amazon13", data::Amazon13Like(), 256, repeats,
+                        &entries, &costs)) {
+    return 1;
+  }
+
   if (serial_512 > 0.0) {
     std::printf("\n512x256x256 speedup (blocked vs seed serial): %.2fx\n",
                 blocked_512 / serial_512);
   }
-  WriteJson(out, entries);
+  WriteJson(out, entries, costs);
   if (std::string obs_error; !obs::WriteConfiguredOutputs(&obs_error)) {
     std::fprintf(stderr, "observability output: %s\n", obs_error.c_str());
     return 1;

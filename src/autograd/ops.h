@@ -30,6 +30,14 @@ Var MatMul(const Var& a, const Var& b);
 /// Add a [1,n] row vector (bias) to each row of [m,n].
 Var AddRowVector(const Var& a, const Var& row);
 
+/// ReLU(AddRowVector(MatMul(x, w), b)) as one node, or without the ReLU
+/// when !relu; an undefined `b` adds no bias. The product goes into a
+/// zero-filled buffer, then the bias row and ReLU are applied in place in
+/// the unfused order, and backward masks by the output and writes each
+/// parent's gradient once: values and gradients match the unfused chain
+/// bit for bit.
+Var Linear(const Var& x, const Var& w, const Var& b, bool relu);
+
 /// Scale each row i of [m,n] by col[i] ([m,1]).
 Var MulColVector(const Var& a, const Var& col);
 

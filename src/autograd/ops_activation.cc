@@ -12,7 +12,7 @@ namespace autograd {
 // raw-pointer index below.
 
 Var Relu(const Var& a) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninit(a.value().shape());
   ops::simd::ReluForward(a.value().data(), out.data(), out.size());
   auto an = a.node();
   Tensor av = a.value();
@@ -49,7 +49,7 @@ Var Sigmoid(const Var& a) {
 }
 
 Var Tanh(const Var& a) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninit(a.value().shape());
   const float* pa = a.value().data();
   float* po = out.data();
   for (int64_t i = 0, n = out.size(); i < n; ++i) po[i] = std::tanh(pa[i]);
@@ -72,7 +72,7 @@ Var Tanh(const Var& a) {
 }
 
 Var Exp(const Var& a) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninit(a.value().shape());
   const float* pa = a.value().data();
   float* po = out.data();
   for (int64_t i = 0, n = out.size(); i < n; ++i) po[i] = std::exp(pa[i]);
@@ -84,8 +84,8 @@ Var Exp(const Var& a) {
 }
 
 Var Log(const Var& a, float eps) {
-  Tensor out(a.value().shape());
-  Tensor clamped(a.value().shape());
+  Tensor out = Tensor::Uninit(a.value().shape());
+  Tensor clamped = Tensor::Uninit(a.value().shape());
   const float* pa = a.value().data();
   float* pc = clamped.data();
   float* po = out.data();
@@ -113,7 +113,7 @@ Var SoftmaxRows(const Var& a) {
   MAMDR_CHECK_EQ(a.value().rank(), 2);
   const int64_t m = a.value().rows(), n = a.value().cols();
   MAMDR_CHECK_GT(n, 0) << "softmax over empty rows";
-  Tensor out({m, n});
+  Tensor out = Tensor::Uninit({m, n});
   for (int64_t i = 0; i < m; ++i) {
     const float* pa = a.value().data() + i * n;
     float* po = out.data() + i * n;
@@ -149,7 +149,7 @@ Var SoftmaxRows(const Var& a) {
 }
 
 Tensor SigmoidValue(const Tensor& logits) {
-  Tensor out(logits.shape());
+  Tensor out = Tensor::Uninit(logits.shape());
   const float* pl = logits.data();
   float* po = out.data();
   for (int64_t i = 0, n = out.size(); i < n; ++i) {

@@ -75,12 +75,17 @@ Var Square(const Var& a) {
 Var AddRowVector(const Var& a, const Var& row) {
   Tensor out = ops::AddRowVector(a.value(), row.value());
   auto an = a.node(), rn = row.node();
-  Shape row_shape = row.value().shape();
   return MakeOpNode(
       std::move(out), {a, row},
-      [an, rn, row_shape](const Tensor& g) {
-        AccumGrad(an, g);
-        AccumGrad(rn, ops::SumRows(g).Reshaped(row_shape));
+      [an, rn](const Tensor& g) {
+        // 0.0f + g: AccumGrad's bits, -0 included (see WriteGrad).
+        WriteGrad(an, /*accumulates=*/false, [&](Tensor* t) {
+          const float* pg = g.data();
+          float* pt = t->data();
+          for (int64_t i = 0, n = t->size(); i < n; ++i) pt[i] = 0.0f + pg[i];
+        });
+        WriteGrad(rn, /*accumulates=*/true,
+                  [&](Tensor* t) { ops::SumRowsAdd(g, t); });
       },
       "add_row_vector");
 }
@@ -103,7 +108,7 @@ Var RowwiseDot(const Var& a, const Var& b) {
   MAMDR_CHECK(a.value().shape() == b.value().shape());
   MAMDR_CHECK_EQ(a.value().rank(), 2);
   const int64_t m = a.value().rows(), n = a.value().cols();
-  Tensor out({m, 1});
+  Tensor out = Tensor::Uninit({m, 1});
   const float* pa = a.value().data();
   const float* pb = b.value().data();
   float* po = out.data();

@@ -29,7 +29,7 @@ Var EmbeddingConcat(const std::vector<Var>& tables,
     widths.push_back(tables[k].value().cols());
     total += widths.back();
   }
-  Tensor out({b, total});
+  Tensor out = Tensor::Uninit({b, total});
   float* po = out.data();
   for (int64_t i = 0; i < b; ++i) {
     float* dst = po + i * total;
@@ -72,7 +72,7 @@ Var Dropout(const Var& a, float p, Rng* rng, bool training) {
   MAMDR_CHECK_LT(p, 1.0f);
   MAMDR_CHECK(rng != nullptr);
   const float scale = 1.0f / (1.0f - p);
-  Tensor mask(a.value().shape());
+  Tensor mask = Tensor::Uninit(a.value().shape());
   float* pm = mask.data();
   for (int64_t i = 0, n = mask.size(); i < n; ++i) {
     pm[i] = rng->Bernoulli(p) ? 0.0f : scale;

@@ -28,18 +28,21 @@ Var BceWithLogitsMean(const Var& logits, const Tensor& labels) {
       [ln, lv, yv, n](const Tensor& g) {
         // d/dx_i = (sigmoid(x_i) - y_i) / n.
         MAMDR_CHECK_EQ(g.size(), 1);
-        Tensor gi(lv.shape());
         const float scale = g.data()[0] / static_cast<float>(n);
-        const float* pv = lv.data();
-        const float* pyv = yv.data();
-        float* pgi = gi.data();
-        for (int64_t i = 0; i < n; ++i) {
-          const float x = pv[i];
-          const float s = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                                    : std::exp(x) / (1.0f + std::exp(x));
-          pgi[i] = scale * (s - pyv[i]);
-        }
-        AccumGrad(ln, gi);
+        // scale * (s - y) is -0 when s == y and scale < 0 (or scale is -0
+        // and s < y); 0.0f + v stores AccumGrad's +0 there (see WriteGrad).
+        WriteGrad(ln, /*accumulates=*/false, [&](Tensor* t) {
+          MAMDR_CHECK_EQ(t->size(), n);
+          const float* pv = lv.data();
+          const float* pyv = yv.data();
+          float* pgi = t->data();
+          for (int64_t i = 0; i < n; ++i) {
+            const float x = pv[i];
+            const float s = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                                      : std::exp(x) / (1.0f + std::exp(x));
+            pgi[i] = 0.0f + scale * (s - pyv[i]);
+          }
+        });
       },
       "bce_with_logits_mean");
 }

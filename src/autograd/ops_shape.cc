@@ -13,7 +13,7 @@ Var ConcatCols(const std::vector<Var>& parts) {
     MAMDR_CHECK_EQ(p.value().rows(), m);
     total += p.value().cols();
   }
-  Tensor out({m, total});
+  Tensor out = Tensor::Uninit({m, total});
   int64_t off = 0;
   std::vector<int64_t> widths;
   widths.reserve(parts.size());
@@ -57,7 +57,7 @@ Var SliceCols(const Var& a, int64_t start, int64_t len) {
   const int64_t m = a.value().rows(), n = a.value().cols();
   MAMDR_CHECK_GE(start, 0);
   MAMDR_CHECK_LE(start + len, n);
-  Tensor out({m, len});
+  Tensor out = Tensor::Uninit({m, len});
   const float* pa = a.value().data();
   float* po = out.data();
   for (int64_t i = 0; i < m; ++i) {

@@ -38,11 +38,13 @@ void Var::ZeroGrad() {
   } else {
     node_->grad.Fill(0.0f);
   }
+  node_->grad_zero = true;
 }
 
 void Var::ClearGrad() {
   MAMDR_CHECK(defined());
   node_->grad = Tensor();
+  node_->grad_zero = true;
 }
 
 void Var::Backward() const {
@@ -111,6 +113,7 @@ void AccumGrad(const std::shared_ptr<Node>& node, const Tensor& g) {
       << ShapeToString(node->value.shape());
   MAMDR_DCHECK_ALL_FINITE(g.data(), g.size());
   if (node->grad.empty()) node->grad = Tensor(node->value.shape());
+  node->grad_zero = false;
   ops::AxpyInPlace(&node->grad, g, 1.0f);
 }
 
@@ -121,8 +124,26 @@ float* GradBuffer(const std::shared_ptr<Node>& node, const Shape& shape) {
       << "grad shape " << ShapeToString(shape) << " vs value "
       << ShapeToString(node->value.shape());
   if (node->grad.empty()) node->grad = Tensor(node->value.shape());
+  node->grad_zero = false;
   MAMDR_DCHECK_ALL_FINITE(node->grad.data(), node->grad.size());
   return node->grad.data();
+}
+
+Tensor* FirstGradTarget(const std::shared_ptr<Node>& node, bool accumulates,
+                        bool* later) {
+  MAMDR_CHECK(node != nullptr);
+  *later = false;
+  if (!NeedsGrad(node)) return nullptr;
+  if (!node->grad_zero) {
+    *later = true;
+    return nullptr;
+  }
+  if (node->grad.empty()) {
+    const Shape& shape = node->value.shape();
+    node->grad = accumulates ? Tensor(shape) : Tensor::Uninit(shape);
+  }
+  node->grad_zero = false;
+  return &node->grad;
 }
 
 }  // namespace autograd

@@ -31,6 +31,9 @@ class DomainNegotiation : public Framework {
 
  private:
   std::unique_ptr<optim::Optimizer> inner_opt_;
+  /// Θ at the start of the epoch, for the outer update; reused across
+  /// epochs.
+  std::vector<Tensor> theta_;
 };
 
 }  // namespace core

@@ -17,6 +17,7 @@ DomainRegularization::DomainRegularization(
         params_, dataset_->num_domains());
     shared_opt_ = MakeInnerOptimizer(config_.inner_lr);
   }
+  inner_opt_ = MakeInnerOptimizer(config_.inner_lr);
   install_domain_ = [this](int64_t d, const std::vector<autograd::Var>& dst) {
     store()->InstallComposite(d, dst);
   };
@@ -72,8 +73,10 @@ void DomainRegularization::DrForDomain(int64_t target) {
   // deltas are exactly specific-parameter deltas.
   s->InstallComposite(target);
   for (int64_t j : helpers) {
-    const std::vector<Tensor> composite = optim::Snapshot(params_);
-    auto inner = MakeInnerOptimizer(config_.inner_lr);
+    // A fresh inner optimizer and snapshot per helper, in storage kept
+    // across helpers and targets.
+    optim::SnapshotInto(params_, &composite_);
+    inner_opt_->Reset();
     // θ̃ᵢ ← update on helper domain j (Eq. 6), then on target domain i as
     // regularization (Eq. 7). The paper fixes the helper -> target order
     // (Eq. 22); the other orders exist for the design-ablation bench.
@@ -91,10 +94,10 @@ void DomainRegularization::DrForDomain(int64_t target) {
     }
     const int64_t first = helper_first ? j : target;
     const int64_t second = helper_first ? target : j;
-    TrainDomainPass(first, inner.get(), config_.dr_max_batches);
-    TrainDomainPass(second, inner.get(), config_.dr_max_batches);
+    TrainDomainPass(first, inner_opt_.get(), config_.dr_max_batches);
+    TrainDomainPass(second, inner_opt_.get(), config_.dr_max_batches);
     // θᵢ ← θᵢ + γ(θ̃ᵢ − θᵢ) (Eq. 8), expressed on the composite.
-    optim::MetaInterpolate(params_, composite, config_.dr_lr);
+    optim::MetaInterpolate(params_, composite_, config_.dr_lr);
   }
   s->UpdateSpecificFromComposite(target);
 }

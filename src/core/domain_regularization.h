@@ -50,6 +50,10 @@ class DomainRegularization : public Framework {
   std::unique_ptr<SharedSpecificStore> owned_store_;
   SharedSpecificStore* external_store_;
   std::unique_ptr<optim::Optimizer> shared_opt_;
+  /// One inner optimizer and one composite snapshot serve every helper of
+  /// every target: Reset() and SnapshotInto() reuse their storage.
+  std::unique_ptr<optim::Optimizer> inner_opt_;
+  std::vector<Tensor> composite_;
   /// Completed DrPhase() calls — the epoch index on DrHelperRecords (the
   /// base epochs_completed_ does not advance when MAMDR calls DrPhase()
   /// directly).

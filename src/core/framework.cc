@@ -73,6 +73,7 @@ void Framework::TrainEpoch() {
     obs::ContextSpan span(name() + "_epoch", "core");
     DoTrainEpoch();
   }
+  ReleaseStepBuffers();
   if (sink != nullptr) {
     for (size_t d = 0; d < epoch_acc_.size(); ++d) {
       const PassTelemetry& acc = epoch_acc_[d];
@@ -201,7 +202,8 @@ Result<int64_t> TrainPass(models::CtrModel* model, int64_t domain,
                           const std::vector<data::Interaction>& rows,
                           int64_t batch_size, int64_t max_batches,
                           optim::Optimizer* opt, Rng* rng,
-                          const PassHooks& hooks, PassTelemetry* telemetry) {
+                          const PassHooks& hooks, PassTelemetry* telemetry,
+                          StepBuffers* buffers) {
   data::Batcher batcher(&rows, batch_size, rng);
   nn::Context ctx{/*training=*/true, rng};
   data::Batch batch;
@@ -211,8 +213,14 @@ Result<int64_t> TrainPass(models::CtrModel* model, int64_t domain,
       MAMDR_RETURN_IF_ERROR(hooks.before_forward(batch));
     }
     opt->ZeroGrad();
-    autograd::Var loss = model->Loss(batch, domain, ctx);
-    loss.Backward();
+    // Declared before the scope: the graph (and every buffer it holds)
+    // dies at the end of the iteration, before the next step reuses them.
+    autograd::Var loss;
+    {
+      StepScope step(buffers);
+      loss = model->Loss(batch, domain, ctx);
+      loss.Backward();
+    }
     if (hooks.after_backward) {
       MAMDR_RETURN_IF_ERROR(hooks.after_backward(batch));
     }
@@ -230,6 +238,7 @@ Result<int64_t> TrainPass(models::CtrModel* model, int64_t domain,
     ++steps;
     if (max_batches > 0 && steps >= max_batches) break;
   }
+  if (buffers != nullptr) buffers->EndPass();
   return steps;
 }
 
@@ -243,7 +252,8 @@ int64_t Framework::TrainDomainPass(int64_t domain, optim::Optimizer* opt,
   const Result<int64_t> batches = TrainPass(
       model_, domain, rows != nullptr ? *rows : dataset_->domain(domain).train,
       config_.batch_size, max_batches, opt, &rng_, hooks,
-      telemetry ? &epoch_acc_[static_cast<size_t>(domain)] : nullptr);
+      telemetry ? &epoch_acc_[static_cast<size_t>(domain)] : nullptr,
+      &step_buffers_);
   MAMDR_CHECK(batches.ok()) << batches.status().ToString();
   ++domain_pass_count_;
   batch_step_count_ += batches.value();

@@ -21,6 +21,7 @@
 #include "metrics/evaluator.h"
 #include "models/ctr_model.h"
 #include "optim/optimizer.h"
+#include "tensor/step_buffers.h"
 
 namespace mamdr {
 namespace core {
@@ -87,14 +88,19 @@ struct PassTelemetry {
 /// and the PS worker: a pass over `rows` shuffled by `rng` (which also
 /// drives dropout).
 /// Per batch: before_forward, ZeroGrad, Loss, Backward, after_backward, the
-/// `telemetry` update (when non-null), opt->Step(). Stops after max_batches
-/// steps (0 = no cap). Returns the steps taken, or the first failing hook's
-/// Status, in which case that batch took no step.
+/// `telemetry` update (when non-null), opt->Step(). Loss and Backward run
+/// in a StepScope on the caller's `buffers` (may be null), so from the
+/// second step on they reuse the previous step's tensor storage; hooks,
+/// ZeroGrad and Step stay outside it, which keeps parameter gradients and
+/// optimizer state out of the set. Stops after max_batches steps (0 = no
+/// cap). Returns the steps taken, or the first failing hook's Status, in
+/// which case that batch took no step.
 Result<int64_t> TrainPass(models::CtrModel* model, int64_t domain,
                           const std::vector<data::Interaction>& rows,
                           int64_t batch_size, int64_t max_batches,
                           optim::Optimizer* opt, Rng* rng,
-                          const PassHooks& hooks, PassTelemetry* telemetry);
+                          const PassHooks& hooks, PassTelemetry* telemetry,
+                          StepBuffers* buffers = nullptr);
 
 class Framework {
  public:
@@ -107,9 +113,10 @@ class Framework {
   Framework& operator=(const Framework&) = delete;
 
   /// One outer epoch of the algorithm. Non-virtual wrapper: opens a trace
-  /// span named "<name>_epoch", runs the algorithm (DoTrainEpoch), then — if
-  /// a telemetry sink is installed — flushes one DomainEpochRecord per
-  /// domain trained this epoch (mean loss, batch count, gradient norm).
+  /// span named "<name>_epoch", runs the algorithm (DoTrainEpoch), releases
+  /// the step buffers, then — if a telemetry sink is installed — flushes
+  /// one DomainEpochRecord per domain trained this epoch (mean loss, batch
+  /// count, gradient norm).
   void TrainEpoch();
 
   /// config.epochs calls to TrainEpoch().
@@ -170,6 +177,15 @@ class Framework {
   virtual int64_t domain_pass_count() const { return domain_pass_count_; }
   virtual int64_t batch_step_count() const { return batch_step_count_; }
 
+  /// Tensor allocations of this framework's training steps (composites sum
+  /// their components'): a steady-state step allocates none.
+  virtual StepStats step_stats() const { return step_buffers_.stats(); }
+
+  /// Frees the cached step buffers. TrainEpoch() calls it; a framework
+  /// driven through another entry point (MAMDR's DR phase, a PS worker's
+  /// DrForDomain calls) is released by whatever drives it.
+  void ReleaseStepBuffers() { step_buffers_.Release(); }
+
  protected:
   /// The algorithm body of one outer epoch, implemented per framework.
   virtual void DoTrainEpoch() = 0;
@@ -212,6 +228,8 @@ class Framework {
   int64_t domain_pass_count_ = 0;
   int64_t batch_step_count_ = 0;
   int64_t epochs_completed_ = 0;
+  /// The training steps' reused tensor storage; TrainDomainPass runs on it.
+  StepBuffers step_buffers_;
 
  private:
   // One model of the scoring pool and its parameter list.

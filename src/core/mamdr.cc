@@ -26,6 +26,7 @@ void Mamdr::DoTrainEpoch() {
   store_->UpdateSharedFromParams();
   // Lines 3-5: update every θᵢ with Domain Regularization.
   dr_->DrPhase();
+  dr_->ReleaseStepBuffers();
 }
 
 int64_t Mamdr::AddDomain() { return store_->AddDomain(); }

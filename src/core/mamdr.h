@@ -32,6 +32,11 @@ class Mamdr : public Framework {
   int64_t batch_step_count() const override {
     return dn_->batch_step_count() + dr_->batch_step_count();
   }
+  StepStats step_stats() const override {
+    StepStats s = dn_->step_stats();
+    s += dr_->step_stats();
+    return s;
+  }
 
   /// Onboard a new domain at serving time (the platform path of Fig. 2):
   /// grows the store with zero-initialized specific parameters. The caller

@@ -39,7 +39,7 @@ void SharedSpecificStore::InstallComposite(
 }
 
 void SharedSpecificStore::UpdateSharedFromParams() {
-  shared_ = optim::Snapshot(params_);
+  optim::SnapshotInto(params_, &shared_);
 }
 
 void SharedSpecificStore::UpdateSpecificFromComposite(int64_t domain) {

@@ -64,7 +64,7 @@ std::vector<float> CtrModel::Score(const data::Batch& batch, int64_t domain) {
 Var CtrModel::Loss(const data::Batch& batch, int64_t domain,
                    const nn::Context& ctx) {
   Var logits = Forward(batch, domain, ctx);
-  Tensor labels({logits.value().rows(), 1});
+  Tensor labels = Tensor::Uninit({logits.value().rows(), 1});
   MAMDR_CHECK_EQ(static_cast<int64_t>(batch.labels.size()),
                  logits.value().rows());
   std::copy(batch.labels.begin(), batch.labels.end(), labels.data());

@@ -21,14 +21,14 @@ StarLinear::StarLinear(int64_t in_features, int64_t out_features,
   }
 }
 
-Var StarLinear::Forward(const Var& x, int64_t domain) const {
+Var StarLinear::Forward(const Var& x, int64_t domain, bool relu) const {
   MAMDR_CHECK_GE(domain, 0);
   MAMDR_CHECK_LT(domain, static_cast<int64_t>(weight_domain_.size()));
   Var w = autograd::Mul(weight_shared_,
                         weight_domain_[static_cast<size_t>(domain)]);
   Var b =
       autograd::Add(bias_shared_, bias_domain_[static_cast<size_t>(domain)]);
-  return autograd::AddRowVector(autograd::MatMul(x, w), b);
+  return autograd::Linear(x, w, b, relu);
 }
 
 Star::Star(const ModelConfig& config, Rng* rng) {
@@ -54,7 +54,7 @@ Var Star::Forward(const data::Batch& batch, int64_t domain,
   Var x = encoder_->Concat(batch);
   Var h = pn_->Forward(x, domain, ctx);
   for (const auto& layer : layers_) {
-    h = autograd::Relu(layer->Forward(h, domain));
+    h = layer->Forward(h, domain, /*relu=*/true);
   }
   return head_->Forward(h, domain);
 }

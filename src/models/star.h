@@ -25,7 +25,8 @@ class StarLinear : public nn::Module {
   StarLinear(int64_t in_features, int64_t out_features, int64_t num_domains,
              Rng* rng);
 
-  Var Forward(const Var& x, int64_t domain) const;
+  /// x W_d_eff + b_d_eff, then ReLU when `relu` (one autograd::Linear).
+  Var Forward(const Var& x, int64_t domain, bool relu = false) const;
 
   int64_t out_features() const { return out_features_; }
 

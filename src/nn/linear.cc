@@ -17,10 +17,8 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng* rng,
   }
 }
 
-Var Linear::Forward(const Var& x) const {
-  Var y = autograd::MatMul(x, weight_);
-  if (use_bias_) y = autograd::AddRowVector(y, bias_);
-  return y;
+Var Linear::Forward(const Var& x, bool relu) const {
+  return autograd::Linear(x, weight_, bias_, relu);
 }
 
 }  // namespace nn

@@ -7,13 +7,15 @@
 namespace mamdr {
 namespace nn {
 
-/// y = x W + b, x: [B, in], W: [in, out], b: [1, out].
+/// y = x W + b, x: [B, in], W: [in, out], b: [1, out]; one fused
+/// autograd::Linear node.
 class Linear : public Module {
  public:
   Linear(int64_t in_features, int64_t out_features, Rng* rng,
          bool use_bias = true);
 
-  Var Forward(const Var& x) const;
+  /// x W + b, then ReLU when `relu`.
+  Var Forward(const Var& x, bool relu = false) const;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }

@@ -19,13 +19,11 @@ MlpBlock::MlpBlock(int64_t in_features, const std::vector<int64_t>& hidden,
 Var MlpBlock::Forward(const Var& x, const Context& ctx) const {
   Var h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->Forward(h);
     const bool last = (i + 1 == layers_.size());
-    if (!last || final_activation_) {
-      h = autograd::Relu(h);
-      if (dropout_ > 0.0f) {
-        h = autograd::Dropout(h, dropout_, ctx.rng, ctx.training);
-      }
+    const bool relu = !last || final_activation_;
+    h = layers_[i]->Forward(h, relu);
+    if (relu && dropout_ > 0.0f) {
+      h = autograd::Dropout(h, dropout_, ctx.rng, ctx.training);
     }
   }
   return h;

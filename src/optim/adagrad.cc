@@ -22,7 +22,9 @@ void Adagrad::Step() {
   }
 }
 
-void Adagrad::Reset() { accum_.clear(); }
+void Adagrad::Reset() {
+  for (Tensor& a : accum_) a.Fill(0.0f);
+}
 
 }  // namespace optim
 }  // namespace mamdr

@@ -14,6 +14,7 @@ class Adagrad : public Optimizer {
 
   void Step() override;
   void Reset() override;
+  std::vector<Tensor> slots() const override { return accum_; }
 
  private:
   float eps_;

@@ -37,9 +37,15 @@ void Adam::Step() {
 }
 
 void Adam::Reset() {
-  m_.clear();
-  v_.clear();
+  for (Tensor& m : m_) m.Fill(0.0f);
+  for (Tensor& v : v_) v.Fill(0.0f);
   t_ = 0;
+}
+
+std::vector<Tensor> Adam::slots() const {
+  std::vector<Tensor> out = m_;
+  out.insert(out.end(), v_.begin(), v_.end());
+  return out;
 }
 
 }  // namespace optim

@@ -15,6 +15,7 @@ class Adam : public Optimizer {
 
   void Step() override;
   void Reset() override;
+  std::vector<Tensor> slots() const override;
 
  private:
   float beta1_, beta2_, eps_;

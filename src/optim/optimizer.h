@@ -13,9 +13,9 @@ namespace optim {
 
 using autograd::Var;
 
-/// Base optimizer: owns slot state keyed by parameter order. The learning
-/// frameworks construct fresh optimizers for inner loops, so Reset() clears
-/// state (e.g. Adam moments) between meta-iterations when reused.
+/// Base optimizer: owns slot state keyed by parameter order. A framework
+/// that restarts an inner loop (DR's per-helper passes) calls Reset()
+/// rather than building a fresh optimizer: the state keeps its storage.
 class Optimizer {
  public:
   explicit Optimizer(std::vector<Var> params, float lr);
@@ -24,8 +24,14 @@ class Optimizer {
   /// Apply one update from the gradients currently stored on the params.
   virtual void Step() = 0;
 
-  /// Clear slot state (moments, accumulators).
+  /// Zero-fill slot state (moments, accumulators, step count) in place:
+  /// the next steps match a fresh optimizer's bit for bit, without
+  /// allocating it again.
   virtual void Reset() {}
+
+  /// Slot tensors in parameter order (Adam: every m, then every v); empty
+  /// before the first Step().
+  virtual std::vector<Tensor> slots() const { return {}; }
 
   /// Zero all parameter gradients.
   void ZeroGrad();

@@ -12,6 +12,22 @@ std::vector<Tensor> Snapshot(const std::vector<Var>& params) {
   return out;
 }
 
+void SnapshotInto(const std::vector<Var>& params, std::vector<Tensor>* snap) {
+  bool reusable = snap->size() == params.size();
+  for (size_t i = 0; reusable && i < params.size(); ++i) {
+    const Tensor& v = params[i].value();
+    reusable = (*snap)[i].shape() == v.shape() && (*snap)[i].size() == v.size();
+  }
+  if (!reusable) {
+    *snap = Snapshot(params);
+    return;
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Tensor& v = params[i].value();
+    std::copy(v.data(), v.data() + v.size(), (*snap)[i].data());
+  }
+}
+
 void Restore(const std::vector<Var>& params,
              const std::vector<Tensor>& snap) {
   MAMDR_CHECK_EQ(params.size(), snap.size());

@@ -19,6 +19,11 @@ using autograd::Var;
 /// Deep copy of parameter values.
 std::vector<Tensor> Snapshot(const std::vector<Var>& params);
 
+/// Snapshot into `snap`, reusing its tensors when it already holds one of
+/// each parameter's shape (it must not share them with anyone who expects
+/// the old values); otherwise it becomes a fresh Snapshot.
+void SnapshotInto(const std::vector<Var>& params, std::vector<Tensor>* snap);
+
 /// Copy snapshot values back into the parameters.
 void Restore(const std::vector<Var>& params, const std::vector<Tensor>& snap);
 

@@ -26,7 +26,9 @@ void Sgd::Step() {
   }
 }
 
-void Sgd::Reset() { velocity_.clear(); }
+void Sgd::Reset() {
+  for (Tensor& v : velocity_) v.Fill(0.0f);
+}
 
 }  // namespace optim
 }  // namespace mamdr

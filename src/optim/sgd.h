@@ -14,6 +14,7 @@ class Sgd : public Optimizer {
 
   void Step() override;
   void Reset() override;
+  std::vector<Tensor> slots() const override { return velocity_; }
 
  private:
   float momentum_;

@@ -203,9 +203,11 @@ Status Worker::RunDnEpochOn(const std::vector<int64_t>& domains) {
     MAMDR_RETURN_IF_ERROR(
         core::TrainPass(model_.get(), d, dataset_->domain(d).train,
                         config_.train.batch_size, config_.train.dn_max_batches,
-                        inner.get(), &rng_, hooks, /*telemetry=*/nullptr)
+                        inner.get(), &rng_, hooks, /*telemetry=*/nullptr,
+                        &step_buffers_)
             .status());
   }
+  step_buffers_.Release();
 
   // (4): push the meta-delta Θ̃ − Θ; the server applies Eq. 3 with β.
   std::vector<Tensor> dense_delta(params_.size());
@@ -238,6 +240,7 @@ Status Worker::RunDrPhase() {
   MAMDR_RETURN_IF_ERROR(RestoreFromPs());
   store_->UpdateSharedFromParams();
   for (int64_t d : config_.domains) dr_->DrForDomain(d);
+  dr_->ReleaseStepBuffers();
   return Status::OK();
 }
 

@@ -111,6 +111,9 @@ class Worker {
   std::unique_ptr<core::DomainRegularization> dr_;
   Rng rng_;
   RetryPolicy retry_;
+  /// Tensor storage reused across the DN passes' steps; released when the
+  /// epoch ends (the DR phase runs on dr_'s own set).
+  StepBuffers step_buffers_;
 };
 
 }  // namespace ps

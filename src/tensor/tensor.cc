@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "tensor/step_buffers.h"
+
 namespace mamdr {
 
 int64_t NumElements(const Shape& shape) {
@@ -25,19 +27,25 @@ std::string ShapeToString(const Shape& shape) {
   return os.str();
 }
 
-Tensor::Tensor(Shape shape)
-    : shape_(std::move(shape)),
-      data_(std::make_shared<std::vector<float>>(
-          static_cast<size_t>(NumElements(shape_)), 0.0f)) {}
+Tensor::Tensor(Shape shape) : Tensor(std::move(shape), 0.0f) {}
 
 Tensor::Tensor(Shape shape, float fill)
     : shape_(std::move(shape)),
-      data_(std::make_shared<std::vector<float>>(
-          static_cast<size_t>(NumElements(shape_)), fill)) {}
+      data_(AllocateTensorStorage(static_cast<size_t>(NumElements(shape_)),
+                                  /*fill=*/true, fill)) {}
 
 Tensor::Tensor(Shape shape, std::vector<float> data) : shape_(std::move(shape)) {
   MAMDR_CHECK_EQ(NumElements(shape_), static_cast<int64_t>(data.size()));
+  CountTensorAllocation();
   data_ = std::make_shared<std::vector<float>>(std::move(data));
+}
+
+Tensor Tensor::Uninit(Shape shape) {
+  Tensor out;
+  out.data_ = AllocateTensorStorage(static_cast<size_t>(NumElements(shape)),
+                                    /*fill=*/false, 0.0f);
+  out.shape_ = std::move(shape);
+  return out;
 }
 
 Tensor Tensor::FromVector(const std::vector<float>& v) {
@@ -60,7 +68,10 @@ Tensor Tensor::FromMatrix(const std::vector<std::vector<float>>& rows) {
 Tensor Tensor::Clone() const {
   Tensor out;
   out.shape_ = shape_;
-  out.data_ = data_ ? std::make_shared<std::vector<float>>(*data_) : nullptr;
+  if (data_) {
+    out.data_ = AllocateTensorStorage(data_->size(), /*fill=*/false, 0.0f);
+    std::copy(data_->begin(), data_->end(), out.data_->begin());
+  }
   return out;
 }
 

@@ -26,7 +26,8 @@ std::string ShapeToString(const Shape& shape);
 ///
 /// Copies share the underlying buffer (like a shared_ptr); use Clone() for a
 /// deep copy. All kernels live in tensor_ops.h; Tensor itself only manages
-/// storage and indexing.
+/// storage and indexing. Inside a training step, new storage may be a
+/// buffer reused from the previous step (see tensor/step_buffers.h).
 class Tensor {
  public:
   /// Empty tensor (rank 0, no storage).
@@ -37,6 +38,11 @@ class Tensor {
 
   /// Allocate and fill with a constant.
   Tensor(Shape shape, float fill);
+
+  /// Storage whose contents are unspecified: zero, or inside a training
+  /// step the previous step's values. For outputs the caller overwrites in
+  /// full, which then skip the zero fill.
+  static Tensor Uninit(Shape shape);
 
   /// Wrap explicit data (size must match shape).
   Tensor(Shape shape, std::vector<float> data);

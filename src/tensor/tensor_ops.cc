@@ -26,12 +26,12 @@ void MatMulCore(const float* pa, int64_t sa_i, int64_t sa_k, const float* pb,
   simd::MatMulPanel(pa, sa_i, sa_k, pb, pc, k, n, r0, r1);
 }
 
-// Small-shape path for A * B^T where B is [n, k]: each output is a dot
+// Small-shape path for C += A * B^T where B is [n, k]: each output is a dot
 // product. Four output columns share one pass over A's row; each
-// accumulator runs over kk sequentially, matching the serial kernel's
-// rounding exactly. (Large shapes transpose B once and use MatMulCore —
-// dot products over rows of B cannot be vectorized without reassociating
-// the sum, a transposed copy can.)
+// accumulator starts from its C element and runs over kk sequentially,
+// matching the serial kernel's rounding exactly. (Large shapes transpose B
+// once and use MatMulCore — dot products over rows of B cannot be
+// vectorized without reassociating the sum, a transposed copy can.)
 void MatMulTransBRange(const float* pa, const float* pb, float* pc, int64_t k,
                        int64_t n, int64_t r0, int64_t r1) {
   for (int64_t i = r0; i < r1; ++i) {
@@ -43,7 +43,8 @@ void MatMulTransBRange(const float* pa, const float* pb, float* pc, int64_t k,
       const float* b1 = b0 + k;
       const float* b2 = b1 + k;
       const float* b3 = b2 + k;
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+      float acc0 = crow[j], acc1 = crow[j + 1], acc2 = crow[j + 2],
+            acc3 = crow[j + 3];
       for (int64_t kk = 0; kk < k; ++kk) {
         const float av = arow[kk];
         acc0 += av * b0[kk];
@@ -58,11 +59,17 @@ void MatMulTransBRange(const float* pa, const float* pb, float* pc, int64_t k,
     }
     for (; j < n; ++j) {
       const float* brow = pb + j * k;
-      float acc = 0.0f;
+      float acc = crow[j];
       for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
       crow[j] = acc;
     }
   }
+}
+
+void CheckProductShape(const Tensor& c, int64_t m, int64_t n) {
+  MAMDR_CHECK(c.shape() == Shape({m, n}))
+      << "product is [" << m << ", " << n << "], output "
+      << ShapeToString(c.shape());
 }
 
 }  // namespace
@@ -70,15 +77,20 @@ void MatMulTransBRange(const float* pa, const float* pb, float* pc, int64_t k,
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   MAMDR_CHECK_EQ(a.rank(), 2);
   MAMDR_CHECK_EQ(b.rank(), 2);
+  Tensor c({a.rows(), b.cols()});
+  MatMulAdd(a, b, &c);
+  return c;
+}
+
+void MatMulAdd(const Tensor& a, const Tensor& b, Tensor* c) {
+  MAMDR_CHECK_EQ(a.rank(), 2);
+  MAMDR_CHECK_EQ(b.rank(), 2);
   const int64_t m = a.rows(), k = a.cols(), n = b.cols();
   MAMDR_CHECK_EQ(k, b.rows());
-  Tensor c({m, n});
-  if (m == 0 || k == 0 || n == 0) return c;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  MatMulCore(pa, /*sa_i=*/k, /*sa_k=*/1, pb, pc, k, n, 0, m);
-  return c;
+  CheckProductShape(*c, m, n);
+  if (m == 0 || k == 0 || n == 0) return;
+  MatMulCore(a.data(), /*sa_i=*/k, /*sa_k=*/1, b.data(), c->data(), k, n, 0,
+             m);
 }
 
 Tensor MatMulNaive(const Tensor& a, const Tensor& b) {
@@ -106,46 +118,53 @@ Tensor MatMulNaive(const Tensor& a, const Tensor& b) {
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   MAMDR_CHECK_EQ(a.rank(), 2);
   MAMDR_CHECK_EQ(b.rank(), 2);
+  Tensor c({a.cols(), b.cols()});
+  MatMulTransAAdd(a, b, &c);
+  return c;
+}
+
+void MatMulTransAAdd(const Tensor& a, const Tensor& b, Tensor* c) {
+  MAMDR_CHECK_EQ(a.rank(), 2);
+  MAMDR_CHECK_EQ(b.rank(), 2);
   const int64_t k = a.rows(), m = a.cols(), n = b.cols();
   MAMDR_CHECK_EQ(k, b.rows());
-  Tensor c({m, n});
-  if (m == 0 || k == 0 || n == 0) return c;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  MatMulCore(pa, /*sa_i=*/1, /*sa_k=*/m, pb, pc, k, n, 0, m);
-  return c;
+  CheckProductShape(*c, m, n);
+  if (m == 0 || k == 0 || n == 0) return;
+  MatMulCore(a.data(), /*sa_i=*/1, /*sa_k=*/m, b.data(), c->data(), k, n, 0,
+             m);
 }
 
 Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   MAMDR_CHECK_EQ(a.rank(), 2);
   MAMDR_CHECK_EQ(b.rank(), 2);
+  Tensor c({a.rows(), b.rows()});
+  MatMulTransBAdd(a, b, &c);
+  return c;
+}
+
+void MatMulTransBAdd(const Tensor& a, const Tensor& b, Tensor* c) {
+  MAMDR_CHECK_EQ(a.rank(), 2);
+  MAMDR_CHECK_EQ(b.rank(), 2);
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
   MAMDR_CHECK_EQ(k, b.cols());
-  Tensor c({m, n});
-  if (m == 0 || k == 0 || n == 0) return c;
+  CheckProductShape(*c, m, n);
+  if (m == 0 || k == 0 || n == 0) return;
   // For all but tiny outputs, transposing B once (O(nk)) is far cheaper
   // than the un-vectorizable row-by-row dot products (O(2mnk)), and the
   // per-element accumulation order is identical either way.
   if (m >= 8) {
     const Tensor bt = Transpose(b);  // [k, n]
-    const float* pa = a.data();
-    const float* pb = bt.data();
-    float* pc = c.data();
-    MatMulCore(pa, /*sa_i=*/k, /*sa_k=*/1, pb, pc, k, n, 0, m);
-    return c;
+    MatMulCore(a.data(), /*sa_i=*/k, /*sa_k=*/1, bt.data(), c->data(), k, n,
+               0, m);
+    return;
   }
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  MatMulTransBRange(pa, pb, pc, k, n, 0, m);
-  return c;
+  MatMulTransBRange(a.data(), b.data(), c->data(), k, n, 0, m);
 }
 
 Tensor Transpose(const Tensor& a) {
   MAMDR_CHECK_EQ(a.rank(), 2);
   const int64_t m = a.rows(), n = a.cols();
-  Tensor t({n, m});
+  Tensor t = Tensor::Uninit({n, m});
   const float* pa = a.data();
   float* pt = t.data();
   // 32x32 tiles: both the source rows and the destination rows of a tile
@@ -164,13 +183,13 @@ Tensor Transpose(const Tensor& a) {
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninit(a.shape());
   AddInto(a, b, &out);
   return out;
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninit(a.shape());
   SubInto(a, b, &out);
   return out;
 }
@@ -195,7 +214,7 @@ void SubInto(const Tensor& a, const Tensor& b, Tensor* out) {
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninit(a.shape());
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
@@ -205,7 +224,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 
 Tensor Axpy(const Tensor& a, const Tensor& b, float alpha) {
   CheckSameShape(a, b);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninit(a.shape());
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
@@ -226,7 +245,7 @@ void ScaleInPlace(Tensor* y, float alpha) {
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninit(a.shape());
   const float* pa = a.data();
   float* po = out.data();
   for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] + s;
@@ -234,7 +253,7 @@ Tensor AddScalar(const Tensor& a, float s) {
 }
 
 Tensor MulScalar(const Tensor& a, float s) {
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninit(a.shape());
   const float* pa = a.data();
   float* po = out.data();
   for (int64_t i = 0, n = a.size(); i < n; ++i) po[i] = pa[i] * s;
@@ -245,7 +264,7 @@ Tensor AddRowVector(const Tensor& a, const Tensor& row) {
   MAMDR_CHECK_EQ(a.rank(), 2);
   const int64_t m = a.rows(), n = a.cols();
   MAMDR_CHECK_EQ(row.size(), n);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninit(a.shape());
   const float* pa = a.data();
   const float* pr = row.data();
   float* po = out.data();
@@ -257,11 +276,24 @@ Tensor AddRowVector(const Tensor& a, const Tensor& row) {
   return out;
 }
 
+void AddRowVectorInPlace(Tensor* a, const Tensor& row, bool relu) {
+  MAMDR_CHECK_EQ(a->rank(), 2);
+  const int64_t m = a->rows(), n = a->cols();
+  MAMDR_CHECK_EQ(row.size(), n);
+  const float* pr = row.data();
+  float* pa = a->data();
+  for (int64_t i = 0; i < m; ++i) {
+    float* arow = pa + i * n;
+    for (int64_t j = 0; j < n; ++j) arow[j] = arow[j] + pr[j];
+    if (relu) simd::ReluForward(arow, arow, n);
+  }
+}
+
 Tensor MulColVector(const Tensor& a, const Tensor& col) {
   MAMDR_CHECK_EQ(a.rank(), 2);
   const int64_t m = a.rows(), n = a.cols();
   MAMDR_CHECK_EQ(col.size(), m);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninit(a.shape());
   const float* pa = a.data();
   const float* pc = col.data();
   float* po = out.data();
@@ -279,15 +311,21 @@ Tensor MulColVector(const Tensor& a, const Tensor& col) {
 // compiler vectorize the independent per-column accumulations.
 Tensor SumRows(const Tensor& a) {
   MAMDR_CHECK_EQ(a.rank(), 2);
+  Tensor out({1, a.cols()});
+  SumRowsAdd(a, &out);
+  return out;
+}
+
+void SumRowsAdd(const Tensor& a, Tensor* out) {
+  MAMDR_CHECK_EQ(a.rank(), 2);
   const int64_t m = a.rows(), n = a.cols();
-  Tensor out({1, n});
+  MAMDR_CHECK_EQ(out->size(), n);
   const float* pa = a.data();
-  float* po = out.data();
+  float* po = out->data();
   for (int64_t i = 0; i < m; ++i) {
     const float* arow = pa + i * n;
     for (int64_t j = 0; j < n; ++j) po[j] += arow[j];
   }
-  return out;
 }
 
 Tensor SumCols(const Tensor& a) {

@@ -24,6 +24,15 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 /// C = A * B^T ([m,k] x [n,k]^T -> [m,n]) without materializing B^T.
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 
+/// *c += A * B, A^T * B and A * B^T, for an existing c of the product's
+/// shape: each element of c starts its ascending-k chain from its current
+/// value, so a zero-filled c receives exactly the bits MatMul,
+/// MatMulTransA and MatMulTransB return. A chain that starts from +0 never
+/// ends at -0 (x + -0 is x, and exact cancellation rounds to +0).
+void MatMulAdd(const Tensor& a, const Tensor& b, Tensor* c);
+void MatMulTransAAdd(const Tensor& a, const Tensor& b, Tensor* c);
+void MatMulTransBAdd(const Tensor& a, const Tensor& b, Tensor* c);
+
 /// Transpose of a 2-D matrix.
 Tensor Transpose(const Tensor& a);
 
@@ -54,11 +63,20 @@ Tensor MulScalar(const Tensor& a, float s);
 /// Add a [1,n] (or [n]) row vector to every row of an [m,n] matrix.
 Tensor AddRowVector(const Tensor& a, const Tensor& row);
 
+/// In place, row by row: a_ij = a_ij + row_j, then max(a_ij, +0) when
+/// `relu` (NaN and -0 map to +0): AddRowVector and ReLU's bits without
+/// their two output tensors.
+void AddRowVectorInPlace(Tensor* a, const Tensor& row, bool relu);
+
 /// Multiply every row of [m,n] elementwise by an [m,1] (or [m]) column.
 Tensor MulColVector(const Tensor& a, const Tensor& col);
 
 /// Sum over rows of [m,n] -> [1,n] (used for bias gradients).
 Tensor SumRows(const Tensor& a);
+
+/// *out += SumRows(a), for an existing out of n elements, row by row in
+/// ascending order (the bits of SumRows when out is zero-filled).
+void SumRowsAdd(const Tensor& a, Tensor* out);
 
 /// Sum over cols of [m,n] -> [m,1].
 Tensor SumCols(const Tensor& a);

@@ -1,9 +1,11 @@
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <ostream>
 #include <string>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
@@ -784,6 +786,219 @@ TEST(EmbeddingConcatDeathTest, OutOfRangeIdAborts) {
   EXPECT_DEATH(EmbeddingConcat({table, other}, {{0, 3}, {0, 1}}), "");
   EXPECT_DEATH(EmbeddingConcat({table, other}, {{0, 1}, {-1, 1}}), "");
   EXPECT_DEATH(EmbeddingLookup(table, {3}), "");
+}
+
+// ---------------------------------------------------------------------------
+// Fused Linear against the unfused MatMul -> AddRowVector -> Relu chain and
+// against the gradient the pre-fusion tape computed: every contribution a
+// temporary added into a zero-filled buffer by AccumGrad (+0 + g).
+// ---------------------------------------------------------------------------
+
+// Runs the backward closures of every node reachable from `out`, in
+// Var::Backward's order (descending id), from the upstream gradient `g` set
+// verbatim on `out`: unlike Backward's seed of 1, g may hold -0 and NaN.
+void BackwardFrom(const Var& out, const Tensor& g) {
+  std::vector<std::shared_ptr<Node>> order;
+  std::vector<std::shared_ptr<Node>> stack{out.node()};
+  std::unordered_set<Node*> seen{out.node().get()};
+  while (!stack.empty()) {
+    auto n = stack.back();
+    stack.pop_back();
+    order.push_back(n);
+    for (const auto& p : n->parents) {
+      if (seen.insert(p.get()).second) stack.push_back(p);
+    }
+  }
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a->id > b->id; });
+  out.node()->grad = g.Clone();
+  out.node()->grad_zero = false;
+  for (const auto& n : order) {
+    if (n->backward && !n->grad.empty()) n->backward(n->grad);
+  }
+}
+
+// OddValues with NaN mixed in as well (every 11th element from the 3rd).
+// DCHECK builds abort on a non-finite gradient at every write, the unfused
+// tape's AccumGrad included, so there the salt is -0 alone.
+Tensor SaltedGradient(const Shape& shape, uint64_t seed) {
+  Tensor g = OddValues(shape, seed);
+  if (MAMDR_DCHECK_IS_ON()) return g;
+  for (int64_t i = 3; i < g.size(); i += 11) g.at(i) = std::nanf("");
+  return g;
+}
+
+// A parameter's gradient buffer before the backward pass.
+enum class GradStart { kAbsent, kZeroed, kSeeded };
+
+Var Param(const Tensor& value, GradStart start, uint64_t seed) {
+  Var v = Leaf(value, start == GradStart::kSeeded, seed);
+  if (start == GradStart::kZeroed) v.ZeroGrad();
+  return v;
+}
+
+struct LinearResult {
+  Tensor y, gx, gw, gb;
+};
+
+LinearResult RunLinear(bool fused, const Tensor& x, const Tensor& w,
+                       const Tensor& b, bool relu, const Tensor& g,
+                       GradStart start) {
+  Var xv = Param(x, start, 1), wv = Param(w, start, 2), bv = Param(b, start, 3);
+  Var y;
+  if (fused) {
+    y = Linear(xv, wv, bv, relu);
+  } else {
+    y = AddRowVector(MatMul(xv, wv), bv);
+    if (relu) y = Relu(y);
+  }
+  BackwardFrom(y, g);
+  return {y.value().Clone(), xv.grad().Clone(), wv.grad().Clone(),
+          bv.grad().Clone()};
+}
+
+// The pre-fusion tape, written out: z = xW + b, y = relu(z); the relu node
+// accumulated g & (z > 0) from zero, AddRowVector AccumGrad'ed that into
+// the matmul node and its row sums into b, and MatMul AccumGrad'ed its two
+// products.
+LinearResult ReferenceLinear(const Tensor& x, const Tensor& w, const Tensor& b,
+                             bool relu, const Tensor& g, GradStart start) {
+  const Tensor z = ops::AddRowVector(ops::MatMul(x, w), b);
+  Tensor y = z.Clone();
+  Tensor gz = g;
+  if (relu) {
+    gz = Tensor(g.shape());
+    for (int64_t i = 0; i < z.size(); ++i) {
+      y.at(i) = z.at(i) > 0.0f ? z.at(i) : 0.0f;
+      gz.at(i) += z.at(i) > 0.0f ? g.at(i) : 0.0f;
+    }
+  }
+  const Tensor gmm = RefAccum(Tensor(), z.shape(), {gz});
+  auto before = [&](const Tensor& v, uint64_t seed) {
+    return Param(v, start, seed).grad().Clone();
+  };
+  return {y,
+          RefAccum(before(x, 1), x.shape(), {ops::MatMulTransB(gmm, w)}),
+          RefAccum(before(w, 2), w.shape(), {ops::MatMulTransA(x, gmm)}),
+          RefAccum(before(b, 3), b.shape(),
+                   {ops::SumRows(gz).Reshaped(b.shape())})};
+}
+
+void ExpectLinearEqual(const LinearResult& got, const LinearResult& want,
+                       const std::string& what) {
+  ExpectBitEqual(got.y, want.y, what + " y");
+  ExpectBitEqual(got.gx, want.gx, what + " dx");
+  ExpectBitEqual(got.gw, want.gw, what + " dW");
+  ExpectBitEqual(got.gb, want.gb, what + " db");
+}
+
+TEST(FusedLinearTest, MatchesUnfusedChainBitForBit) {
+  const std::vector<std::array<int64_t, 3>> shapes = {
+      {1, 7, 5}, {3, 37, 1}, {9, 16, 24}, {256, 37, 64}};
+  for (const auto& [m, k, n] : shapes) {
+    const Tensor x = OddValues({m, k}, 11), w = OddValues({k, n}, 12),
+                 b = OddValues({1, n}, 13);
+    for (bool relu : {false, true}) {
+      for (bool salted : {false, true}) {
+        const Tensor g = salted ? SaltedGradient({m, n}, 14)
+                                : OddValues({m, n}, 14);
+        for (GradStart start :
+             {GradStart::kAbsent, GradStart::kZeroed, GradStart::kSeeded}) {
+          const std::string what =
+              "[" + std::to_string(m) + "x" + std::to_string(k) + "x" +
+              std::to_string(n) + "] relu=" + std::to_string(relu) +
+              " salted=" + std::to_string(salted) +
+              " start=" + std::to_string(static_cast<int>(start));
+          const LinearResult want = ReferenceLinear(x, w, b, relu, g, start);
+          ExpectLinearEqual(RunLinear(true, x, w, b, relu, g, start), want,
+                            what + " fused");
+          ExpectLinearEqual(RunLinear(false, x, w, b, relu, g, start), want,
+                            what + " unfused");
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedLinearTest, NoBiasAndConstantInput) {
+  const Tensor x = OddValues({6, 4}, 21), w = OddValues({4, 3}, 22);
+  const Tensor g = SaltedGradient({6, 3}, 23);
+  Var xc(x);  // a constant: collects no gradient
+  Var w1(w.Clone(), true), w2(w.Clone(), true);
+  Var fused = Linear(xc, w1, Var(), /*relu=*/true);
+  Var unfused = Relu(MatMul(xc, w2));
+  ExpectBitEqual(fused.value(), unfused.value(), "value");
+  BackwardFrom(fused, g);
+  BackwardFrom(unfused, g);
+  ExpectBitEqual(w1.grad(), w2.grad(), "dW");
+  EXPECT_FALSE(xc.has_grad());
+}
+
+// A weight and bias shared by two layers: the layer backward reaches second
+// must add to what the first wrote, in the pre-fusion order (the later
+// layer's contribution first). Compared with the same net on separate
+// copies of the shared parameters, whose gradients AccumGrad then sums.
+TEST(FusedLinearTest, SecondContributorAdds) {
+  const Tensor x = OddValues({5, 6}, 31), w = OddValues({6, 6}, 32),
+               b = OddValues({1, 6}, 33);
+  for (GradStart start : {GradStart::kZeroed, GradStart::kSeeded}) {
+    for (bool fused : {true, false}) {
+      auto layer = [fused](const Var& in, const Var& wv, const Var& bv,
+                           bool relu) {
+        if (fused) return Linear(in, wv, bv, relu);
+        Var y = AddRowVector(MatMul(in, wv), bv);
+        return relu ? Relu(y) : y;
+      };
+      Var xv(x.Clone(), true);
+      Var ws = Param(w, start, 34), bs = Param(b, start, 35);
+      Var shared = layer(layer(xv, ws, bs, true), ws, bs, false);
+      Sum(shared).Backward();
+
+      Var xc(x.Clone(), true);
+      Var w1(w.Clone(), true), b1(b.Clone(), true);
+      Var w2(w.Clone(), true), b2(b.Clone(), true);
+      Var split = layer(layer(xc, w1, b1, true), w2, b2, false);
+      Sum(split).Backward();
+
+      const std::string what = std::string(fused ? "fused" : "unfused") +
+                               " start=" +
+                               std::to_string(static_cast<int>(start));
+      ExpectBitEqual(shared.value(), split.value(), what + " value");
+      ExpectBitEqual(xv.grad(), xc.grad(), what + " dx");
+      ExpectBitEqual(ws.grad(),
+                     RefAccum(Param(w, start, 34).grad(), w.shape(),
+                              {w2.grad(), w1.grad()}),
+                     what + " dW");
+      ExpectBitEqual(bs.grad(),
+                     RefAccum(Param(b, start, 35).grad(), b.shape(),
+                              {b2.grad(), b1.grad()}),
+                     what + " db");
+    }
+  }
+}
+
+// BCE writes its gradient straight into the logits' buffer; with a
+// non-positive upstream gradient, scale * (s - y) is -0 at saturated
+// logits, which AccumGrad stored as +0.
+TEST(FusedLinearTest, BceDirectWriteStoresPositiveZero) {
+  const Tensor logits = Tensor::FromVector({200.0f, -200.0f, 0.5f, -1.0f});
+  const Tensor labels = Tensor::FromVector({1.0f, 0.0f, 1.0f, 0.0f});
+  for (float upstream : {1.0f, -1.0f, -0.0f}) {
+    Var l(logits.Clone(), true);
+    Var loss = BceWithLogitsMean(l, labels);
+    RunBackward(loss, Tensor({1}, upstream));
+    const float scale = upstream / 4.0f;
+    Tensor want({4});
+    for (int64_t i = 0; i < 4; ++i) {
+      const float x = logits.at(i);
+      const float s = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                                : std::exp(x) / (1.0f + std::exp(x));
+      want.at(i) = scale * (s - labels.at(i));
+    }
+    ExpectBitEqual(l.grad(), RefAccum(Tensor(), want.shape(), {want}),
+                   "upstream " + std::to_string(upstream));
+    EXPECT_FALSE(std::signbit(l.grad().at(0)));
+  }
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "metrics/auc.h"
 #include "optim/param_snapshot.h"
 #include "optim/sgd.h"
+#include "tensor/step_buffers.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -713,6 +714,50 @@ TEST(MldgTest, CountsEveryDomainsForwardBackwardPerMetaStep) {
   const int64_t meta_steps = std::max<int64_t>(1, batches / n);
   EXPECT_EQ(fw->batch_step_count(), meta_steps * n);
   EXPECT_EQ(fw->domain_pass_count(), 0);
+}
+
+// From the second pass of an epoch on, a training step allocates no tensor
+// storage: the step buffers serve every forward and backward tensor. And
+// once the first epoch has built the optimizer state and the snapshots,
+// nothing around the steps allocates either (DN's θ snapshot, DR's
+// composite snapshot and inner-optimizer Reset, the optimizer steps): an
+// epoch's allocations are exactly its first passes' step buffers. A
+// 4-thread Evaluate straight after training equals a serial one; the step
+// buffers never reach its threads (the TSan job runs this).
+TEST(StepAllocationTest, SteadyStateStepsAllocateNothing) {
+  for (const std::string name : {"MAMDR", "DN"}) {
+    SCOPED_TRACE(name);
+    auto ds = mamdr::testing::TinyDataset(3, 200, 13);
+    auto mc = mamdr::testing::TinyModelConfig(ds);
+    Rng rng(6);
+    auto model = models::CreateModel("MLP", mc, &rng).value();
+    TrainConfig tc = FastConfig();
+    tc.batch_size = 32;  // several batches per pass, the last one partial
+    auto fw = CreateFramework(name, model.get(), &ds, tc).value();
+    fw->TrainEpoch();
+    for (int epoch = 1; epoch < 3; ++epoch) {
+      const StepStats before = fw->step_stats();
+      const int64_t allocations = ThreadTensorAllocations();
+      fw->TrainEpoch();
+      const int64_t made = ThreadTensorAllocations() - allocations;
+      const StepStats after = fw->step_stats();
+      EXPECT_GT(after.steps - before.steps, 10);
+      EXPECT_EQ(after.steady_allocations, 0) << "epoch " << epoch;
+      EXPECT_EQ(made, after.allocations - before.allocations)
+          << "epoch " << epoch;
+      EXPECT_GT(made, 0);
+    }
+    const int64_t threads = KernelThreads();
+    SetKernelThreads(4);
+    const std::vector<double> parallel = fw->Evaluate(metrics::Split::kTest);
+    SetKernelThreads(1);
+    const std::vector<double> serial = fw->Evaluate(metrics::Split::kTest);
+    SetKernelThreads(threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
+                          serial.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(SeedDeterminismTest, SameSeedSameResult) {

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,8 @@
 #include "nn/linear.h"
 #include "nn/mlp_block.h"
 #include "nn/partitioned_norm.h"
+#include "optim/adam.h"
+#include "tensor/step_buffers.h"
 #include "tensor/tensor_ops.h"
 
 namespace mamdr {
@@ -135,6 +139,80 @@ TEST(MlpBlockTest, GradCheckThroughStack) {
   auto result = autograd::CheckGradients(forward, mlp.Parameters(), 1e-3f,
                                          5e-2f);
   EXPECT_TRUE(result.ok) << result.max_rel_err;
+}
+
+// One training step of an MLP (forward, loss, backward) inside a StepScope
+// on `buffers` (null: plain allocation), then an Adam step outside it, as
+// core::TrainPass runs it. Returns the output Var.
+Var MlpStep(MlpBlock* mlp, optim::Optimizer* opt, const Tensor& x,
+            StepBuffers* buffers) {
+  opt->ZeroGrad();
+  Var out;
+  {
+    StepScope step(buffers);
+    out = mlp->Forward(Var(x), Context{});
+    autograd::Sum(autograd::Square(out)).Backward();
+  }
+  opt->Step();
+  return out;
+}
+
+void ExpectBitEqual(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(want.size())),
+            0)
+      << what;
+}
+
+// Steps on reused buffers compute exactly what freshly allocated ones do,
+// through a batch that shrinks (a partial last batch), grows back and then
+// grows past the first size, while an output held from the first step
+// keeps its value. The held output pins the first step's graph, so the
+// second step allocates replacements; after that a step allocates only
+// where it needs more room than the previous one had.
+TEST(StepBuffersTest, ReusedStepsMatchFreshAllocationBitForBit) {
+  Rng init_a(9), init_b(9);
+  MlpBlock reused(6, {16, 8, 1}, &init_a, 0.0f, /*final_activation=*/false);
+  MlpBlock fresh(6, {16, 8, 1}, &init_b, 0.0f, /*final_activation=*/false);
+  optim::Adam opt_reused(reused.Parameters(), 0.01f);
+  optim::Adam opt_fresh(fresh.Parameters(), 0.01f);
+  StepBuffers buffers;
+  const std::vector<int64_t> batch = {5, 5, 2, 5, 7, 7, 1};
+  const std::vector<bool> may_allocate = {true, true,  false, false,
+                                          true, false, false};
+  Var held;
+  Tensor held_value;
+  for (size_t s = 0; s < batch.size(); ++s) {
+    Rng data(100 + s);
+    const Tensor x = RandTensor({batch[s], 6}, &data);
+    const int64_t before = ThreadTensorAllocations();
+    Var a = MlpStep(&reused, &opt_reused, x, &buffers);
+    const int64_t made = ThreadTensorAllocations() - before;
+    Var b = MlpStep(&fresh, &opt_fresh, x, nullptr);
+    const std::string what = "step " + std::to_string(s);
+    if (!may_allocate[s]) {
+      EXPECT_EQ(made, 0) << what;
+    }
+    ExpectBitEqual(a.value(), b.value(), what + " output");
+    const std::vector<Var> pa = reused.Parameters(), pb = fresh.Parameters();
+    for (size_t i = 0; i < pa.size(); ++i) {
+      ExpectBitEqual(pa[i].grad(), pb[i].grad(),
+                     what + " grad " + std::to_string(i));
+      ExpectBitEqual(pa[i].value(), pb[i].value(),
+                     what + " param " + std::to_string(i));
+    }
+    if (s == 0) {
+      held = a;
+      held_value = a.value().Clone();
+    }
+  }
+  ExpectBitEqual(held.value(), held_value, "output held across steps");
+  EXPECT_EQ(buffers.stats().steps, static_cast<int64_t>(batch.size()));
+  EXPECT_GT(buffers.cached_buffers(), 0);
+  buffers.Release();
+  EXPECT_EQ(buffers.cached_buffers(), 0);
 }
 
 TEST(BiInteractionTest, MatchesPairwiseSum) {

@@ -98,6 +98,100 @@ TEST(AdamTest, ResetRestoresFirstStepBehaviour) {
   EXPECT_NEAR(before - x.value().at(0), delta1, 1e-5f);
 }
 
+/// Steps `opt` over params {a, b} with `steps` gradients drawn from
+/// Rng(seed), leaving the parameters at their values after the last step.
+void StepWithGradients(Optimizer* opt, int steps, uint64_t seed) {
+  Rng rng(seed);
+  for (int i = 0; i < steps; ++i) {
+    opt->ZeroGrad();
+    for (const Var& p : opt->params()) {
+      Var q = p;
+      float* g = q.mutable_grad().data();
+      for (int64_t j = 0; j < q.grad().size(); ++j) {
+        g[j] = static_cast<float>(rng.Normal());
+      }
+    }
+    opt->Step();
+  }
+}
+
+void ExpectBitEqual(const std::vector<Tensor>& got,
+                    const std::vector<Tensor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].shape(), want[i].shape());
+    EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          static_cast<size_t>(got[i].size()) * sizeof(float)),
+              0)
+        << "tensor " << i;
+  }
+}
+
+/// After warm-up steps and Reset(), N steps from the same start must leave
+/// the parameters a fresh optimizer's N steps leave, bit for bit, and the
+/// slot state must keep its storage.
+template <typename Opt, typename... Args>
+void ExpectResetMatchesFreshOptimizer(Args... args) {
+  Rng rng(21);
+  const Tensor a0({5, 3}, 0.5f), b0({1, 3}, -0.25f);
+  Var a(a0.Clone(), true), b(b0.Clone(), true);
+  Opt reused(std::vector<Var>{a, b}, 0.05f, args...);
+  StepWithGradients(&reused, 4, /*seed=*/1);
+  const std::vector<Tensor> slots = reused.slots();
+  ASSERT_FALSE(slots.empty());
+  reused.Reset();
+  for (const Tensor& t : reused.slots()) {
+    EXPECT_EQ(ops::MaxAbs(t), 0.0f);
+  }
+  Restore({a, b}, {a0, b0});
+  StepWithGradients(&reused, 6, /*seed=*/2);
+  const std::vector<Tensor> after_reset = Snapshot({a, b});
+  const std::vector<Tensor> slots_after = reused.slots();
+  ASSERT_EQ(slots_after.size(), slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots_after[i].data(), slots[i].data()) << "slot " << i;
+  }
+
+  Var fa(a0.Clone(), true), fb(b0.Clone(), true);
+  Opt fresh(std::vector<Var>{fa, fb}, 0.05f, args...);
+  StepWithGradients(&fresh, 6, /*seed=*/2);
+  ExpectBitEqual(after_reset, Snapshot({fa, fb}));
+  ExpectBitEqual(slots_after, fresh.slots());
+  // The steps moved the parameters, or the comparison is vacuous.
+  EXPECT_FALSE(ops::AllClose(after_reset[0], a0, 1e-6f));
+}
+
+TEST(AdamTest, ResetMatchesFreshOptimizerInPlace) {
+  ExpectResetMatchesFreshOptimizer<Adam>();
+}
+
+TEST(AdagradTest, ResetMatchesFreshOptimizerInPlace) {
+  ExpectResetMatchesFreshOptimizer<Adagrad>();
+}
+
+TEST(SgdTest, MomentumResetMatchesFreshOptimizerInPlace) {
+  ExpectResetMatchesFreshOptimizer<Sgd>(/*momentum=*/0.9f);
+}
+
+TEST(SnapshotTest, SnapshotIntoReusesMatchingStorage) {
+  Var a(Tensor::FromVector({1, 2}), true);
+  Var b(Tensor::FromVector({3}), true);
+  std::vector<Tensor> snap;
+  SnapshotInto({a, b}, &snap);  // empty: a fresh snapshot
+  ASSERT_EQ(snap.size(), 2u);
+  const float* storage = snap[0].data();
+  a.mutable_value().at(0) = 7.0f;
+  SnapshotInto({a, b}, &snap);
+  EXPECT_EQ(snap[0].data(), storage);
+  EXPECT_FLOAT_EQ(snap[0].at(0), 7.0f);
+  EXPECT_FLOAT_EQ(snap[1].at(0), 3.0f);
+  EXPECT_FALSE(snap[0].SharesStorageWith(a.value()));
+  // A layout that no longer matches is replaced.
+  SnapshotInto({b}, &snap);
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_FLOAT_EQ(snap[0].at(0), 3.0f);
+}
+
 TEST(SnapshotTest, RoundTrip) {
   Var a(Tensor::FromVector({1, 2}), true);
   Var b(Tensor::FromVector({3}), true);

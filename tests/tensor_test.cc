@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "tensor/step_buffers.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -142,6 +143,84 @@ TEST(TensorOpsTest, AllCloseRespectsShapeAndTolerance) {
   EXPECT_TRUE(ops::AllClose(a, b, 1e-3f));
   EXPECT_FALSE(ops::AllClose(a, b, 1e-6f));
   EXPECT_FALSE(ops::AllClose(a, c));  // different shape
+}
+
+TEST(StepBuffersTest, CountsHeapAllocationsOfThisThread) {
+  const int64_t start = ThreadTensorAllocations();
+  Tensor a({4, 4});
+  Tensor b({2}, 1.0f);
+  Tensor c = Tensor::Uninit({3});
+  Tensor d = a.Clone();
+  Tensor e = Tensor::FromVector({1.0f, 2.0f});
+  Tensor shared = a;  // a copy shares, it allocates nothing
+  EXPECT_EQ(ThreadTensorAllocations() - start, 5);
+}
+
+TEST(StepBuffersTest, ReusesAFreeBufferAtTheSamePosition) {
+  StepBuffers buffers;
+  const float* first = nullptr;
+  {
+    StepScope step(&buffers);
+    Tensor t({8}, 3.0f);
+    first = t.data();
+  }
+  const int64_t start = ThreadTensorAllocations();
+  {
+    StepScope step(&buffers);
+    Tensor zeroed({2, 4});  // same position, same room: the same buffer
+    EXPECT_EQ(zeroed.data(), first);
+    for (int64_t i = 0; i < zeroed.size(); ++i) EXPECT_EQ(zeroed.at(i), 0.0f);
+    Tensor next = Tensor::Uninit({5});  // a new position: allocated
+    EXPECT_NE(next.data(), first);
+  }
+  EXPECT_EQ(ThreadTensorAllocations() - start, 1);
+  EXPECT_EQ(buffers.cached_buffers(), 2);
+  EXPECT_EQ(buffers.stats().steps, 2);
+  EXPECT_EQ(buffers.stats().allocations, 2);
+}
+
+TEST(StepBuffersTest, NeverHandsOutAHeldOrTooSmallBuffer) {
+  StepBuffers buffers;
+  Tensor held;
+  {
+    StepScope step(&buffers);
+    held = Tensor({4}, 7.0f);
+    Tensor small({2});
+  }
+  {
+    StepScope step(&buffers);
+    Tensor t({4});  // position 0 is still held: a fresh buffer
+    EXPECT_FALSE(t.SharesStorageWith(held));
+    Tensor big({16});  // position 1 is too small: a fresh buffer
+    EXPECT_EQ(big.size(), 16);
+  }
+  for (int64_t i = 0; i < held.size(); ++i) EXPECT_EQ(held.at(i), 7.0f);
+  EXPECT_EQ(buffers.stats().allocations, 4);
+  // Release drops every cached buffer.
+  buffers.Release();
+  EXPECT_EQ(buffers.cached_buffers(), 0);
+}
+
+TEST(StepBuffersTest, SteadyAllocationsCountOnlyAfterTheFirstPass) {
+  StepBuffers buffers;
+  {
+    StepScope step(&buffers);
+    Tensor t({4});
+  }
+  buffers.EndPass();
+  {
+    StepScope step(&buffers);
+    Tensor same({4});
+    Tensor extra({4});
+  }
+  EXPECT_EQ(buffers.stats().allocations, 2);
+  EXPECT_EQ(buffers.stats().steady_allocations, 1);
+  buffers.Release();  // the next pass is a first pass again
+  {
+    StepScope step(&buffers);
+    Tensor t({4});
+  }
+  EXPECT_EQ(buffers.stats().steady_allocations, 1);
 }
 
 }  // namespace
