@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,8 +7,6 @@
 
 namespace mamdr {
 namespace {
-
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
 
 // Leaf lock: never acquires anything while held, so any thread may log
 // while holding other locks without creating order constraints beyond
@@ -36,10 +33,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line, bool fatal)
@@ -48,7 +41,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line, bool fatal)
 }
 
 LogMessage::~LogMessage() {
-  if (fatal_ || static_cast<int>(level_) >= g_min_level.load()) {
+  if (fatal_ || level_ >= LogLevel::kInfo) {
     MutexLock lock(&log_mutex());
     std::fprintf(stderr, "%s\n", stream_.str().c_str());
     std::fflush(stderr);

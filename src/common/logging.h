@@ -7,10 +7,8 @@
 
 namespace mamdr {
 
+/// Messages below kInfo are dropped.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Global minimum level; messages below it are dropped.
-void SetLogLevel(LogLevel level);
 
 namespace internal {
 

@@ -13,7 +13,7 @@
 namespace mamdr {
 
 namespace {
-// Retry behavior is a pure function of the fault plan and seeds, so these
+// Retry behavior is a pure function of the fault schedule and seeds, so these
 // counters are kStable: the chaos-telemetry test asserts exact equality
 // against the injector's own stats.
 struct RetryCounters {

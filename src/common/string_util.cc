@@ -26,11 +26,6 @@ std::string PadRight(const std::string& s, size_t width) {
   return s + std::string(width - s.size(), ' ');
 }
 
-std::string PadLeft(const std::string& s, size_t width) {
-  if (s.size() >= width) return s;
-  return std::string(width - s.size(), ' ') + s;
-}
-
 std::string RenderTable(const std::vector<std::string>& header,
                         const std::vector<std::vector<std::string>>& rows) {
   std::vector<size_t> widths(header.size(), 0);

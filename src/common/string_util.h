@@ -14,9 +14,8 @@ std::string FormatFloat(double v, int precision = 4);
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep);
 
-/// Left-pad/right-pad to a fixed width (for ASCII tables).
+/// Right-pad to a fixed width (for ASCII tables).
 std::string PadRight(const std::string& s, size_t width);
-std::string PadLeft(const std::string& s, size_t width);
 
 /// Render an ASCII table: header row + data rows, columns auto-sized.
 std::string RenderTable(const std::vector<std::string>& header,

@@ -15,12 +15,6 @@ const DomainData& MultiDomainDataset::domain(int64_t i) const {
   return domains_[static_cast<size_t>(i)];
 }
 
-DomainData& MultiDomainDataset::mutable_domain(int64_t i) {
-  MAMDR_CHECK_GE(i, 0);
-  MAMDR_CHECK_LT(i, num_domains());
-  return domains_[static_cast<size_t>(i)];
-}
-
 Status MultiDomainDataset::AddDomain(DomainData domain) {
   for (const auto& d : domains_) {
     if (d.name == domain.name) {

@@ -25,7 +25,6 @@ class MultiDomainDataset {
   int64_t num_domains() const { return static_cast<int64_t>(domains_.size()); }
 
   const DomainData& domain(int64_t i) const;
-  DomainData& mutable_domain(int64_t i);
   const std::vector<DomainData>& domains() const { return domains_; }
 
   /// Append a domain; the platform analogue of onboarding a new scenario.

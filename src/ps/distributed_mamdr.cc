@@ -16,8 +16,9 @@ namespace mamdr {
 namespace ps {
 
 namespace {
-// Recovery outcomes are a pure function of the fault plan (kStable); the
-// chaos-telemetry test asserts they match RecoveryStats exactly.
+// Recovery outcomes are a pure function of the clients' fault schedule
+// (kStable); the chaos-telemetry test asserts they match RecoveryStats
+// exactly.
 struct RecoveryCounters {
   obs::Counter* failed_epochs;
   obs::Counter* respawns;
@@ -56,11 +57,13 @@ DistributedMamdr::DistributedMamdr(const models::ModelConfig& model_config,
   reference_model_ = std::move(ref).value();
   reference_params_ = reference_model_->Parameters();
 
-  std::vector<bool> is_embedding;
-  RowExtractor extractor = MakeDefaultRowExtractor(
-      reference_model_.get(), model_config, &is_embedding);
-  server_ = std::make_unique<ParameterServer>(
-      optim::Snapshot(reference_params_), is_embedding);
+  if (!config_.ps_client_factory) {
+    std::vector<bool> is_embedding;
+    MakeDefaultRowExtractor(reference_model_.get(), model_config,
+                            &is_embedding);
+    server_ = std::make_unique<ParameterServer>(
+        optim::Snapshot(reference_params_), is_embedding);
+  }
 
   // Greedy balance: largest domain to the currently lightest worker.
   owner_.assign(static_cast<size_t>(dataset_->num_domains()), 0);
@@ -92,24 +95,12 @@ DistributedMamdr::DistributedMamdr(const models::ModelConfig& model_config,
     wc.retry = config_.retry;
     RowExtractor wx = MakeDefaultRowExtractor(m.value().get(), model_config,
                                               nullptr);
-    // Client stack: the configured backend (DirectPsClient in-process, or
-    // whatever the factory mints — e.g. NetPsClient), optionally decorated
-    // with a per-worker FaultInjector whose seed mixes the plan seed with
-    // the worker id so every worker sees an independent, reproducible
-    // fault stream.
+    // The configured backend: DirectPsClient in-process, or whatever the
+    // factory mints (e.g. NetPsClient).
     std::unique_ptr<PsClient> client =
         config_.ps_client_factory
             ? config_.ps_client_factory(w)
             : std::make_unique<DirectPsClient>(server_.get());
-    FaultInjector* inj = nullptr;
-    if (config_.fault_plan.enabled) {
-      FaultConfig fc = config_.fault_plan.faults;
-      fc.seed += static_cast<uint64_t>(w) * 2654435761ull;
-      auto wrapped = std::make_unique<FaultInjector>(std::move(client), fc);
-      inj = wrapped.get();
-      client = std::move(wrapped);
-    }
-    injectors_.push_back(inj);
     workers_.push_back(std::make_unique<Worker>(w, std::move(m).value(),
                                                 std::move(client), dataset_,
                                                 wc, std::move(wx)));
@@ -127,29 +118,9 @@ DistributedMamdr::DistributedMamdr(const models::ModelConfig& model_config,
 
 DistributedMamdr::~DistributedMamdr() = default;
 
-Status DistributedMamdr::RespawnAndRerun(size_t i, bool crash_again) {
-  FaultInjector* inj = injectors_[i];
-  if (inj != nullptr) {
-    inj->Reset();
-    if (crash_again && config_.fault_plan.crash_after_ops > 0) {
-      inj->ArmCrashAfterOps(config_.fault_plan.crash_after_ops);
-    }
-  }
-  MAMDR_RETURN_IF_ERROR(workers_[i]->RestoreFromPs());
-  return workers_[i]->RunDnEpoch();
-}
-
 Status DistributedMamdr::TrainEpoch() {
   obs::ContextSpan span("distributed_epoch", "mamdr");
   const int64_t epoch = epochs_run_;
-  // Arm this epoch's scheduled crash on the round-robin victim.
-  if (config_.fault_plan.enabled && config_.fault_plan.crash_after_ops > 0) {
-    FaultInjector* inj =
-        injectors_[static_cast<size_t>(epoch % num_workers())];
-    if (inj != nullptr) {
-      inj->ArmCrashAfterOps(config_.fault_plan.crash_after_ops);
-    }
-  }
 
   // Each task installs the ambient trace context, which does not cross
   // ThreadPool::Submit by itself, so worker spans join this epoch's tree.
@@ -175,8 +146,9 @@ Status DistributedMamdr::TrainEpoch() {
     counters.failed_epochs->Add();
     MAMDR_LOG(Warning) << "worker " << i << " failed epoch " << epoch << ": "
                        << results[i].ToString();
-    const bool crash_again = epoch == config_.fault_plan.crash_respawn_epoch;
-    Status respawned = RespawnAndRerun(i, crash_again);
+    // Respawn: restore the replica from the latest PS state, re-run.
+    Status respawned = workers_[i]->RestoreFromPs();
+    if (respawned.ok()) respawned = workers_[i]->RunDnEpoch();
     if (respawned.ok()) {
       ++recovery_.respawns;
       counters.respawns->Add();
@@ -196,11 +168,6 @@ Status DistributedMamdr::TrainEpoch() {
     if (!adopted.ok()) return adopted;  // epoch unsalvageable
     ++recovery_.reassigned_epochs;
     counters.reassigned_epochs->Add();
-  }
-  // Disarm any leftover crash schedule and revive dead workers: next epoch
-  // starts from a clean fault state (the next scheduled crash re-arms).
-  for (FaultInjector* inj : injectors_) {
-    if (inj != nullptr) inj->Reset();
   }
   ++epochs_run_;
 
@@ -252,14 +219,12 @@ Status DistributedMamdr::Train() {
     std::vector<Status> results(workers_.size());
     for (size_t i = 0; i < workers_.size(); ++i) {
       Worker* wp = workers_[i].get();
-      FaultInjector* inj = injectors_[i];
       Status* slot = &results[i];
-      pool_->Submit([wp, inj, epochs, run_dr, slot, ctx] {
+      pool_->Submit([wp, epochs, run_dr, slot, ctx] {
         obs::ScopedTraceContext scoped(ctx);
         for (int64_t e = 0; e < epochs; ++e) {
           Status s = wp->RunDnEpoch();
           if (!s.ok()) {
-            if (inj != nullptr) inj->Reset();
             s = wp->RestoreFromPs();
             if (s.ok()) s = wp->RunDnEpoch();
             if (!s.ok()) {
@@ -341,6 +306,7 @@ Result<int64_t> DistributedMamdr::RestoreFromCheckpoint() {
   }
   MAMDR_RETURN_IF_ERROR(admin_client_->Restore(restored));
   recovery_counters().checkpoint_restores->Add();
+  epochs_run_ = epoch;
   return epoch;
 }
 

@@ -2,15 +2,15 @@
 // implementation (§IV-E): one parameter server, m workers, domains
 // partitioned across workers by a greedy size-balancing assignment.
 //
-// Fault tolerance: every worker talks to the PS through a PsClient; with a
-// FaultPlan enabled each client is wrapped in a FaultInjector, and
+// Fault tolerance: every worker talks to the PS through a PsClient, and
 // TrainEpoch runs a recovery pass after the epoch barrier — a worker whose
-// epoch failed is respawned (injector reset + replica restored from the
-// latest PS state) and its epoch re-run; if the respawn also dies, its
-// domains are reassigned to a surviving worker for the remainder of the
-// epoch. With `checkpoint_dir` set, the PS state plus the completed-epoch
-// counter are atomically checkpointed every `checkpoint_every` epochs and
-// Train() resumes from the latest checkpoint after a process restart.
+// epoch failed is respawned (replica restored from the latest PS state) and
+// its epoch re-run; if the respawn also dies, its domains are reassigned to
+// a surviving worker for the remainder of the epoch. With `checkpoint_dir`
+// set, the PS state plus the completed-epoch counter are atomically
+// checkpointed every `checkpoint_every` epochs and Train() resumes from the
+// latest checkpoint after a process restart. The chaos tests drive these
+// paths by handing fault-injecting clients in through `ps_client_factory`.
 #ifndef MAMDR_PS_DISTRIBUTED_MAMDR_H_
 #define MAMDR_PS_DISTRIBUTED_MAMDR_H_
 
@@ -20,25 +20,10 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "ps/fault_injector.h"
 #include "ps/worker.h"
 
 namespace mamdr {
 namespace ps {
-
-/// Chaos schedule for a training run (see ps/fault_injector.h). Worker w's
-/// injector is seeded with (faults.seed, w), so the whole schedule is a
-/// deterministic function of the plan.
-struct FaultPlan {
-  bool enabled = false;
-  FaultConfig faults;
-  /// Per sync epoch, crash the round-robin victim worker (epoch mod m)
-  /// after this many PS ops. 0 = no scheduled crashes.
-  int64_t crash_after_ops = 0;
-  /// Epoch at which the victim's *respawn* is also crashed, forcing the
-  /// domain-reassignment path. -1 = never.
-  int64_t crash_respawn_epoch = -1;
-};
 
 /// What the recovery pass did over the whole run.
 struct RecoveryStats {
@@ -65,8 +50,6 @@ struct DistributedConfig {
   std::string model_name = "MLP";
   /// Retry policy every worker applies to each pull/push.
   RetryConfig retry;
-  /// Fault-injection schedule; disabled by default (DirectPsClient).
-  FaultPlan fault_plan;
   /// Worker pool size; 0 = one thread per worker capped at the hardware.
   /// 1 serializes workers, making PS push order — and therefore the whole
   /// run — bit-deterministic; the chaos tests train with 1.
@@ -79,10 +62,9 @@ struct DistributedConfig {
   /// Backend seam. When set, every PsClient comes from this factory —
   /// called once per worker with its id, and once with -1 for the admin
   /// client that checkpoint save/restore and evaluation go through — e.g.
-  /// NetPsClient instances against a ShardGroup (ps/net). When empty, the
-  /// in-process DirectPsClient against the local ParameterServer. The
-  /// fault-plan decoration wraps whatever the factory returns, so the
-  /// chaos schedules compose with either backend.
+  /// NetPsClient instances against a ShardGroup (ps/net), or a test's
+  /// fault-injecting decorator. When empty, the in-process DirectPsClient
+  /// against a local ParameterServer that DistributedMamdr builds itself.
   std::function<std::unique_ptr<PsClient>(int64_t worker_id)>
       ps_client_factory;
 };
@@ -110,8 +92,9 @@ class DistributedMamdr {
   Status SaveCheckpoint(int64_t completed_epochs);
 
   /// Restore PS state from `<checkpoint_dir>/ps.ckpt`; returns the number
-  /// of completed epochs recorded in it. kNotFound when no checkpoint
-  /// exists; kInvalidArgument for corrupted or layout-mismatched files.
+  /// of completed epochs recorded in it, which epochs_run() then reports.
+  /// kNotFound when no checkpoint exists; kInvalidArgument for corrupted or
+  /// layout-mismatched files.
   Result<int64_t> RestoreFromCheckpoint();
 
   /// Per-domain test AUC. Uses each domain's owner worker (with its specific
@@ -120,12 +103,10 @@ class DistributedMamdr {
   std::vector<double> EvaluateTest();
   double AverageTestAuc();
 
+  /// The in-process parameter server; nullptr when `ps_client_factory` is
+  /// set, since the factory's clients hold the parameters elsewhere.
   ParameterServer* server() { return server_.get(); }
   Worker* worker(int64_t i) { return workers_[static_cast<size_t>(i)].get(); }
-  /// The worker's fault injector; nullptr when the plan is disabled.
-  FaultInjector* injector(int64_t i) {
-    return injectors_[static_cast<size_t>(i)];
-  }
   int64_t num_workers() const {
     return static_cast<int64_t>(workers_.size());
   }
@@ -136,10 +117,6 @@ class DistributedMamdr {
   int64_t epochs_run() const { return epochs_run_; }
 
  private:
-  /// Respawn worker `i` (reset injector, restore replica from the PS) and
-  /// re-run its epoch. `crash_again` re-arms the injected crash first.
-  Status RespawnAndRerun(size_t i, bool crash_again);
-
   std::string CheckpointPath() const {
     return config_.checkpoint_dir + "/ps.ckpt";
   }
@@ -153,7 +130,6 @@ class DistributedMamdr {
   /// factory-minted client, matching the workers' backend.
   std::unique_ptr<PsClient> admin_client_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<FaultInjector*> injectors_;  // parallel to workers_; may be null
   std::vector<int64_t> owner_;  // domain -> worker id
   std::unique_ptr<ThreadPool> pool_;
   RecoveryStats recovery_;

@@ -62,21 +62,18 @@ NetPsClient::NetPsClient(NetPsClientConfig config, ShardDirectory* directory,
     : config_(config),
       ring_(config.num_shards),
       directory_(directory),
-      is_embedding_(std::move(is_embedding)),
+      layout_(layout, std::move(is_embedding)),
       pool_(config.num_shards, config.rpc_deadline_us) {
   MAMDR_CHECK(directory_ != nullptr);
   MAMDR_CHECK_EQ(directory_->num_shards(), config_.num_shards);
-  MAMDR_CHECK_EQ(layout.size(), is_embedding_.size());
-  shapes_.reserve(layout.size());
-  for (const Tensor& t : layout) shapes_.push_back(t.shape());
 
   dense_by_shard_.resize(static_cast<size_t>(config_.num_shards));
-  for (size_t i = 0; i < shapes_.size(); ++i) {
-    if (is_embedding_[i]) {
-      MAMDR_CHECK_EQ(shapes_[i].size(), 2u);
+  for (int64_t i = 0; i < layout_.num_params(); ++i) {
+    if (layout_.is_embedding(i)) {
+      MAMDR_CHECK_EQ(layout_.shape(i).size(), 2u);
       continue;
     }
-    const int owner = ring_.ShardForDense(static_cast<int64_t>(i));
+    const int owner = ring_.ShardForDense(i);
     dense_by_shard_[static_cast<size_t>(owner)].push_back(
         static_cast<uint32_t>(i));
   }
@@ -109,7 +106,6 @@ void NetPsClient::EnterOp() {
   // Every op can block on the network; holding any lock across that is the
   // pattern lockdep exists to catch.
   lockdep::AssertNoLocksHeld("ps.net.client.op");
-  if (op_hook_) op_hook_();
 }
 
 NetPsClient::ExchangeScope::ExchangeScope(std::atomic<bool>* busy)
@@ -408,44 +404,6 @@ Status NetPsClient::FanoutCall(const std::vector<ShardBatch>& batches,
   return Status::OK();
 }
 
-// --- Validation ------------------------------------------------------------
-
-Status NetPsClient::CheckIndex(int64_t idx, bool want_embedding) const {
-  if (idx < 0 || idx >= static_cast<int64_t>(shapes_.size())) {
-    return Status::InvalidArgument("ps client: param index " +
-                                   std::to_string(idx) + " out of range");
-  }
-  if (want_embedding && !is_embedding_[static_cast<size_t>(idx)]) {
-    return Status::InvalidArgument("ps client: param " + std::to_string(idx) +
-                                   " is not an embedding table");
-  }
-  return Status::OK();
-}
-
-Status NetPsClient::CheckRows(int64_t idx,
-                              const std::vector<int64_t>& rows) const {
-  const int64_t n = shapes_[static_cast<size_t>(idx)][0];
-  for (int64_t r : rows) {
-    if (r < 0 || r >= n) {
-      return Status::InvalidArgument(
-          "ps client: row " + std::to_string(r) + " outside table " +
-          std::to_string(idx) + " (" + std::to_string(n) + " rows)");
-    }
-  }
-  return Status::OK();
-}
-
-Status NetPsClient::CheckTableShape(int64_t idx, const Tensor& t,
-                                    const char* what) const {
-  if (t.shape() != shapes_[static_cast<size_t>(idx)]) {
-    return Status::InvalidArgument(
-        std::string("ps client: ") + what + " shape " +
-        ShapeToString(t.shape()) + " != param " + std::to_string(idx) +
-        " shape " + ShapeToString(shapes_[static_cast<size_t>(idx)]));
-  }
-  return Status::OK();
-}
-
 std::vector<std::vector<int64_t>> NetPsClient::GroupRowsByShard(
     int64_t idx, const std::vector<int64_t>& rows) const {
   std::vector<std::vector<int64_t>> by_shard(
@@ -477,19 +435,12 @@ Status NetPsClient::Ping(int shard) {
 Status NetPsClient::PullDense(std::vector<Tensor>* out) {
   EnterOp();
   obs::ContextSpan op_span("ps.op:pull_dense", "ps.client");
-  if (out->size() != shapes_.size()) {
-    return Status::InvalidArgument(
-        "ps client: pull destination has " + std::to_string(out->size()) +
-        " entries, layout has " + std::to_string(shapes_.size()));
-  }
+  MAMDR_RETURN_IF_ERROR(
+      layout_.CheckDenseList(*out, "pull destination", /*skip_empty=*/false));
   std::vector<ShardBatch> batches;
   for (int s = 0; s < config_.num_shards; ++s) {
     const std::vector<uint32_t>& idxs = dense_by_shard_[static_cast<size_t>(s)];
     if (idxs.empty()) continue;
-    for (const uint32_t idx : idxs) {
-      MAMDR_RETURN_IF_ERROR(
-          CheckTableShape(idx, (*out)[idx], "pull destination"));
-    }
     batches.push_back(OneFrame(s, PsOp::kPullParams, PullParamsBody(idxs)));
   }
   std::vector<std::string> ok_bodies;
@@ -512,7 +463,7 @@ Status NetPsClient::DecodePullParamsBody(const std::string& body,
     MAMDR_RETURN_IF_ERROR(r.GetU32(&idx));
     MAMDR_RETURN_IF_ERROR(r.GetU64(&size));
     if (idx != want ||
-        size != static_cast<uint64_t>(NumElements(shapes_[idx]))) {
+        size != static_cast<uint64_t>(NumElements(layout_.shape(idx)))) {
       return Status::InvalidArgument(
           "pull_params: response entry mismatch for param " +
           std::to_string(want));
@@ -526,7 +477,7 @@ Status NetPsClient::DecodePullParamsBody(const std::string& body,
 Status NetPsClient::DecodePullRowsBody(const std::string& body, int64_t idx,
                                        const std::vector<int64_t>& rows,
                                        Tensor* into) const {
-  const int64_t dim = shapes_[static_cast<size_t>(idx)][1];
+  const int64_t dim = layout_.shape(idx)[1];
   PayloadReader r(body);
   uint64_t got_dim = 0;
   MAMDR_RETURN_IF_ERROR(r.GetU64(&got_dim));
@@ -546,7 +497,7 @@ Status NetPsClient::DecodePullRowsBody(const std::string& body, int64_t idx,
 Status NetPsClient::PullRowsFanout(int64_t idx,
                                    const std::vector<int64_t>& rows,
                                    Tensor* into, const char* what) {
-  const int64_t dim = shapes_[static_cast<size_t>(idx)][1];
+  const int64_t dim = layout_.shape(idx)[1];
   if (dim <= 0) return Status::OK();  // nothing to move
   const std::vector<std::vector<int64_t>> by_shard =
       GroupRowsByShard(idx, rows);
@@ -572,36 +523,31 @@ Status NetPsClient::PullRows(int64_t idx, const std::vector<int64_t>& rows,
                              Tensor* into) {
   EnterOp();
   obs::ContextSpan op_span("ps.op:pull_rows", "ps.client");
-  MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
-  MAMDR_RETURN_IF_ERROR(CheckRows(idx, rows));
-  MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, *into, "pull destination"));
+  MAMDR_RETURN_IF_ERROR(
+      layout_.CheckTableOp(idx, rows, *into, "pull destination"));
   return PullRowsFanout(idx, rows, into, "ps.PullRows");
 }
 
 Status NetPsClient::PullFullTable(int64_t idx, Tensor* into) {
   EnterOp();
   obs::ContextSpan op_span("ps.op:pull_full_table", "ps.client");
-  MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
-  MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, *into, "pull destination"));
-  return PullRowsFanout(idx, AllRows(shapes_[static_cast<size_t>(idx)][0]),
-                        into, "ps.PullFullTable");
+  MAMDR_RETURN_IF_ERROR(
+      layout_.CheckTableOp(idx, {}, *into, "pull destination"));
+  return PullRowsFanout(idx, AllRows(layout_.shape(idx)[0]), into,
+                        "ps.PullFullTable");
 }
 
 Status NetPsClient::PushDenseDelta(const std::vector<Tensor>& delta,
                                    float beta) {
   EnterOp();
   obs::ContextSpan op_span("ps.op:push_dense_delta", "ps.client");
-  if (delta.size() != shapes_.size()) {
-    return Status::InvalidArgument(
-        "ps client: dense delta has " + std::to_string(delta.size()) +
-        " entries, layout has " + std::to_string(shapes_.size()));
-  }
+  MAMDR_RETURN_IF_ERROR(
+      layout_.CheckDenseList(delta, "dense delta", /*skip_empty=*/true));
   std::vector<ShardBatch> batches;
   for (int s = 0; s < config_.num_shards; ++s) {
     std::vector<uint32_t> idxs;
     for (const uint32_t idx : dense_by_shard_[static_cast<size_t>(s)]) {
       if (delta[idx].empty()) continue;  // skipped, like the direct path
-      MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, delta[idx], "dense delta"));
       idxs.push_back(idx);
     }
     if (idxs.empty()) continue;
@@ -632,10 +578,8 @@ Status NetPsClient::PushRowDeltas(int64_t idx,
                                   const Tensor& delta, float beta) {
   EnterOp();
   obs::ContextSpan op_span("ps.op:push_row_deltas", "ps.client");
-  MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
-  MAMDR_RETURN_IF_ERROR(CheckRows(idx, rows));
-  MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, delta, "push delta"));
-  const int64_t dim = shapes_[static_cast<size_t>(idx)][1];
+  MAMDR_RETURN_IF_ERROR(layout_.CheckTableOp(idx, rows, delta, "push delta"));
+  const int64_t dim = layout_.shape(idx)[1];
   if (dim <= 0) return Status::OK();
   const std::vector<std::vector<int64_t>> by_shard =
       GroupRowsByShard(idx, rows);
@@ -670,8 +614,10 @@ Result<std::vector<Tensor>> NetPsClient::Snapshot() {
   EnterOp();
   obs::ContextSpan op_span("ps.op:snapshot", "ps.client");
   std::vector<Tensor> out;
-  out.reserve(shapes_.size());
-  for (const Shape& shape : shapes_) out.emplace_back(shape);
+  out.reserve(static_cast<size_t>(layout_.num_params()));
+  for (int64_t i = 0; i < layout_.num_params(); ++i) {
+    out.emplace_back(layout_.shape(i));
+  }
   // Dense tensors come from their owning shards; every embedding row comes
   // from the shard the ring assigns it to, so the assembled snapshot covers
   // the full layout. A shard's batch is its dense pull plus one row pull
@@ -690,11 +636,10 @@ Result<std::vector<Tensor>> NetPsClient::Snapshot() {
         {PsOp::kPullParams, PullParamsBody(dense_by_shard_[s])});
     parts[s].emplace_back(-1, std::vector<int64_t>());
   }
-  for (size_t i = 0; i < shapes_.size(); ++i) {
-    if (!is_embedding_[i] || shapes_[i][1] <= 0) continue;
-    const int64_t idx = static_cast<int64_t>(i);
+  for (int64_t idx = 0; idx < layout_.num_params(); ++idx) {
+    if (!layout_.is_embedding(idx) || layout_.shape(idx)[1] <= 0) continue;
     std::vector<std::vector<int64_t>> rows =
-        GroupRowsByShard(idx, AllRows(shapes_[i][0]));
+        GroupRowsByShard(idx, AllRows(layout_.shape(idx)[0]));
     for (size_t s = 0; s < num_shards; ++s) {
       if (rows[s].empty()) continue;
       by_shard[s].requests.push_back(
@@ -725,15 +670,7 @@ Result<std::vector<Tensor>> NetPsClient::Snapshot() {
 Status NetPsClient::Restore(const std::vector<Tensor>& params) {
   EnterOp();
   obs::ContextSpan op_span("ps.op:restore", "ps.client");
-  if (params.size() != shapes_.size()) {
-    return Status::InvalidArgument(
-        "ps client: restore has " + std::to_string(params.size()) +
-        " entries, layout has " + std::to_string(shapes_.size()));
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    MAMDR_RETURN_IF_ERROR(
-        CheckTableShape(static_cast<int64_t>(i), params[i], "restore entry"));
-  }
+  MAMDR_RETURN_IF_ERROR(layout_.CheckRestore(params));
   // Snapshot's batching in reverse: each shard's dense restore plus one
   // row restore per embedding table, all shards in one fan-out.
   const size_t num_shards = static_cast<size_t>(config_.num_shards);
@@ -752,12 +689,11 @@ Status NetPsClient::Restore(const std::vector<Tensor>& params) {
     }
     by_shard[s].requests.push_back({PsOp::kRestoreParams, w.Take()});
   }
-  for (size_t i = 0; i < shapes_.size(); ++i) {
-    if (!is_embedding_[i] || shapes_[i][1] <= 0) continue;
-    const int64_t dim = shapes_[i][1];
-    const int64_t idx = static_cast<int64_t>(i);
+  for (int64_t idx = 0; idx < layout_.num_params(); ++idx) {
+    if (!layout_.is_embedding(idx) || layout_.shape(idx)[1] <= 0) continue;
+    const int64_t dim = layout_.shape(idx)[1];
     const std::vector<std::vector<int64_t>> rows =
-        GroupRowsByShard(idx, AllRows(shapes_[i][0]));
+        GroupRowsByShard(idx, AllRows(layout_.shape(idx)[0]));
     for (size_t s = 0; s < num_shards; ++s) {
       if (rows[s].empty()) continue;
       PayloadWriter w;
@@ -765,7 +701,7 @@ Status NetPsClient::Restore(const std::vector<Tensor>& params) {
       w.PutU64(rows[s].size());
       for (const int64_t row : rows[s]) w.PutI64(row);
       w.PutU64(static_cast<uint64_t>(dim));
-      const float* base = params[i].data();
+      const float* base = params[static_cast<size_t>(idx)].data();
       for (const int64_t row : rows[s]) {
         w.PutF32Array(base + row * dim, static_cast<size_t>(dim));
       }

@@ -67,7 +67,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,11 +112,9 @@ class NetPsClient : public PsClient {
   NetPsClient(const NetPsClient&) = delete;
   NetPsClient& operator=(const NetPsClient&) = delete;
 
-  int64_t num_params() const override {
-    return static_cast<int64_t>(shapes_.size());
-  }
+  int64_t num_params() const override { return layout_.num_params(); }
   bool is_embedding(int64_t idx) const override {
-    return is_embedding_[static_cast<size_t>(idx)];
+    return layout_.is_embedding(idx);
   }
   Status PullDense(std::vector<Tensor>* out) override;
   Status PullRows(int64_t idx, const std::vector<int64_t>& rows,
@@ -132,14 +129,6 @@ class NetPsClient : public PsClient {
 
   /// Health probe against one shard (empty request/response round trip).
   Status Ping(int shard);
-
-  /// Invoked at the start of every PsClient op, before any network I/O and
-  /// with no locks held — the chaos tests use it to kill/respawn shards at
-  /// deterministic points in the op sequence. Set before the client is
-  /// used; not synchronized against in-flight ops.
-  void SetOpHookForTest(std::function<void()> hook) {
-    op_hook_ = std::move(hook);
-  }
 
   /// Exchanges cut by the I/O deadline (test/debug).
   uint64_t deadline_cuts() const {
@@ -231,7 +220,7 @@ class NetPsClient : public PsClient {
   std::vector<std::vector<int64_t>> GroupRowsByShard(
       int64_t idx, const std::vector<int64_t>& rows) const;
 
-  /// Shared core of PullRows / PullFullTable (no op hook).
+  /// Shared core of PullRows / PullFullTable.
   Status PullRowsFanout(int64_t idx, const std::vector<int64_t>& rows,
                         Tensor* into, const char* what);
 
@@ -243,24 +232,18 @@ class NetPsClient : public PsClient {
                             const std::vector<int64_t>& rows,
                             Tensor* into) const;
 
-  Status CheckIndex(int64_t idx, bool want_embedding) const;
-  Status CheckRows(int64_t idx, const std::vector<int64_t>& rows) const;
-  Status CheckTableShape(int64_t idx, const Tensor& t,
-                         const char* what) const;
-
   const NetPsClientConfig config_;
   const HashRing ring_;
   ShardDirectory* const directory_;
 
-  // Immutable layout captured at construction.
-  std::vector<Shape> shapes_;
-  std::vector<bool> is_embedding_;
+  /// Immutable layout captured at construction; every request is checked
+  /// against it before any frame is built.
+  const PsLayout layout_;
   /// Dense (non-embedding) param indices owned by each shard, ascending.
   std::vector<std::vector<uint32_t>> dense_by_shard_;
 
   std::vector<std::unique_ptr<RetryPolicy>> retry_;  // one per shard
   ConnectionPool pool_;
-  std::function<void()> op_hook_;
 
   /// Per-op RPC latency histograms (ps.net.client.rpc_us{op="..."}) and
   /// transport-event counters (deadline cuts, stale-pool redials, fan-out

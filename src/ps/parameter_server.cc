@@ -110,10 +110,5 @@ PsStats ParameterServer::stats() {
   return stats_;
 }
 
-void ParameterServer::ResetStats() {
-  MutexLock lock(&mu_);
-  stats_ = PsStats{};
-}
-
 }  // namespace ps
 }  // namespace mamdr

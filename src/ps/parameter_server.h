@@ -72,7 +72,6 @@ class ParameterServer {
   void RestoreAll(const std::vector<Tensor>& params) MAMDR_EXCLUDES(mu_);
 
   PsStats stats() MAMDR_EXCLUDES(mu_);
-  void ResetStats() MAMDR_EXCLUDES(mu_);
 
  private:
   Mutex mu_{MAMDR_LOCK_CLASS("ps.state")};

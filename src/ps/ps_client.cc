@@ -1,6 +1,7 @@
 #include "ps/ps_client.h"
 
 #include <string>
+#include <utility>
 
 #include "common/lockdep.h"
 #include "common/logging.h"
@@ -11,7 +12,7 @@ namespace ps {
 namespace {
 
 // Every PS op models an RPC to another process: it can block for a network
-// round trip (or, decorated by the fault injector, a retry/backoff
+// round trip (or, decorated by a test's fault injector, a retry/backoff
 // schedule). Issuing one while any mutex is held is the
 // blocking-under-lock pattern lockdep exists to catch, so the check sits
 // at the client boundary where all op shapes funnel through.
@@ -19,35 +20,45 @@ void CheckBlockingBoundary() { lockdep::AssertNoLocksHeld("ps.client.op"); }
 
 }  // namespace
 
-DirectPsClient::DirectPsClient(ParameterServer* server) : server_(server) {
-  MAMDR_CHECK(server_ != nullptr);
-  // One-time layout capture; server shapes are immutable after
-  // construction so this never goes stale.
-  std::vector<Tensor> snapshot = server_->SnapshotAll();
-  shapes_.reserve(snapshot.size());
-  table_rows_.reserve(snapshot.size());
-  for (const Tensor& t : snapshot) {
-    shapes_.push_back(t.shape());
-    const bool table = t.shape().size() == 2;
-    table_rows_.push_back(table ? t.shape()[0] : 0);
-  }
+PsLayout::PsLayout(const std::vector<Tensor>& params,
+                   std::vector<bool> is_embedding)
+    : is_embedding_(std::move(is_embedding)) {
+  MAMDR_CHECK_EQ(params.size(), is_embedding_.size());
+  shapes_.reserve(params.size());
+  for (const Tensor& t : params) shapes_.push_back(t.shape());
 }
 
-Status DirectPsClient::CheckIndex(int64_t idx, bool want_embedding) const {
-  if (idx < 0 || idx >= static_cast<int64_t>(shapes_.size())) {
-    return Status::InvalidArgument("ps client: param index " +
-                                   std::to_string(idx) + " out of range");
-  }
-  if (want_embedding && !server_->is_embedding(idx)) {
-    return Status::InvalidArgument("ps client: param " + std::to_string(idx) +
-                                   " is not an embedding table");
+Status PsLayout::CheckCount(size_t n, const char* what) const {
+  if (n != shapes_.size()) {
+    return Status::InvalidArgument(
+        std::string("ps client: ") + what + " has " + std::to_string(n) +
+        " entries, layout has " + std::to_string(shapes_.size()));
   }
   return Status::OK();
 }
 
-Status DirectPsClient::CheckRows(int64_t idx,
-                                 const std::vector<int64_t>& rows) const {
-  const int64_t n = table_rows_[static_cast<size_t>(idx)];
+Status PsLayout::CheckShape(int64_t idx, const Tensor& t,
+                            const char* what) const {
+  if (t.shape() != shape(idx)) {
+    return Status::InvalidArgument(
+        std::string("ps client: ") + what + " shape " +
+        ShapeToString(t.shape()) + " != param " + std::to_string(idx) +
+        " shape " + ShapeToString(shape(idx)));
+  }
+  return Status::OK();
+}
+
+Status PsLayout::CheckTableOp(int64_t idx, const std::vector<int64_t>& rows,
+                              const Tensor& t, const char* what) const {
+  if (idx < 0 || idx >= num_params()) {
+    return Status::InvalidArgument("ps client: param index " +
+                                   std::to_string(idx) + " out of range");
+  }
+  if (!is_embedding(idx)) {
+    return Status::InvalidArgument("ps client: param " + std::to_string(idx) +
+                                   " is not an embedding table");
+  }
+  const int64_t n = shape(idx).size() == 2 ? shape(idx)[0] : 0;
   for (int64_t r : rows) {
     if (r < 0 || r >= n) {
       return Status::InvalidArgument(
@@ -55,33 +66,50 @@ Status DirectPsClient::CheckRows(int64_t idx,
           std::to_string(idx) + " (" + std::to_string(n) + " rows)");
     }
   }
-  return Status::OK();
+  return CheckShape(idx, t, what);
 }
 
-Status DirectPsClient::CheckTableShape(int64_t idx, const Tensor& t,
-                                       const char* what) const {
-  if (t.shape() != shapes_[static_cast<size_t>(idx)]) {
-    return Status::InvalidArgument(
-        std::string("ps client: ") + what + " shape " +
-        ShapeToString(t.shape()) + " != param " + std::to_string(idx) +
-        " shape " + ShapeToString(shapes_[static_cast<size_t>(idx)]));
+Status PsLayout::CheckDenseList(const std::vector<Tensor>& list,
+                                const char* what, bool skip_empty) const {
+  MAMDR_RETURN_IF_ERROR(CheckCount(list.size(), what));
+  for (int64_t i = 0; i < num_params(); ++i) {
+    const Tensor& t = list[static_cast<size_t>(i)];
+    if (is_embedding(i) || (skip_empty && t.empty())) continue;
+    MAMDR_RETURN_IF_ERROR(CheckShape(i, t, what));
   }
   return Status::OK();
 }
+
+Status PsLayout::CheckRestore(const std::vector<Tensor>& params) const {
+  MAMDR_RETURN_IF_ERROR(CheckCount(params.size(), "restore"));
+  for (int64_t i = 0; i < num_params(); ++i) {
+    MAMDR_RETURN_IF_ERROR(
+        CheckShape(i, params[static_cast<size_t>(i)], "restore entry"));
+  }
+  return Status::OK();
+}
+
+namespace {
+
+PsLayout LayoutOf(ParameterServer* server) {
+  MAMDR_CHECK(server != nullptr);
+  std::vector<bool> is_embedding;
+  for (int64_t i = 0; i < server->num_params(); ++i) {
+    is_embedding.push_back(server->is_embedding(i));
+  }
+  return PsLayout(server->SnapshotAll(), std::move(is_embedding));
+}
+
+}  // namespace
+
+DirectPsClient::DirectPsClient(ParameterServer* server)
+    : server_(server), layout_(LayoutOf(server)) {}
 
 Status DirectPsClient::PullDense(std::vector<Tensor>* out) {
   CheckBlockingBoundary();
-  if (out->size() != shapes_.size()) {
-    return Status::InvalidArgument(
-        "ps client: pull destination has " + std::to_string(out->size()) +
-        " entries, layout has " + std::to_string(shapes_.size()));
-  }
-  for (size_t i = 0; i < out->size(); ++i) {
-    // The server copies element-for-element into every non-embedding slot.
-    if (server_->is_embedding(static_cast<int64_t>(i))) continue;
-    MAMDR_RETURN_IF_ERROR(CheckTableShape(static_cast<int64_t>(i), (*out)[i],
-                                          "pull destination"));
-  }
+  // The server copies element-for-element into every non-embedding slot.
+  MAMDR_RETURN_IF_ERROR(
+      layout_.CheckDenseList(*out, "pull destination", /*skip_empty=*/false));
   server_->PullDense(out);  // mamdr-lint: allow(ignored-status)
   return Status::OK();
 }
@@ -89,17 +117,16 @@ Status DirectPsClient::PullDense(std::vector<Tensor>* out) {
 Status DirectPsClient::PullRows(int64_t idx, const std::vector<int64_t>& rows,
                                 Tensor* into) {
   CheckBlockingBoundary();
-  MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
-  MAMDR_RETURN_IF_ERROR(CheckRows(idx, rows));
-  MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, *into, "pull destination"));
+  MAMDR_RETURN_IF_ERROR(
+      layout_.CheckTableOp(idx, rows, *into, "pull destination"));
   server_->PullRows(idx, rows, into);  // mamdr-lint: allow(ignored-status)
   return Status::OK();
 }
 
 Status DirectPsClient::PullFullTable(int64_t idx, Tensor* into) {
   CheckBlockingBoundary();
-  MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
-  MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, *into, "pull destination"));
+  MAMDR_RETURN_IF_ERROR(
+      layout_.CheckTableOp(idx, {}, *into, "pull destination"));
   server_->PullFullTable(idx, into);  // mamdr-lint: allow(ignored-status)
   return Status::OK();
 }
@@ -107,19 +134,10 @@ Status DirectPsClient::PullFullTable(int64_t idx, Tensor* into) {
 Status DirectPsClient::PushDenseDelta(const std::vector<Tensor>& delta,
                                       float beta) {
   CheckBlockingBoundary();
-  if (delta.size() != shapes_.size()) {
-    return Status::InvalidArgument(
-        "ps client: dense delta has " + std::to_string(delta.size()) +
-        " entries, layout has " + std::to_string(shapes_.size()));
-  }
-  for (size_t i = 0; i < delta.size(); ++i) {
-    // Embedding and empty entries are skipped server-side; anything else
-    // must match the layout shape.
-    if (server_->is_embedding(static_cast<int64_t>(i))) continue;
-    if (delta[i].empty()) continue;
-    MAMDR_RETURN_IF_ERROR(
-        CheckTableShape(static_cast<int64_t>(i), delta[i], "dense delta"));
-  }
+  // Embedding and empty entries are skipped server-side; anything else
+  // must match the layout shape.
+  MAMDR_RETURN_IF_ERROR(
+      layout_.CheckDenseList(delta, "dense delta", /*skip_empty=*/true));
   server_->PushDenseDelta(delta, beta);  // mamdr-lint: allow(ignored-status)
   return Status::OK();
 }
@@ -128,9 +146,7 @@ Status DirectPsClient::PushRowDeltas(int64_t idx,
                                      const std::vector<int64_t>& rows,
                                      const Tensor& delta, float beta) {
   CheckBlockingBoundary();
-  MAMDR_RETURN_IF_ERROR(CheckIndex(idx, /*want_embedding=*/true));
-  MAMDR_RETURN_IF_ERROR(CheckRows(idx, rows));
-  MAMDR_RETURN_IF_ERROR(CheckTableShape(idx, delta, "push delta"));
+  MAMDR_RETURN_IF_ERROR(layout_.CheckTableOp(idx, rows, delta, "push delta"));
   server_->PushRowDeltas(idx, rows, delta, beta);  // mamdr-lint: allow(ignored-status)
   return Status::OK();
 }
@@ -142,19 +158,7 @@ Result<std::vector<Tensor>> DirectPsClient::Snapshot() {
 
 Status DirectPsClient::Restore(const std::vector<Tensor>& params) {
   CheckBlockingBoundary();
-  if (params.size() != shapes_.size()) {
-    return Status::InvalidArgument(
-        "ps client: restore has " + std::to_string(params.size()) +
-        " entries, layout has " + std::to_string(shapes_.size()));
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (params[i].shape() != shapes_[i]) {
-      return Status::InvalidArgument(
-          "ps client: restore entry " + std::to_string(i) + " shape " +
-          ShapeToString(params[i].shape()) + " != layout shape " +
-          ShapeToString(shapes_[i]));
-    }
-  }
+  MAMDR_RETURN_IF_ERROR(layout_.CheckRestore(params));
   server_->RestoreAll(params);  // mamdr-lint: allow(ignored-status)
   return Status::OK();
 }

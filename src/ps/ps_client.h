@@ -6,9 +6,11 @@
 // as a Status-returning call, so callers (Worker) must treat each pull/push
 // as fallible and route it through a retry policy (common/retry.h).
 //
-// DirectPsClient is the in-process happy-path implementation; the chaos
-// harness wraps it in a FaultInjector (ps/fault_injector.h) to rehearse
-// transient unavailability, latency spikes, dropped pushes, and crashes.
+// DirectPsClient is the in-process implementation; NetPsClient (ps/net)
+// carries the same ops to a sharded server. Both validate every request
+// against one PsLayout before it reaches a server. The chaos tests
+// decorate either client to rehearse transient unavailability, latency
+// spikes, dropped pushes, and crashes.
 #ifndef MAMDR_PS_PS_CLIENT_H_
 #define MAMDR_PS_PS_CLIENT_H_
 
@@ -56,20 +58,57 @@ class PsClient {
   virtual Status Restore(const std::vector<Tensor>& params) = 0;
 };
 
-/// In-process client: forwards directly to the ParameterServer. Requests
-/// are validated against the parameter layout *before* they reach the
-/// server — a malformed op (index out of range, wrong table, row beyond the
-/// table, shape mismatch) returns kInvalidArgument instead of tripping the
-/// server's MAMDR_CHECK aborts, so a corrupted request degrades the one op
-/// rather than killing the process. The fault-free baseline the chaos runs
+/// The immutable parameter layout a client checks each request against
+/// before it leaves the client: a malformed op (index out of range, wrong
+/// table, row beyond the table, shape mismatch) returns kInvalidArgument
+/// instead of reaching a server, so a corrupted request degrades the one
+/// op rather than killing the process (DirectPsClient) or costing a
+/// round trip (NetPsClient).
+class PsLayout {
+ public:
+  /// `params` fixes the shapes (values are not read); `is_embedding[i]`
+  /// marks row-addressable tables.
+  PsLayout(const std::vector<Tensor>& params, std::vector<bool> is_embedding);
+
+  int64_t num_params() const { return static_cast<int64_t>(shapes_.size()); }
+  bool is_embedding(int64_t idx) const {
+    return is_embedding_[static_cast<size_t>(idx)];
+  }
+  const Shape& shape(int64_t idx) const {
+    return shapes_[static_cast<size_t>(idx)];
+  }
+
+  /// A row op on table `idx`: `idx` names an embedding table, every row
+  /// lies inside it, and `t` (destination or delta) has the table's shape.
+  Status CheckTableOp(int64_t idx, const std::vector<int64_t>& rows,
+                      const Tensor& t, const char* what) const;
+  /// A dense op: `list` has one entry per parameter and every dense entry
+  /// has its parameter's shape; `skip_empty` skips empty entries (a dense
+  /// delta leaves the ones it does not push empty).
+  Status CheckDenseList(const std::vector<Tensor>& list, const char* what,
+                        bool skip_empty) const;
+  /// A restore: one entry per parameter, each with its parameter's shape.
+  Status CheckRestore(const std::vector<Tensor>& params) const;
+
+ private:
+  Status CheckCount(size_t n, const char* what) const;
+  Status CheckShape(int64_t idx, const Tensor& t, const char* what) const;
+
+  std::vector<Shape> shapes_;
+  std::vector<bool> is_embedding_;
+};
+
+/// In-process client: validates each request against the server's layout,
+/// then forwards it to the ParameterServer (whose MAMDR_CHECKs a malformed
+/// request would otherwise trip). The fault-free baseline the chaos runs
 /// are compared against.
 class DirectPsClient : public PsClient {
  public:
   explicit DirectPsClient(ParameterServer* server);
 
-  int64_t num_params() const override { return server_->num_params(); }
+  int64_t num_params() const override { return layout_.num_params(); }
   bool is_embedding(int64_t idx) const override {
-    return server_->is_embedding(idx);
+    return layout_.is_embedding(idx);
   }
   Status PullDense(std::vector<Tensor>* out) override;
   Status PullRows(int64_t idx, const std::vector<int64_t>& rows,
@@ -83,18 +122,10 @@ class DirectPsClient : public PsClient {
   Status Restore(const std::vector<Tensor>& params) override;
 
  private:
-  /// `idx` must name an embedding table (with `want_embedding`) or a valid
-  /// parameter; `rows`, when given, must all lie inside the table.
-  Status CheckIndex(int64_t idx, bool want_embedding) const;
-  Status CheckRows(int64_t idx, const std::vector<int64_t>& rows) const;
-  Status CheckTableShape(int64_t idx, const Tensor& t,
-                         const char* what) const;
-
   ParameterServer* server_;
-  /// Immutable layout captured at construction (server shapes never
-  /// change), so validation needs no server round trip.
-  std::vector<Shape> shapes_;
-  std::vector<int64_t> table_rows_;
+  /// Captured at construction (server shapes never change), so validation
+  /// needs no server round trip.
+  PsLayout layout_;
 };
 
 }  // namespace ps

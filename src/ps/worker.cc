@@ -101,6 +101,12 @@ Worker::Worker(int64_t id, std::unique_ptr<models::CtrModel> model,
   MAMDR_CHECK_EQ(static_cast<int64_t>(params_.size()), client_->num_params());
   caches_.resize(params_.size());
   static_cache_ = optim::Snapshot(params_);
+  // Embedding entries stay empty: the dense push skips them.
+  dense_delta_.resize(params_.size());
+  for (size_t i = 0; i < params_.size(); ++i) {
+    if (client_->is_embedding(static_cast<int64_t>(i))) continue;
+    dense_delta_[i] = Tensor::Uninit(params_[i].value().shape());
+  }
   if (config_.run_dr) {
     store_ = std::make_unique<core::SharedSpecificStore>(
         params_, dataset_->num_domains());
@@ -181,7 +187,7 @@ Status Worker::RunDnEpochOn(const std::vector<int64_t>& domains) {
   for (auto& p : params_) views.push_back(p.mutable_value());
   MAMDR_RETURN_IF_ERROR(
       CallPs("PullDense", [&] { return client_->PullDense(&views); }));
-  static_cache_ = optim::Snapshot(params_);
+  optim::SnapshotInto(params_, &static_cache_);
   for (auto& c : caches_) c.Clear();
 
   // (3): DN inner loop over the domains; the no-cache baseline also pushes
@@ -210,13 +216,12 @@ Status Worker::RunDnEpochOn(const std::vector<int64_t>& domains) {
   step_buffers_.Release();
 
   // (4): push the meta-delta Θ̃ − Θ; the server applies Eq. 3 with β.
-  std::vector<Tensor> dense_delta(params_.size());
   for (size_t i = 0; i < params_.size(); ++i) {
     if (client_->is_embedding(static_cast<int64_t>(i))) continue;
-    dense_delta[i] = ops::Sub(params_[i].value(), static_cache_[i]);
+    ops::SubInto(params_[i].value(), static_cache_[i], &dense_delta_[i]);
   }
   MAMDR_RETURN_IF_ERROR(CallPs("PushDenseDelta", [&] {
-    return client_->PushDenseDelta(dense_delta, config_.train.outer_lr);
+    return client_->PushDenseDelta(dense_delta_, config_.train.outer_lr);
   }));
   if (config_.use_embedding_cache) {
     for (size_t i = 0; i < params_.size(); ++i) {
@@ -263,7 +268,7 @@ Status Worker::RestoreFromPs() {
   }
   // The replica is now exactly the PS state: any partial inner-loop progress
   // is gone, so the delta base and row caches must restart from here.
-  static_cache_ = optim::Snapshot(params_);
+  optim::SnapshotInto(params_, &static_cache_);
   for (auto& c : caches_) c.Clear();
   return Status::OK();
 }

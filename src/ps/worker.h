@@ -80,7 +80,7 @@ class Worker {
 
   /// Crash recovery: re-sync the whole replica (dense + all embedding
   /// tables) from the PS and drop cache state, discarding any partial
-  /// inner-loop progress. The caller resets the fault injector first.
+  /// inner-loop progress.
   Status RestoreFromPs();
 
   models::CtrModel* model() { return model_.get(); }
@@ -107,6 +107,7 @@ class Worker {
   // and is immovable, and deque constructs elements in place.
   std::deque<EmbeddingCache> caches_;
   std::vector<Tensor> static_cache_;       // Θ at pull time (per parameter)
+  std::vector<Tensor> dense_delta_;  // Θ̃ − Θ per dense parameter, reused
   std::unique_ptr<core::SharedSpecificStore> store_;  // θi for owned domains
   std::unique_ptr<core::DomainRegularization> dr_;
   Rng rng_;

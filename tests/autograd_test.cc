@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "autograd/grad_check.h"
+#include "testing/grad_check.h"
 #include "autograd/ops.h"
 #include "autograd/tape.h"
 #include "common/random.h"

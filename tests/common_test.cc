@@ -135,7 +135,6 @@ TEST(StringUtilTest, FormatFloat) {
 TEST(StringUtilTest, JoinAndPad) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(PadRight("ab", 4), "ab  ");
-  EXPECT_EQ(PadLeft("ab", 4), "  ab");
   EXPECT_EQ(PadRight("abcd", 2), "abcd");
 }
 

@@ -7,7 +7,7 @@
 
 #include <memory>
 
-#include "autograd/grad_check.h"
+#include "testing/grad_check.h"
 #include "models/registry.h"
 #include "test_util.h"
 

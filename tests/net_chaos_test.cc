@@ -10,6 +10,7 @@
 // (pool_threads=1), and the transport retry schedules are seeded — so two
 // runs of the same configuration are bit-identical, faults included.
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,11 +24,11 @@
 #include "models/registry.h"
 #include "optim/param_snapshot.h"
 #include "ps/distributed_mamdr.h"
-#include "ps/net/fault_proxy.h"
 #include "ps/net/net_ps_client.h"
 #include "ps/net/shard_directory.h"
 #include "ps/net/shard_group.h"
 #include "test_util.h"
+#include "testing/fault_proxy.h"
 
 MAMDR_ASSERT_LOCKDEP_CLEAN();
 
@@ -56,6 +57,56 @@ RetryConfig TransportRetry() {
   r.sleep = false;
   return r;
 }
+
+/// Forwards every op to `inner`, calling `before_op` first — with no locks
+/// held and before any network I/O, so a harness can kill and respawn
+/// shards at deterministic points in the worker's op sequence.
+class OpHookClient : public PsClient {
+ public:
+  OpHookClient(std::unique_ptr<PsClient> inner,
+               std::function<void()> before_op)
+      : inner_(std::move(inner)), before_op_(std::move(before_op)) {}
+
+  int64_t num_params() const override { return inner_->num_params(); }
+  bool is_embedding(int64_t idx) const override {
+    return inner_->is_embedding(idx);
+  }
+  Status PullDense(std::vector<Tensor>* out) override {
+    before_op_();
+    return inner_->PullDense(out);
+  }
+  Status PullRows(int64_t idx, const std::vector<int64_t>& rows,
+                  Tensor* into) override {
+    before_op_();
+    return inner_->PullRows(idx, rows, into);
+  }
+  Status PullFullTable(int64_t idx, Tensor* into) override {
+    before_op_();
+    return inner_->PullFullTable(idx, into);
+  }
+  Status PushDenseDelta(const std::vector<Tensor>& delta,
+                        float beta) override {
+    before_op_();
+    return inner_->PushDenseDelta(delta, beta);
+  }
+  Status PushRowDeltas(int64_t idx, const std::vector<int64_t>& rows,
+                       const Tensor& delta, float beta) override {
+    before_op_();
+    return inner_->PushRowDeltas(idx, rows, delta, beta);
+  }
+  Result<std::vector<Tensor>> Snapshot() override {
+    before_op_();
+    return inner_->Snapshot();
+  }
+  Status Restore(const std::vector<Tensor>& params) override {
+    before_op_();
+    return inner_->Restore(params);
+  }
+
+ private:
+  std::unique_ptr<PsClient> inner_;
+  std::function<void()> before_op_;
+};
 
 /// The sharded deployment one training run talks to: a 4-shard group with
 /// per-shard checkpoints, reached through per-shard fault proxies, plus the
@@ -113,8 +164,8 @@ class NetHarness {
   }
 
   /// PsClient factory for DistributedConfig: every client routes through
-  /// the proxies; worker clients additionally drive the kill/respawn
-  /// schedule, the admin client (id -1) never does.
+  /// the proxies; worker clients are wrapped in an OpHookClient that drives
+  /// the kill/respawn schedule, the admin client (id -1) never is.
   std::function<std::unique_ptr<PsClient>(int64_t)> Factory() {
     return [this](int64_t worker_id) -> std::unique_ptr<PsClient> {
       pnet::NetPsClientConfig cc;
@@ -122,10 +173,11 @@ class NetHarness {
       cc.retry = TransportRetry();
       cc.retry_seed = 1000 * static_cast<uint64_t>(worker_id + 2);
       cc.rpc_deadline_us = 5'000'000;
-      auto client = std::make_unique<pnet::NetPsClient>(
+      std::unique_ptr<PsClient> client = std::make_unique<pnet::NetPsClient>(
           cc, &proxy_ports_, layout_, is_embedding_);
       if (worker_id >= 0 && shard_crashes_) {
-        client->SetOpHookForTest([this] { OnWorkerOp(); });
+        client = std::make_unique<OpHookClient>(std::move(client),
+                                                [this] { OnWorkerOp(); });
       }
       return client;
     };

@@ -27,8 +27,8 @@
 #include "common/retry.h"
 #include "lockdep_guard.h"
 #include "obs/clock.h"
-#include "ps/fault_injector.h"
-#include "ps/net/fault_proxy.h"
+#include "testing/fault_injector.h"
+#include "testing/fault_proxy.h"
 #include "ps/net/hash_ring.h"
 #include "ps/net/net_ps_client.h"
 #include "ps/net/shard_directory.h"

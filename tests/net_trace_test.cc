@@ -38,7 +38,7 @@
 #include "lockdep_guard.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "ps/net/fault_proxy.h"
+#include "testing/fault_proxy.h"
 #include "ps/net/net_ps_client.h"
 #include "ps/net/shard_directory.h"
 #include "ps/net/shard_group.h"

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "autograd/grad_check.h"
+#include "testing/grad_check.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/fm.h"

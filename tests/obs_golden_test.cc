@@ -25,7 +25,7 @@
 #include "common/parallel_for.h"
 #include "core/framework_registry.h"
 #include "models/registry.h"
-#include "obs/json.h"
+#include "testing/json.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"

@@ -11,7 +11,7 @@
 
 #include "obs/clock.h"
 #include "obs/histogram.h"
-#include "obs/json.h"
+#include "testing/json.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"

@@ -111,17 +111,6 @@ TEST(ParameterServerTest, ServerOwnsItsState) {
   EXPECT_FLOAT_EQ(snap[0].at(0), 1.0f);
 }
 
-TEST(ParameterServerTest, ResetStatsClears) {
-  std::vector<Tensor> params{Tensor({2}, 0.0f)};
-  ParameterServer server(params, {false});
-  std::vector<Tensor> out{Tensor({2})};
-  server.PullDense(&out);
-  EXPECT_GT(server.stats().pull_ops, 0u);
-  server.ResetStats();
-  EXPECT_EQ(server.stats().pull_ops, 0u);
-  EXPECT_EQ(server.stats().bytes_pulled, 0u);
-}
-
 TEST(EmbeddingCacheTest, MissesThenHits) {
   EmbeddingCache cache;
   auto misses = cache.TouchAndGetMisses({1, 2, 2, 3});

@@ -8,8 +8,8 @@ the offending line):
                   src/models. Bounds-checked element access in kernel code
                   hides O(n) checks in hot loops; use raw ``data()``
                   pointers (kernels and autograd ops validate shapes once
-                  per call). grad_check.cc perturbs single elements on
-                  purpose and carries the allow comment.
+                  per call). A deliberate single-element access carries
+                  the allow comment.
   kernel-double   a ``double`` variable/parameter declaration in src/tensor.
                   Kernels accumulate in float32 so the blocked paths stay
                   bit-identical to the naive reference; widening an
