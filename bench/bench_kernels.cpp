@@ -5,15 +5,16 @@
 //   serial    — the growth seed's unblocked kernel (ops::MatMulNaive), the
 //               trajectory baseline;
 //   blocked   — the cache-blocked kernel (ops::MatMul).
-// Plus the blocked transposed variants, an elementwise bandwidth probe, two
-// autograd layers at CTR shapes (relu, concat_cols), each timed as one
-// forward plus one backward-closure call, one Adam step over the
-// parameters of the MLP model mamdr_run trains on Amazon13Like, and one
-// whole training step (forward, backward, Adam) of mamdr_run's MLP on
-// Taobao10Like and Amazon13Like batches of 256, run the way core::TrainPass
-// runs it: once on reused step buffers, once allocating every tensor. The
-// train_step rows also report tensor storage allocations and minor page
-// faults (getrusage) per step.
+// Plus the blocked transposed variants, an elementwise bandwidth probe, three
+// autograd layers at CTR shapes (relu, concat_cols, an embedding gather with
+// its scatter-add backward), each timed as one forward plus one
+// backward-closure call, one Adam step, one Snapshot + Restore and one
+// MetaInterpolate (Eq. 3) over the parameters of the MLP model mamdr_run
+// trains on Amazon13Like, and one whole training step (forward, backward,
+// Adam) of mamdr_run's MLP on Taobao10Like and Amazon13Like batches of 256,
+// run the way core::TrainPass runs it: once on reused step buffers, once
+// allocating every tensor. The train_step rows also report tensor storage
+// allocations and minor page faults (getrusage) per step.
 // Every kernel runs on the calling thread: kernels are serial by design
 // (parallelism lives in independent units, see common/parallel_for.h).
 // Results go to stdout and to a machine-readable BENCH_kernels.json so
@@ -44,6 +45,7 @@
 #include "obs/clock.h"
 #include "obs/telemetry.h"
 #include "optim/adam.h"
+#include "optim/param_snapshot.h"
 #include "tensor/simd.h"
 #include "tensor/step_buffers.h"
 #include "tensor/tensor.h"
@@ -327,10 +329,25 @@ int main(int argc, char** argv) {
         "concat_cols", "fwd_bwd", m, 4 * width, 1, repeats,
         [&] { autograd::ConcatCols(parts).node()->backward(g); }, 100));
   }
+  {
+    const int64_t rows = 10000, dim = 16, batch = 256;
+    autograd::Var table(RandomTensor(rows, dim, &rng), /*requires_grad=*/true);
+    std::vector<int64_t> ids(static_cast<size_t>(batch));
+    for (int64_t& id : ids) {
+      id = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(rows)));
+    }
+    const Tensor g = RandomTensor(batch, dim, &rng);
+    entries.push_back(Measure(
+        "embedding", "fwd_bwd", batch, dim, 1, repeats,
+        [&] { autograd::EmbeddingLookup(table, ids).node()->backward(g); },
+        100));
+  }
 
   // One Adam step over Amazon13Like's |Θ| with every parameter carrying a
   // gradient: the optimizer's share of a DN batch step on that dataset.
-  // The shape is recorded as |Θ| x 1 x 1.
+  // Then the per-domain-pass parameter plumbing over the same |Θ|: one
+  // Snapshot + Restore, and one MetaInterpolate. Every shape is recorded as
+  // |Θ| x 1 x 1.
   {
     auto ds = data::Generate(data::Amazon13Like(1.0, 17));
     if (!ds.ok()) {
@@ -360,6 +377,13 @@ int main(int argc, char** argv) {
     optim::Adam adam(params, 1e-3f);
     entries.push_back(Measure("adam", "step", size, 1, 1, repeats,
                               [&] { adam.Step(); }, 10));
+    entries.push_back(Measure(
+        "snapshot_restore", "serial", size, 1, 1, repeats,
+        [&] { optim::Restore(params, optim::Snapshot(params)); }, 10));
+    const std::vector<Tensor> snap = optim::Snapshot(params);
+    entries.push_back(Measure(
+        "meta_interpolate", "serial", size, 1, 1, repeats,
+        [&] { optim::MetaInterpolate(params, snap, 0.5f); }, 10));
   }
 
   std::printf("\n");

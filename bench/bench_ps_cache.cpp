@@ -62,8 +62,9 @@ int main() {
     ps::DistributedMamdr dist(mc, &ds, dc);
     MAMDR_CHECK(dist.Train().ok());
     uint64_t hits = 0, misses = 0;
-    for (int64_t p = 0; p < dist.server()->num_params(); ++p) {
-      if (!dist.server()->is_embedding(p)) continue;
+    const ps::PsLayout& layout = dist.server()->layout();
+    for (int64_t p = 0; p < layout.num_params(); ++p) {
+      if (!layout.is_embedding(p)) continue;
       hits += dist.worker(0)->cache(p).stats().hits;
       misses += dist.worker(0)->cache(p).stats().misses;
     }

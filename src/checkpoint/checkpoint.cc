@@ -1,5 +1,6 @@
 #include "checkpoint/checkpoint.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -166,6 +167,54 @@ Result<std::vector<std::pair<std::string, Tensor>>> LoadTensors(
     return Status::InvalidArgument(path + ": trailing bytes after tensors");
   }
   return out;
+}
+
+namespace {
+
+std::string PsParamName(size_t i) { return "param/" + std::to_string(i); }
+
+}  // namespace
+
+void AppendPsParams(const std::vector<Tensor>& params, NamedTensors* named) {
+  for (size_t i = 0; i < params.size(); ++i) {
+    named->emplace_back(PsParamName(i), params[i]);
+  }
+}
+
+Result<std::vector<Tensor>> ReadPsParams(
+    const NamedTensors& named, const std::vector<Shape>& shapes,
+    const std::vector<std::string>& extra) {
+  if (named.size() != shapes.size() + extra.size()) {
+    return Status::InvalidArgument(
+        "ps checkpoint has " + std::to_string(named.size()) +
+        " tensors, expected " + std::to_string(shapes.size() + extra.size()));
+  }
+  // Each expected name is consumed once, so a repeated one reads as
+  // unexpected the second time.
+  std::unordered_map<std::string, size_t> expected;
+  for (size_t i = 0; i < shapes.size(); ++i) expected.emplace(PsParamName(i), i);
+  std::vector<Tensor> params(shapes.size());
+  for (const auto& [name, tensor] : named) {
+    if (std::find(extra.begin(), extra.end(), name) != extra.end()) continue;
+    const auto it = expected.find(name);
+    if (it == expected.end()) {
+      return Status::InvalidArgument(
+          "ps checkpoint: unexpected or repeated tensor '" + name + "'");
+    }
+    if (tensor.shape() != shapes[it->second]) {
+      return Status::InvalidArgument("ps checkpoint: tensor '" + name +
+                                     "' shape mismatch");
+    }
+    params[it->second] = tensor;
+    expected.erase(it);
+  }
+  // The counts matched, so a name left over means a repeated extra name
+  // took its place.
+  if (!expected.empty()) {
+    return Status::InvalidArgument("ps checkpoint missing " +
+                                   expected.begin()->first);
+  }
+  return params;
 }
 
 Status SaveModule(const nn::Module& module, const std::string& path) {

@@ -34,6 +34,22 @@ Status SaveTensors(
 Result<std::vector<std::pair<std::string, Tensor>>> LoadTensors(
     const std::string& path);
 
+using NamedTensors = std::vector<std::pair<std::string, Tensor>>;
+
+/// Parameter-server checkpoints (a network shard's, and DistributedMamdr's
+/// beside its "epoch" counter) name parameter i "param/<i>". Append
+/// `params` under those names.
+void AppendPsParams(const std::vector<Tensor>& params, NamedTensors* named);
+
+/// The parameters of a parameter-server checkpoint, in index order.
+/// `named` must hold exactly the tensors named in `extra` (the caller reads
+/// those) plus one "param/<i>" with shape shapes[i] for every
+/// i < shapes.size(). A count mismatch, any other name, a bad or repeated
+/// index, a missing index or a shape mismatch fails kInvalidArgument.
+Result<std::vector<Tensor>> ReadPsParams(const NamedTensors& named,
+                                         const std::vector<Shape>& shapes,
+                                         const std::vector<std::string>& extra);
+
 /// Save a module's parameters (by qualified name).
 Status SaveModule(const nn::Module& module, const std::string& path);
 

@@ -35,7 +35,6 @@ class EarlyStopper {
 
   double best_metric() const { return best_metric_; }
   int64_t best_epoch() const { return best_epoch_; }
-  int64_t epochs_observed() const { return observed_; }
 
   /// Copy the best snapshot back into the module. No-op if nothing was
   /// ever observed.

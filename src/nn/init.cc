@@ -17,16 +17,6 @@ Tensor XavierUniform(int64_t fan_in, int64_t fan_out, Rng* rng) {
   return t;
 }
 
-Tensor HeNormal(int64_t fan_in, int64_t fan_out, Rng* rng) {
-  const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  Tensor t({fan_in, fan_out});
-  float* p = t.data();
-  for (int64_t i = 0; i < t.size(); ++i) {
-    p[i] = static_cast<float>(rng->Normal(0.0, stddev));
-  }
-  return t;
-}
-
 Tensor Normal(const Shape& shape, float stddev, Rng* rng) {
   Tensor t(shape);
   float* p = t.data();

@@ -12,9 +12,6 @@ namespace init {
 /// Glorot/Xavier uniform: U(-limit, limit), limit = sqrt(6/(fan_in+fan_out)).
 Tensor XavierUniform(int64_t fan_in, int64_t fan_out, Rng* rng);
 
-/// He/Kaiming normal: N(0, sqrt(2/fan_in)) — for ReLU stacks.
-Tensor HeNormal(int64_t fan_in, int64_t fan_out, Rng* rng);
-
 /// N(0, stddev) of arbitrary shape (embedding tables).
 Tensor Normal(const Shape& shape, float stddev, Rng* rng);
 

@@ -37,7 +37,6 @@ class Optimizer {
   void ZeroGrad();
 
   float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
   const std::vector<Var>& params() const { return params_; }
 
  protected:

@@ -54,21 +54,6 @@ void MetaInterpolate(const std::vector<Var>& params,
   }
 }
 
-void WriteMetaGrad(const std::vector<Var>& params,
-                   const std::vector<Tensor>& snap) {
-  MAMDR_CHECK_EQ(params.size(), snap.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    Var p = params[i];
-    p.ZeroGrad();
-    Tensor& g = p.mutable_grad();
-    const float* pv = p.value().data();
-    const float* ps = snap[i].data();
-    float* pg = g.data();
-    const int64_t n = g.size();
-    for (int64_t j = 0; j < n; ++j) pg[j] = ps[j] - pv[j];
-  }
-}
-
 std::vector<Tensor> GradSnapshot(const std::vector<Var>& params) {
   std::vector<Tensor> out;
   out.reserve(params.size());

@@ -32,13 +32,6 @@ void Restore(const std::vector<Var>& params, const std::vector<Tensor>& snap);
 void MetaInterpolate(const std::vector<Var>& params,
                      const std::vector<Tensor>& snap, float beta);
 
-/// Treat (snap - p)/1 as a pseudo-gradient and store it into the params'
-/// .grad buffers (so a server-side optimizer like Adagrad can consume it).
-/// grad = (snap - p)  ==  -(p - snap), i.e. descending this gradient moves
-/// the stored value toward p.
-void WriteMetaGrad(const std::vector<Var>& params,
-                   const std::vector<Tensor>& snap);
-
 /// Deep copy of parameter gradients (missing grads come back as zeros).
 std::vector<Tensor> GradSnapshot(const std::vector<Var>& params);
 

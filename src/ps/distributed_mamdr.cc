@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "checkpoint/checkpoint.h"
 #include "common/logging.h"
@@ -45,7 +44,6 @@ DistributedMamdr::DistributedMamdr(const models::ModelConfig& model_config,
                                    DistributedConfig config)
     : dataset_(dataset), config_(std::move(config)) {
   MAMDR_CHECK_GT(config_.num_workers, 0);
-  MAMDR_CHECK_GT(config_.checkpoint_every, 0);
   // More workers than domains would idle; clamp so worker ids stay dense.
   config_.num_workers =
       std::min<int64_t>(config_.num_workers, dataset_->num_domains());
@@ -187,8 +185,7 @@ Status DistributedMamdr::TrainEpoch() {
     for (const Status& s : dr_results) MAMDR_RETURN_IF_ERROR(s);
   }
 
-  if (!config_.checkpoint_dir.empty() &&
-      epochs_run_ % config_.checkpoint_every == 0) {
+  if (!config_.checkpoint_dir.empty()) {
     MAMDR_RETURN_IF_ERROR(SaveCheckpoint(epochs_run_));
   }
   return Status::OK();
@@ -261,27 +258,24 @@ Status DistributedMamdr::SaveCheckpoint(int64_t completed_epochs) {
   obs::ContextSpan span("checkpoint_save", "mamdr");
   MAMDR_CHECK(!config_.checkpoint_dir.empty());
   recovery_counters().checkpoint_saves->Add();
-  std::vector<std::pair<std::string, Tensor>> named;
+  checkpoint::NamedTensors named;
   named.emplace_back("epoch",
                      Tensor({1}, static_cast<float>(completed_epochs)));
   MAMDR_ASSIGN_OR_RETURN(const auto snapshot, admin_client_->Snapshot());
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    named.emplace_back("param/" + std::to_string(i), snapshot[i]);
-  }
+  checkpoint::AppendPsParams(snapshot, &named);
   return checkpoint::SaveTensors(named, CheckpointPath());
 }
 
 Result<int64_t> DistributedMamdr::RestoreFromCheckpoint() {
-  MAMDR_ASSIGN_OR_RETURN(auto named,
+  MAMDR_ASSIGN_OR_RETURN(const auto named,
                          checkpoint::LoadTensors(CheckpointPath()));
-  std::unordered_map<std::string, const Tensor*> by_name;
-  for (const auto& [name, tensor] : named) by_name[name] = &tensor;
-
-  auto epoch_it = by_name.find("epoch");
-  if (epoch_it == by_name.end() || epoch_it->second->size() != 1) {
+  const auto epoch_it =
+      std::find_if(named.begin(), named.end(),
+                   [](const auto& entry) { return entry.first == "epoch"; });
+  if (epoch_it == named.end() || epoch_it->second.size() != 1) {
     return Status::InvalidArgument("checkpoint missing epoch counter");
   }
-  const int64_t epoch = static_cast<int64_t>(epoch_it->second->at(0));
+  const int64_t epoch = static_cast<int64_t>(epoch_it->second.at(0));
   if (epoch < 0) {
     return Status::InvalidArgument("checkpoint epoch counter is negative");
   }
@@ -289,21 +283,13 @@ Result<int64_t> DistributedMamdr::RestoreFromCheckpoint() {
   // Validate the whole layout before touching the PS: restore is
   // all-or-nothing. The reference replica defines the layout, so this
   // works identically against the in-process and networked backends.
-  const std::vector<Tensor> layout = optim::Snapshot(reference_params_);
-  std::vector<Tensor> restored;
-  restored.reserve(layout.size());
-  for (size_t i = 0; i < layout.size(); ++i) {
-    auto it = by_name.find("param/" + std::to_string(i));
-    if (it == by_name.end()) {
-      return Status::InvalidArgument("checkpoint missing param/" +
-                                     std::to_string(i));
-    }
-    if (it->second->shape() != layout[i].shape()) {
-      return Status::InvalidArgument("checkpoint shape mismatch for param/" +
-                                     std::to_string(i));
-    }
-    restored.push_back(*it->second);
+  std::vector<Shape> shapes;
+  shapes.reserve(reference_params_.size());
+  for (const autograd::Var& p : reference_params_) {
+    shapes.push_back(p.value().shape());
   }
+  MAMDR_ASSIGN_OR_RETURN(const std::vector<Tensor> restored,
+                         checkpoint::ReadPsParams(named, shapes, {"epoch"}));
   MAMDR_RETURN_IF_ERROR(admin_client_->Restore(restored));
   recovery_counters().checkpoint_restores->Add();
   epochs_run_ = epoch;

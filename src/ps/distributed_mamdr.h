@@ -8,8 +8,8 @@
 // its epoch re-run; if the respawn also dies, its domains are reassigned to
 // a surviving worker for the remainder of the epoch. With `checkpoint_dir`
 // set, the PS state plus the completed-epoch counter are atomically
-// checkpointed every `checkpoint_every` epochs and Train() resumes from the
-// latest checkpoint after a process restart. The chaos tests drive these
+// checkpointed after every sync epoch and Train() resumes from the latest
+// checkpoint after a process restart. The chaos tests drive these
 // paths by handing fault-injecting clients in through `ps_client_factory`.
 #ifndef MAMDR_PS_DISTRIBUTED_MAMDR_H_
 #define MAMDR_PS_DISTRIBUTED_MAMDR_H_
@@ -55,10 +55,9 @@ struct DistributedConfig {
   /// run — bit-deterministic; the chaos tests train with 1.
   int64_t pool_threads = 0;
   /// When non-empty, checkpoint the PS to `<checkpoint_dir>/ps.ckpt` after
-  /// every `checkpoint_every` completed sync epochs, and resume Train()
-  /// from the checkpoint when one is present.
+  /// every completed sync epoch (and at the end of an async run), and
+  /// resume Train() from the checkpoint when one is present.
   std::string checkpoint_dir;
-  int64_t checkpoint_every = 1;
   /// Backend seam. When set, every PsClient comes from this factory —
   /// called once per worker with its id, and once with -1 for the admin
   /// client that checkpoint save/restore and evaluation go through — e.g.

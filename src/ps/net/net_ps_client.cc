@@ -69,10 +69,7 @@ NetPsClient::NetPsClient(NetPsClientConfig config, ShardDirectory* directory,
 
   dense_by_shard_.resize(static_cast<size_t>(config_.num_shards));
   for (int64_t i = 0; i < layout_.num_params(); ++i) {
-    if (layout_.is_embedding(i)) {
-      MAMDR_CHECK_EQ(layout_.shape(i).size(), 2u);
-      continue;
-    }
+    if (layout_.is_embedding(i)) continue;
     const int owner = ring_.ShardForDense(i);
     dense_by_shard_[static_cast<size_t>(owner)].push_back(
         static_cast<uint32_t>(i));

@@ -28,44 +28,15 @@ std::string ShardOpLabel(const char* family, int shard_id, const char* op) {
          "\",op=\"" + op + "\"}";
 }
 
-/// Parse the numeric suffix of a "param/<i>" checkpoint tensor name;
-/// -1 on anything that is not a plain decimal number.
-int64_t ParseParamIndex(const std::string& suffix) {
-  if (suffix.empty() || suffix.size() > 9) return -1;
-  int64_t v = 0;
-  for (const char c : suffix) {
-    if (c < '0' || c > '9') return -1;
-    v = v * 10 + (c - '0');
-  }
-  return v;
-}
-
 }  // namespace
 
 ShardServer::ShardServer(ShardServerConfig config, std::vector<Tensor> params,
                          std::vector<bool> is_embedding)
     : config_(config),
       ring_(config.num_shards),
-      is_embedding_(std::move(is_embedding)) {
-  // Deep-copy: Tensor copies share storage, and a shard must never alias
-  // the caller's buffers (or another shard's).
-  params_.reserve(params.size());
-  for (const Tensor& t : params) params_.push_back(t.Clone());
+      server_(std::move(params), std::move(is_embedding)) {
   MAMDR_CHECK_GE(config_.shard_id, 0);
   MAMDR_CHECK_LT(config_.shard_id, config_.num_shards);
-  MAMDR_CHECK_EQ(params_.size(), is_embedding_.size());
-  sizes_.reserve(params_.size());
-  rows_.reserve(params_.size());
-  cols_.reserve(params_.size());
-  shapes_.reserve(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    const Tensor& t = params_[i];
-    sizes_.push_back(t.size());
-    rows_.push_back(is_embedding_[i] ? t.rows() : 0);
-    cols_.push_back(is_embedding_[i] ? t.cols() : 0);
-    shapes_.push_back(t.shape());
-    if (is_embedding_[i]) MAMDR_CHECK_EQ(t.rank(), 2);
-  }
   RegisterMetrics();
 }
 
@@ -305,8 +276,7 @@ bool ShardServer::ServeReadyFrames(int fd) {
       // a bad message earns a kInvalidArgument response (HandleRequest).
       if (!clean_close) {
         bad_requests_counter_->Add();
-        MutexLock lock(&mu_);
-        ++stats_.bad_requests;
+        bad_requests_.fetch_add(1, std::memory_order_relaxed);
       }
       return false;
     }
@@ -322,10 +292,7 @@ bool ShardServer::ServeReadyFrames(int fd) {
 }
 
 std::string ShardServer::HandleRequest(const std::string& request) {
-  {
-    MutexLock lock(&mu_);
-    ++stats_.requests;
-  }
+  requests_.fetch_add(1, std::memory_order_relaxed);
   requests_counter_->Add();
   const int64_t start_us = obs::MonotonicMicros();
 
@@ -354,15 +321,15 @@ std::string ShardServer::HandleRequest(const std::string& request) {
       case PsOp::kPullParams:
         return HandlePullParams(&r);
       case PsOp::kPushParams:
-        return HandlePushParams(&r, /*restore=*/false);
+        return HandlePushParams(&r, PsWrite::kEq3);
       case PsOp::kPullRows:
         return HandlePullRows(&r);
       case PsOp::kPushRows:
-        return HandlePushRows(&r, /*restore=*/false);
+        return HandlePushRows(&r, PsWrite::kEq3);
       case PsOp::kRestoreParams:
-        return HandlePushParams(&r, /*restore=*/true);
+        return HandlePushParams(&r, PsWrite::kRestore);
       case PsOp::kRestoreRows:
-        return HandlePushRows(&r, /*restore=*/true);
+        return HandlePushRows(&r, PsWrite::kRestore);
     }
     return Status::InvalidArgument("ps wire: unknown op " +
                                    std::to_string(env.op));
@@ -371,10 +338,7 @@ std::string ShardServer::HandleRequest(const std::string& request) {
   std::string response;
   if (!body.ok()) {
     bad_requests_counter_->Add();
-    {
-      MutexLock lock(&mu_);
-      ++stats_.bad_requests;
-    }
+    bad_requests_.fetch_add(1, std::memory_order_relaxed);
     handle_span.SetError(body.status().message());
     response = EncodeErrorResponse(body.status());
   } else {
@@ -391,13 +355,14 @@ std::string ShardServer::HandleRequest(const std::string& request) {
 }
 
 Status ShardServer::CheckParamIndex(uint32_t idx, bool want_embedding) const {
-  if (idx >= is_embedding_.size()) {
+  const PsLayout& layout = server_.layout();
+  if (idx >= static_cast<uint64_t>(layout.num_params())) {
     return Status::InvalidArgument("shard " +
                                    std::to_string(config_.shard_id) +
                                    ": param index " + std::to_string(idx) +
                                    " out of range");
   }
-  if (is_embedding_[idx] != want_embedding) {
+  if (layout.is_embedding(idx) != want_embedding) {
     return Status::InvalidArgument(
         "shard " + std::to_string(config_.shard_id) + ": param " +
         std::to_string(idx) +
@@ -416,83 +381,123 @@ Status ShardServer::CheckParamIndex(uint32_t idx, bool want_embedding) const {
 Result<std::string> ShardServer::HandlePullParams(PayloadReader* r) {
   // decode/apply sub-spans parent under the ambient handle span installed
   // by HandleRequest (same pattern in every handler below).
-  std::vector<uint32_t> idxs;
+  const PsLayout& layout = server_.layout();
+  std::vector<int64_t> idxs;
   {
     obs::ContextSpan decode_span("ps.shard.decode", "ps.shard", &recorder_);
     uint32_t n = 0;
     MAMDR_RETURN_IF_ERROR(r->GetU32(&n));
-    if (n > is_embedding_.size()) {
+    if (n > static_cast<uint64_t>(layout.num_params())) {
       return Status::InvalidArgument("pull_params: count " +
                                      std::to_string(n) +
                                      " exceeds layout size");
     }
     idxs.resize(n);
     for (uint32_t i = 0; i < n; ++i) {
-      MAMDR_RETURN_IF_ERROR(r->GetU32(&idxs[i]));
-      MAMDR_RETURN_IF_ERROR(
-          CheckParamIndex(idxs[i], /*want_embedding=*/false));
+      uint32_t idx = 0;
+      MAMDR_RETURN_IF_ERROR(r->GetU32(&idx));
+      MAMDR_RETURN_IF_ERROR(CheckParamIndex(idx, /*want_embedding=*/false));
+      idxs[i] = idx;
     }
     MAMDR_RETURN_IF_ERROR(r->ExpectEnd());
   }
 
   obs::ContextSpan apply_span("ps.shard.apply", "ps.shard", &recorder_);
+  std::vector<std::vector<float>> values(idxs.size());
+  std::vector<float*> dst(idxs.size());
+  for (size_t k = 0; k < idxs.size(); ++k) {
+    values[k].resize(static_cast<size_t>(NumElements(layout.shape(idxs[k]))));
+    dst[k] = values[k].data();
+  }
+  server_.ReadDense(idxs, dst);
   PayloadWriter w;
-  MutexLock lock(&mu_);
-  for (const uint32_t idx : idxs) {
-    const Tensor& t = params_[idx];
-    w.PutU32(idx);
-    w.PutU64(static_cast<uint64_t>(t.size()));
-    w.PutF32Array(t.data(), static_cast<size_t>(t.size()));
+  for (size_t k = 0; k < idxs.size(); ++k) {
+    w.PutU32(static_cast<uint32_t>(idxs[k]));
+    w.PutU64(values[k].size());
+    w.PutF32Array(values[k].data(), values[k].size());
   }
   return w.Take();
 }
 
 Result<std::string> ShardServer::HandlePushParams(PayloadReader* r,
-                                                  bool restore) {
+                                                  PsWrite mode) {
+  const PsLayout& layout = server_.layout();
   float beta = 1.0f;
   // Parse and validate the whole message before touching state: a push
   // applies on this shard entirely or not at all.
-  std::vector<std::pair<uint32_t, std::vector<float>>> entries;
+  std::vector<int64_t> idxs;
+  std::vector<std::vector<float>> values;
   {
     obs::ContextSpan decode_span("ps.shard.decode", "ps.shard", &recorder_);
-    if (!restore) MAMDR_RETURN_IF_ERROR(r->GetF32(&beta));
+    if (mode == PsWrite::kEq3) MAMDR_RETURN_IF_ERROR(r->GetF32(&beta));
     uint32_t n = 0;
     MAMDR_RETURN_IF_ERROR(r->GetU32(&n));
-    if (n > is_embedding_.size()) {
+    if (n > static_cast<uint64_t>(layout.num_params())) {
       return Status::InvalidArgument("push_params: count " +
                                      std::to_string(n) +
                                      " exceeds layout size");
     }
-    entries.reserve(n);
+    idxs.reserve(n);
+    values.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       uint32_t idx = 0;
       MAMDR_RETURN_IF_ERROR(r->GetU32(&idx));
       MAMDR_RETURN_IF_ERROR(CheckParamIndex(idx, /*want_embedding=*/false));
+      const int64_t want = NumElements(layout.shape(idx));
       uint64_t size = 0;
       MAMDR_RETURN_IF_ERROR(r->GetU64(&size));
-      if (size != static_cast<uint64_t>(sizes_[idx])) {
+      if (size != static_cast<uint64_t>(want)) {
         return Status::InvalidArgument(
             "push_params: param " + std::to_string(idx) + " size " +
-            std::to_string(size) + " != " + std::to_string(sizes_[idx]));
+            std::to_string(size) + " != " + std::to_string(want));
       }
       std::vector<float> data(static_cast<size_t>(size));
       MAMDR_RETURN_IF_ERROR(r->GetF32Array(data.data(), data.size()));
-      entries.emplace_back(idx, std::move(data));
+      idxs.push_back(idx);
+      values.push_back(std::move(data));
     }
     MAMDR_RETURN_IF_ERROR(r->ExpectEnd());
   }
 
   obs::ContextSpan apply_span("ps.shard.apply", "ps.shard", &recorder_);
-  MutexLock lock(&mu_);
-  for (const auto& [idx, delta] : entries) {
-    float* p = params_[idx].data();
-    if (restore) {
-      for (size_t k = 0; k < delta.size(); ++k) p[k] = delta[k];
-    } else {
-      for (size_t k = 0; k < delta.size(); ++k) p[k] += beta * delta[k];
+  std::vector<const float*> src;
+  src.reserve(values.size());
+  for (const std::vector<float>& v : values) src.push_back(v.data());
+  server_.WriteDense(idxs, src, beta, mode);
+  return std::string();
+}
+
+Status ShardServer::DecodeOwnedRows(PayloadReader* r, uint32_t idx,
+                                    const char* op,
+                                    std::vector<int64_t>* rows) const {
+  const int64_t table_rows = server_.layout().shape(idx)[0];
+  const int64_t dim = server_.layout().shape(idx)[1];
+  uint64_t nrows = 0;
+  MAMDR_RETURN_IF_ERROR(r->GetU64(&nrows));
+  const uint64_t max_rows =
+      kMaxFrameBytes / (static_cast<uint64_t>(dim) * sizeof(float));
+  if (nrows > max_rows) {
+    return Status::InvalidArgument(std::string(op) + ": row count " +
+                                   std::to_string(nrows) +
+                                   " exceeds frame budget");
+  }
+  rows->resize(static_cast<size_t>(nrows));
+  for (auto& row : *rows) {
+    MAMDR_RETURN_IF_ERROR(r->GetI64(&row));
+    if (row < 0 || row >= table_rows) {
+      return Status::InvalidArgument(
+          std::string(op) + ": row " + std::to_string(row) +
+          " out of range [0, " + std::to_string(table_rows) +
+          ") for param " + std::to_string(idx));
+    }
+    if (ring_.ShardForRow(idx, row) != config_.shard_id) {
+      return Status::InvalidArgument(
+          "shard " + std::to_string(config_.shard_id) +
+          ": not the owner of param " + std::to_string(idx) + " row " +
+          std::to_string(row));
     }
   }
-  return std::string();
+  return Status::OK();
 }
 
 Result<std::string> ShardServer::HandlePullRows(PayloadReader* r) {
@@ -503,56 +508,27 @@ Result<std::string> ShardServer::HandlePullRows(PayloadReader* r) {
     obs::ContextSpan decode_span("ps.shard.decode", "ps.shard", &recorder_);
     MAMDR_RETURN_IF_ERROR(r->GetU32(&idx));
     MAMDR_RETURN_IF_ERROR(CheckParamIndex(idx, /*want_embedding=*/true));
-    const int64_t table_rows = rows_[idx];
-    dim = cols_[idx];
+    dim = server_.layout().shape(idx)[1];
     if (dim <= 0) {
       return Status::InvalidArgument("pull_rows: param " +
                                      std::to_string(idx) + " has no columns");
     }
-    uint64_t nrows = 0;
-    MAMDR_RETURN_IF_ERROR(r->GetU64(&nrows));
-    const uint64_t max_rows =
-        kMaxFrameBytes / (static_cast<uint64_t>(dim) * sizeof(float));
-    if (nrows > max_rows) {
-      return Status::InvalidArgument("pull_rows: row count " +
-                                     std::to_string(nrows) +
-                                     " exceeds frame budget");
-    }
-    rows.resize(static_cast<size_t>(nrows));
-    for (auto& row : rows) {
-      MAMDR_RETURN_IF_ERROR(r->GetI64(&row));
-      if (row < 0 || row >= table_rows) {
-        return Status::InvalidArgument(
-            "pull_rows: row " + std::to_string(row) + " out of range [0, " +
-            std::to_string(table_rows) + ") for param " +
-            std::to_string(idx));
-      }
-      if (ring_.ShardForRow(idx, row) != config_.shard_id) {
-        return Status::InvalidArgument(
-            "shard " + std::to_string(config_.shard_id) +
-            ": not the owner of param " + std::to_string(idx) + " row " +
-            std::to_string(row));
-      }
-    }
+    MAMDR_RETURN_IF_ERROR(DecodeOwnedRows(r, idx, "pull_rows", &rows));
     MAMDR_RETURN_IF_ERROR(r->ExpectEnd());
   }
 
   obs::ContextSpan apply_span("ps.shard.apply", "ps.shard", &recorder_);
+  std::vector<float> packed(rows.size() * static_cast<size_t>(dim));
+  server_.ReadRows(idx, rows, packed.data());
   PayloadWriter w;
   w.PutU64(static_cast<uint64_t>(dim));
-  MutexLock lock(&mu_);
-  const float* base = params_[idx].data();
-  for (const int64_t row : rows) {
-    w.PutF32Array(base + row * dim, static_cast<size_t>(dim));
-  }
-  stats_.rows_pulled += static_cast<uint64_t>(rows.size());
+  w.PutF32Array(packed.data(), packed.size());
   return w.Take();
 }
 
 Result<std::string> ShardServer::HandlePushRows(PayloadReader* r,
-                                                bool restore) {
+                                                PsWrite mode) {
   uint32_t idx = 0;
-  int64_t table_dim = 0;
   float beta = 1.0f;
   std::vector<int64_t> rows;
   std::vector<float> data;
@@ -560,38 +536,13 @@ Result<std::string> ShardServer::HandlePushRows(PayloadReader* r,
     obs::ContextSpan decode_span("ps.shard.decode", "ps.shard", &recorder_);
     MAMDR_RETURN_IF_ERROR(r->GetU32(&idx));
     MAMDR_RETURN_IF_ERROR(CheckParamIndex(idx, /*want_embedding=*/true));
-    const int64_t table_rows = rows_[idx];
-    table_dim = cols_[idx];
+    const int64_t table_dim = server_.layout().shape(idx)[1];
     if (table_dim <= 0) {
       return Status::InvalidArgument("push_rows: param " +
                                      std::to_string(idx) + " has no columns");
     }
-    if (!restore) MAMDR_RETURN_IF_ERROR(r->GetF32(&beta));
-    uint64_t nrows = 0;
-    MAMDR_RETURN_IF_ERROR(r->GetU64(&nrows));
-    const uint64_t max_rows =
-        kMaxFrameBytes / (static_cast<uint64_t>(table_dim) * sizeof(float));
-    if (nrows > max_rows) {
-      return Status::InvalidArgument("push_rows: row count " +
-                                     std::to_string(nrows) +
-                                     " exceeds frame budget");
-    }
-    rows.resize(static_cast<size_t>(nrows));
-    for (auto& row : rows) {
-      MAMDR_RETURN_IF_ERROR(r->GetI64(&row));
-      if (row < 0 || row >= table_rows) {
-        return Status::InvalidArgument(
-            "push_rows: row " + std::to_string(row) + " out of range [0, " +
-            std::to_string(table_rows) + ") for param " +
-            std::to_string(idx));
-      }
-      if (ring_.ShardForRow(idx, row) != config_.shard_id) {
-        return Status::InvalidArgument(
-            "shard " + std::to_string(config_.shard_id) +
-            ": not the owner of param " + std::to_string(idx) + " row " +
-            std::to_string(row));
-      }
-    }
+    if (mode == PsWrite::kEq3) MAMDR_RETURN_IF_ERROR(r->GetF32(&beta));
+    MAMDR_RETURN_IF_ERROR(DecodeOwnedRows(r, idx, "push_rows", &rows));
     uint64_t dim = 0;
     MAMDR_RETURN_IF_ERROR(r->GetU64(&dim));
     if (dim != static_cast<uint64_t>(table_dim)) {
@@ -599,38 +550,20 @@ Result<std::string> ShardServer::HandlePushRows(PayloadReader* r,
           "push_rows: dim " + std::to_string(dim) + " != table dim " +
           std::to_string(table_dim) + " for param " + std::to_string(idx));
     }
-    data.resize(static_cast<size_t>(nrows * dim));
+    data.resize(rows.size() * static_cast<size_t>(dim));
     MAMDR_RETURN_IF_ERROR(r->GetF32Array(data.data(), data.size()));
     MAMDR_RETURN_IF_ERROR(r->ExpectEnd());
   }
 
   obs::ContextSpan apply_span("ps.shard.apply", "ps.shard", &recorder_);
-  MutexLock lock(&mu_);
-  float* base = params_[idx].data();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    float* dst = base + rows[i] * table_dim;
-    const float* src = data.data() + static_cast<int64_t>(i) * table_dim;
-    if (restore) {
-      for (int64_t k = 0; k < table_dim; ++k) dst[k] = src[k];
-    } else {
-      for (int64_t k = 0; k < table_dim; ++k) dst[k] += beta * src[k];
-    }
-  }
-  stats_.rows_pushed += static_cast<uint64_t>(rows.size());
+  server_.WriteRows(idx, rows, data.data(), beta, mode);
   return std::string();
 }
 
 Status ShardServer::SaveCheckpoint() {
   if (config_.checkpoint_path.empty()) return Status::OK();
-  std::vector<std::pair<std::string, Tensor>> named;
-  {
-    MutexLock lock(&mu_);
-    named.reserve(params_.size());
-    for (size_t i = 0; i < params_.size(); ++i) {
-      named.emplace_back("param/" + std::to_string(i), params_[i].Clone());
-    }
-  }
-  // File I/O happens outside the state lock.
+  checkpoint::NamedTensors named;
+  checkpoint::AppendPsParams(server_.SnapshotAll(), &named);
   return checkpoint::SaveTensors(named, config_.checkpoint_path);
 }
 
@@ -640,36 +573,21 @@ Status ShardServer::RestoreFromCheckpoint() {
   }
   MAMDR_ASSIGN_OR_RETURN(const auto named,
                          checkpoint::LoadTensors(config_.checkpoint_path));
-  if (named.size() != shapes_.size()) {
-    return Status::InvalidArgument(
-        "shard checkpoint has " + std::to_string(named.size()) +
-        " tensors, layout has " + std::to_string(shapes_.size()));
-  }
-  std::vector<Tensor> restored(shapes_.size());
-  for (const auto& [name, tensor] : named) {
-    if (name.rfind("param/", 0) != 0) {
-      return Status::InvalidArgument("shard checkpoint: unexpected tensor '" +
-                                     name + "'");
-    }
-    const int64_t i = ParseParamIndex(name.substr(6));
-    if (i < 0 || i >= static_cast<int64_t>(shapes_.size())) {
-      return Status::InvalidArgument("shard checkpoint: tensor '" + name +
-                                     "' out of range");
-    }
-    if (tensor.shape() != shapes_[static_cast<size_t>(i)]) {
-      return Status::InvalidArgument("shard checkpoint: tensor '" + name +
-                                     "' shape mismatch");
-    }
-    restored[static_cast<size_t>(i)] = tensor;
-  }
-  MutexLock lock(&mu_);
-  params_ = std::move(restored);
+  MAMDR_ASSIGN_OR_RETURN(
+      const std::vector<Tensor> params,
+      checkpoint::ReadPsParams(named, server_.layout().shapes(), {}));
+  server_.RestoreAll(params);
   return Status::OK();
 }
 
 ShardStats ShardServer::stats() const {
-  MutexLock lock(&mu_);
-  return stats_;
+  const PsStats ps = server_.stats();
+  ShardStats out;
+  out.requests = requests_.load(std::memory_order_relaxed);
+  out.bad_requests = bad_requests_.load(std::memory_order_relaxed);
+  out.rows_pulled = ps.rows_pulled;
+  out.rows_pushed = ps.rows_pushed;
+  return out;
 }
 
 }  // namespace net

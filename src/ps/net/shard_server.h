@@ -1,11 +1,12 @@
-// One shard of the networked parameter server.
+// One shard of the networked parameter server: a network front end over
+// its own ParameterServer.
 //
-// A ShardServer owns the full parameter layout (same tensors as the
-// in-process ParameterServer) but is *authoritative* only for the keys the
-// consistent-hash ring assigns to its shard id: a request that touches a
-// key it does not own is rejected with kInvalidArgument — with a correct
-// client that means a routing bug or a corrupted-but-CRC-valid message, and
-// either way it must not be silently applied.
+// The shard's ParameterServer holds the full parameter layout (the same
+// class the in-process runtime uses), but the shard is *authoritative* only
+// for the keys the consistent-hash ring assigns to its shard id: a request
+// that touches a key it does not own is rejected with kInvalidArgument —
+// with a correct client that means a routing bug or a corrupted-but-CRC-
+// valid message, and either way it must not be silently applied.
 //
 // Transport: one poller thread owns every *idle* session. It blocks in a
 // single Listener::Poll over the listening socket, the self-pipe and the
@@ -21,19 +22,21 @@
 // read fds that have bytes pending, it cuts a peer that stalls mid-frame
 // (costing one worker at most `read_deadline_us` — it can slow the shard,
 // never wedge it) and never an idle session.
-// Handlers serialize on the state lock (`ps.net.shard.state`); the session
-// table has its own leaf lock class (`ps.net.shard.workers`).
+// The session table has its own leaf lock class (`ps.net.shard.workers`);
+// parameter state is locked only inside the ParameterServer (`ps.state`).
 //
-// Mutation RPCs validate the complete message *before* touching any state,
-// so a push either applies entirely on this shard or not at all (per-shard
-// atomicity; cross-shard atomicity is explicitly not provided — see
-// docs/ARCHITECTURE.md "Sharded parameter server").
+// Each RPC decodes and validates the complete message (index range, dense
+// or embedding kind, ring ownership, row bounds, dim/size, frame budget)
+// *before* it makes its one ParameterServer call, which holds the state
+// lock once: a push either applies entirely on this shard or not at all
+// (per-shard atomicity; cross-shard atomicity is explicitly not provided —
+// see docs/ARCHITECTURE.md "Sharded parameter server"), and no network
+// input reaches a ParameterServer MAMDR_CHECK.
 //
 // Durability: SaveCheckpoint writes the shard's tensors through
 // checkpoint::SaveTensors (tmp+rename, CRC-32 footer) to the configured
 // path; a respawned shard restores from that file and loses only the
-// pushes applied since — the same loss class as the fault injector's
-// dropped pushes.
+// pushes applied since — the same loss class as a dropped push.
 #ifndef MAMDR_PS_NET_SHARD_SERVER_H_
 #define MAMDR_PS_NET_SHARD_SERVER_H_
 
@@ -54,6 +57,7 @@
 #include "obs/trace.h"
 #include "ps/net/hash_ring.h"
 #include "ps/net/wire.h"
+#include "ps/parameter_server.h"
 #include "serve/metrics_server.h"
 #include "tensor/tensor.h"
 
@@ -131,7 +135,7 @@ class ShardServer {
   /// error response.
   std::string HandleRequest(const std::string& request);
 
-  ShardStats stats() const MAMDR_EXCLUDES(mu_);
+  ShardStats stats() const;
 
   /// The shard's own span buffer (collecting iff trace_path was set and
   /// the server is running). Tests read it to link client and server spans.
@@ -154,16 +158,20 @@ class ShardServer {
 
   /// Op handlers: parse + validate fully, then apply. Return the ok-response
   /// body appended after the response header, or the error to encode.
-  Result<std::string> HandlePullParams(PayloadReader* r) MAMDR_EXCLUDES(mu_);
-  Result<std::string> HandlePushParams(PayloadReader* r, bool restore)
-      MAMDR_EXCLUDES(mu_);
-  Result<std::string> HandlePullRows(PayloadReader* r) MAMDR_EXCLUDES(mu_);
-  Result<std::string> HandlePushRows(PayloadReader* r, bool restore)
-      MAMDR_EXCLUDES(mu_);
+  Result<std::string> HandlePullParams(PayloadReader* r);
+  Result<std::string> HandlePushParams(PayloadReader* r, PsWrite mode);
+  Result<std::string> HandlePullRows(PayloadReader* r);
+  Result<std::string> HandlePushRows(PayloadReader* r, PsWrite mode);
 
   /// Shared validation: `idx` in range, embedding-ness as expected, and —
   /// for dense tensors — owned by this shard.
   Status CheckParamIndex(uint32_t idx, bool want_embedding) const;
+  /// Decode a row op's u64 count and row ids for embedding table `idx`
+  /// (already checked, with columns): the count fits the frame budget and
+  /// every row lies in the table and is owned by this shard. `op` prefixes
+  /// the error messages.
+  Status DecodeOwnedRows(PayloadReader* r, uint32_t idx, const char* op,
+                         std::vector<int64_t>* rows) const;
 
   /// Register the shard-labelled registry metrics (idempotent: the
   /// registry find-or-creates, so a respawned shard reuses its series).
@@ -175,18 +183,11 @@ class ShardServer {
 
   const ShardServerConfig config_;
   const HashRing ring_;
-  const std::vector<bool> is_embedding_;
-
-  // Immutable layout caches (shapes never change after construction), so
-  // request validation runs without the state lock.
-  std::vector<int64_t> sizes_;
-  std::vector<int64_t> rows_;
-  std::vector<int64_t> cols_;
-  std::vector<Shape> shapes_;
-
-  mutable Mutex mu_{MAMDR_LOCK_CLASS("ps.net.shard.state")};
-  std::vector<Tensor> params_ MAMDR_GUARDED_BY(mu_);
-  ShardStats stats_ MAMDR_GUARDED_BY(mu_);
+  /// The shard's parameters; its layout() is what requests validate
+  /// against.
+  ParameterServer server_;
+  std::atomic<uint64_t> requests_{0};
+  std::atomic<uint64_t> bad_requests_{0};
 
   ::mamdr::net::Listener listener_;
   int port_ = 0;

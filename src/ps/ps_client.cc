@@ -1,7 +1,7 @@
 #include "ps/ps_client.h"
 
-#include <string>
-#include <utility>
+#include <algorithm>
+#include <numeric>
 
 #include "common/lockdep.h"
 #include "common/logging.h"
@@ -20,97 +20,22 @@ void CheckBlockingBoundary() { lockdep::AssertNoLocksHeld("ps.client.op"); }
 
 }  // namespace
 
-PsLayout::PsLayout(const std::vector<Tensor>& params,
-                   std::vector<bool> is_embedding)
-    : is_embedding_(std::move(is_embedding)) {
-  MAMDR_CHECK_EQ(params.size(), is_embedding_.size());
-  shapes_.reserve(params.size());
-  for (const Tensor& t : params) shapes_.push_back(t.shape());
-}
-
-Status PsLayout::CheckCount(size_t n, const char* what) const {
-  if (n != shapes_.size()) {
-    return Status::InvalidArgument(
-        std::string("ps client: ") + what + " has " + std::to_string(n) +
-        " entries, layout has " + std::to_string(shapes_.size()));
-  }
-  return Status::OK();
-}
-
-Status PsLayout::CheckShape(int64_t idx, const Tensor& t,
-                            const char* what) const {
-  if (t.shape() != shape(idx)) {
-    return Status::InvalidArgument(
-        std::string("ps client: ") + what + " shape " +
-        ShapeToString(t.shape()) + " != param " + std::to_string(idx) +
-        " shape " + ShapeToString(shape(idx)));
-  }
-  return Status::OK();
-}
-
-Status PsLayout::CheckTableOp(int64_t idx, const std::vector<int64_t>& rows,
-                              const Tensor& t, const char* what) const {
-  if (idx < 0 || idx >= num_params()) {
-    return Status::InvalidArgument("ps client: param index " +
-                                   std::to_string(idx) + " out of range");
-  }
-  if (!is_embedding(idx)) {
-    return Status::InvalidArgument("ps client: param " + std::to_string(idx) +
-                                   " is not an embedding table");
-  }
-  const int64_t n = shape(idx).size() == 2 ? shape(idx)[0] : 0;
-  for (int64_t r : rows) {
-    if (r < 0 || r >= n) {
-      return Status::InvalidArgument(
-          "ps client: row " + std::to_string(r) + " outside table " +
-          std::to_string(idx) + " (" + std::to_string(n) + " rows)");
-    }
-  }
-  return CheckShape(idx, t, what);
-}
-
-Status PsLayout::CheckDenseList(const std::vector<Tensor>& list,
-                                const char* what, bool skip_empty) const {
-  MAMDR_RETURN_IF_ERROR(CheckCount(list.size(), what));
-  for (int64_t i = 0; i < num_params(); ++i) {
-    const Tensor& t = list[static_cast<size_t>(i)];
-    if (is_embedding(i) || (skip_empty && t.empty())) continue;
-    MAMDR_RETURN_IF_ERROR(CheckShape(i, t, what));
-  }
-  return Status::OK();
-}
-
-Status PsLayout::CheckRestore(const std::vector<Tensor>& params) const {
-  MAMDR_RETURN_IF_ERROR(CheckCount(params.size(), "restore"));
-  for (int64_t i = 0; i < num_params(); ++i) {
-    MAMDR_RETURN_IF_ERROR(
-        CheckShape(i, params[static_cast<size_t>(i)], "restore entry"));
-  }
-  return Status::OK();
-}
-
-namespace {
-
-PsLayout LayoutOf(ParameterServer* server) {
-  MAMDR_CHECK(server != nullptr);
-  std::vector<bool> is_embedding;
-  for (int64_t i = 0; i < server->num_params(); ++i) {
-    is_embedding.push_back(server->is_embedding(i));
-  }
-  return PsLayout(server->SnapshotAll(), std::move(is_embedding));
-}
-
-}  // namespace
-
 DirectPsClient::DirectPsClient(ParameterServer* server)
-    : server_(server), layout_(LayoutOf(server)) {}
+    : server_(server), layout_(server->layout()) {}
 
 Status DirectPsClient::PullDense(std::vector<Tensor>* out) {
   CheckBlockingBoundary();
   // The server copies element-for-element into every non-embedding slot.
   MAMDR_RETURN_IF_ERROR(
       layout_.CheckDenseList(*out, "pull destination", /*skip_empty=*/false));
-  server_->PullDense(out);  // mamdr-lint: allow(ignored-status)
+  std::vector<int64_t> idxs;
+  std::vector<float*> dst;
+  for (int64_t i = 0; i < layout_.num_params(); ++i) {
+    if (layout_.is_embedding(i)) continue;
+    idxs.push_back(i);
+    dst.push_back((*out)[static_cast<size_t>(i)].data());
+  }
+  server_->ReadDense(idxs, dst);
   return Status::OK();
 }
 
@@ -119,7 +44,13 @@ Status DirectPsClient::PullRows(int64_t idx, const std::vector<int64_t>& rows,
   CheckBlockingBoundary();
   MAMDR_RETURN_IF_ERROR(
       layout_.CheckTableOp(idx, rows, *into, "pull destination"));
-  server_->PullRows(idx, rows, into);  // mamdr-lint: allow(ignored-status)
+  const int64_t d = into->cols();
+  std::vector<float> packed(rows.size() * static_cast<size_t>(d));
+  server_->ReadRows(idx, rows, packed.data());
+  for (size_t k = 0; k < rows.size(); ++k) {
+    std::copy_n(packed.data() + static_cast<int64_t>(k) * d, d,
+                into->data() + rows[k] * d);
+  }
   return Status::OK();
 }
 
@@ -127,18 +58,29 @@ Status DirectPsClient::PullFullTable(int64_t idx, Tensor* into) {
   CheckBlockingBoundary();
   MAMDR_RETURN_IF_ERROR(
       layout_.CheckTableOp(idx, {}, *into, "pull destination"));
-  server_->PullFullTable(idx, into);  // mamdr-lint: allow(ignored-status)
+  // Every row in table order packs to exactly the table's own layout.
+  std::vector<int64_t> rows(static_cast<size_t>(into->rows()));
+  std::iota(rows.begin(), rows.end(), int64_t{0});
+  server_->ReadRows(idx, rows, into->data());
   return Status::OK();
 }
 
 Status DirectPsClient::PushDenseDelta(const std::vector<Tensor>& delta,
                                       float beta) {
   CheckBlockingBoundary();
-  // Embedding and empty entries are skipped server-side; anything else
-  // must match the layout shape.
+  // Embedding and empty entries are not pushed; anything else must match
+  // the layout shape.
   MAMDR_RETURN_IF_ERROR(
       layout_.CheckDenseList(delta, "dense delta", /*skip_empty=*/true));
-  server_->PushDenseDelta(delta, beta);  // mamdr-lint: allow(ignored-status)
+  std::vector<int64_t> idxs;
+  std::vector<const float*> src;
+  for (int64_t i = 0; i < layout_.num_params(); ++i) {
+    const Tensor& t = delta[static_cast<size_t>(i)];
+    if (layout_.is_embedding(i) || t.empty()) continue;
+    idxs.push_back(i);
+    src.push_back(t.data());
+  }
+  server_->WriteDense(idxs, src, beta, PsWrite::kEq3);
   return Status::OK();
 }
 
@@ -147,7 +89,13 @@ Status DirectPsClient::PushRowDeltas(int64_t idx,
                                      const Tensor& delta, float beta) {
   CheckBlockingBoundary();
   MAMDR_RETURN_IF_ERROR(layout_.CheckTableOp(idx, rows, delta, "push delta"));
-  server_->PushRowDeltas(idx, rows, delta, beta);  // mamdr-lint: allow(ignored-status)
+  const int64_t d = delta.cols();
+  std::vector<float> packed(rows.size() * static_cast<size_t>(d));
+  for (size_t k = 0; k < rows.size(); ++k) {
+    std::copy_n(delta.data() + rows[k] * d, d,
+                packed.data() + static_cast<int64_t>(k) * d);
+  }
+  server_->WriteRows(idx, rows, packed.data(), beta, PsWrite::kEq3);
   return Status::OK();
 }
 
@@ -159,7 +107,7 @@ Result<std::vector<Tensor>> DirectPsClient::Snapshot() {
 Status DirectPsClient::Restore(const std::vector<Tensor>& params) {
   CheckBlockingBoundary();
   MAMDR_RETURN_IF_ERROR(layout_.CheckRestore(params));
-  server_->RestoreAll(params);  // mamdr-lint: allow(ignored-status)
+  server_->RestoreAll(params);
   return Status::OK();
 }
 

@@ -8,7 +8,8 @@
 //
 // DirectPsClient is the in-process implementation; NetPsClient (ps/net)
 // carries the same ops to a sharded server. Both validate every request
-// against one PsLayout before it reaches a server. The chaos tests
+// against a PsLayout (ps/parameter_server.h) before it reaches a server,
+// and both hand embedding rows to the server packed. The chaos tests
 // decorate either client to rehearse transient unavailability, latency
 // spikes, dropped pushes, and crashes.
 #ifndef MAMDR_PS_PS_CLIENT_H_
@@ -58,50 +59,10 @@ class PsClient {
   virtual Status Restore(const std::vector<Tensor>& params) = 0;
 };
 
-/// The immutable parameter layout a client checks each request against
-/// before it leaves the client: a malformed op (index out of range, wrong
-/// table, row beyond the table, shape mismatch) returns kInvalidArgument
-/// instead of reaching a server, so a corrupted request degrades the one
-/// op rather than killing the process (DirectPsClient) or costing a
-/// round trip (NetPsClient).
-class PsLayout {
- public:
-  /// `params` fixes the shapes (values are not read); `is_embedding[i]`
-  /// marks row-addressable tables.
-  PsLayout(const std::vector<Tensor>& params, std::vector<bool> is_embedding);
-
-  int64_t num_params() const { return static_cast<int64_t>(shapes_.size()); }
-  bool is_embedding(int64_t idx) const {
-    return is_embedding_[static_cast<size_t>(idx)];
-  }
-  const Shape& shape(int64_t idx) const {
-    return shapes_[static_cast<size_t>(idx)];
-  }
-
-  /// A row op on table `idx`: `idx` names an embedding table, every row
-  /// lies inside it, and `t` (destination or delta) has the table's shape.
-  Status CheckTableOp(int64_t idx, const std::vector<int64_t>& rows,
-                      const Tensor& t, const char* what) const;
-  /// A dense op: `list` has one entry per parameter and every dense entry
-  /// has its parameter's shape; `skip_empty` skips empty entries (a dense
-  /// delta leaves the ones it does not push empty).
-  Status CheckDenseList(const std::vector<Tensor>& list, const char* what,
-                        bool skip_empty) const;
-  /// A restore: one entry per parameter, each with its parameter's shape.
-  Status CheckRestore(const std::vector<Tensor>& params) const;
-
- private:
-  Status CheckCount(size_t n, const char* what) const;
-  Status CheckShape(int64_t idx, const Tensor& t, const char* what) const;
-
-  std::vector<Shape> shapes_;
-  std::vector<bool> is_embedding_;
-};
-
 /// In-process client: validates each request against the server's layout,
 /// then forwards it to the ParameterServer (whose MAMDR_CHECKs a malformed
-/// request would otherwise trip). The fault-free baseline the chaos runs
-/// are compared against.
+/// request would otherwise trip), packing embedding rows as the wire does.
+/// The fault-free baseline the chaos runs are compared against.
 class DirectPsClient : public PsClient {
  public:
   explicit DirectPsClient(ParameterServer* server);
@@ -123,9 +84,8 @@ class DirectPsClient : public PsClient {
 
  private:
   ParameterServer* server_;
-  /// Captured at construction (server shapes never change), so validation
-  /// needs no server round trip.
-  PsLayout layout_;
+  /// The server's own layout (shapes never change after construction).
+  const PsLayout& layout_;
 };
 
 }  // namespace ps

@@ -234,9 +234,11 @@ Tensor Axpy(const Tensor& a, const Tensor& b, float alpha) {
 
 void AxpyInPlace(Tensor* y, const Tensor& x, float alpha) {
   CheckSameShape(*y, x);
-  float* py = y->data();
-  const float* px = x.data();
-  for (int64_t i = 0, n = y->size(); i < n; ++i) py[i] += alpha * px[i];
+  AxpyInPlace(y->data(), x.data(), y->size(), alpha);
+}
+
+void AxpyInPlace(float* y, const float* x, int64_t n, float alpha) {
+  for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
 void ScaleInPlace(Tensor* y, float alpha) {

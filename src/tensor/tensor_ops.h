@@ -52,6 +52,8 @@ Tensor Axpy(const Tensor& a, const Tensor& b, float alpha);
 
 /// In-place y += alpha * x.
 void AxpyInPlace(Tensor* y, const Tensor& x, float alpha);
+/// The same over n raw floats (the parameter server's Eq. 3 apply).
+void AxpyInPlace(float* y, const float* x, int64_t n, float alpha);
 
 /// In-place y *= alpha.
 void ScaleInPlace(Tensor* y, float alpha);

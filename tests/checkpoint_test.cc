@@ -238,6 +238,44 @@ TEST_F(CheckpointCorruptionTest, SaveIsAtomicNoTmpLeftBehind) {
   EXPECT_FLOAT_EQ(loaded.value()[0].second.at(0), 9.0f);
 }
 
+TEST(PsParamsTest, RoundTripsAndRejectsEveryMalformedLayout) {
+  const std::vector<Shape> shapes{{2}, {3, 2}};
+  NamedTensors good{{"epoch", Tensor({1}, 4.0f)}};
+  AppendPsParams({Tensor({2}, 1.0f), Tensor({3, 2}, 2.0f)}, &good);
+  EXPECT_EQ(good[1].first, "param/0");
+  EXPECT_EQ(good[2].first, "param/1");
+  // Names, not positions, place a tensor.
+  std::swap(good[1], good[2]);
+  auto read = ReadPsParams(good, shapes, {"epoch"});
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value()[0].shape(), shapes[0]);
+  EXPECT_FLOAT_EQ(read.value()[1].at(2, 1), 2.0f);
+
+  auto with = [&](size_t i, std::string name, Tensor t) {
+    NamedTensors bad = good;
+    bad[i] = {std::move(name), std::move(t)};
+    return ReadPsParams(bad, shapes, {"epoch"}).status();
+  };
+  const Tensor p0({2}, 1.0f);
+  const std::vector<Status> rejected{
+      ReadPsParams(good, shapes, {}).status(),         // count mismatch
+      with(2, "weights", p0),                          // unknown name
+      with(2, "param/2", p0),                          // index out of range
+      with(2, "param/00", p0),                         // non-canonical index
+      with(1, "param/0", p0),                          // repeated index
+      with(2, "param/0", Tensor({3}, 1.0f)),           // shape mismatch
+  };
+  for (size_t k = 0; k < rejected.size(); ++k) {
+    EXPECT_EQ(rejected[k].code(), StatusCode::kInvalidArgument) << k;
+  }
+  // A repeated extra name standing in for a parameter leaves it missing.
+  NamedTensors twice = good;
+  twice[2] = {"epoch", Tensor({1}, 4.0f)};
+  const Status missing = ReadPsParams(twice, shapes, {"epoch"}).status();
+  EXPECT_EQ(missing.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(missing.message().find("missing param/0"), std::string::npos);
+}
+
 TEST(Crc32Test, KnownVectorAndChaining) {
   // "123456789" -> 0xCBF43926 is the canonical CRC-32 check value.
   const char* s = "123456789";

@@ -300,18 +300,22 @@ class NetChaosTest : public ::testing::Test {
 
 TEST_F(NetChaosTest, FaultFreeNetBackendMatchesDirectQuality) {
   // The networked backend with clean proxies and no shard crashes is just a
-  // slower wire to the same training semantics. (Float updates on the shard
-  // are scalar while the in-process PS may use FMA kernels, so quality
-  // matches to tolerance rather than bit-exactly across backends.)
+  // slower wire to the same training semantics: every shard applies Eq. 3
+  // through the same ParameterServer the in-process backend uses, so each
+  // domain's test AUC matches bit for bit.
   DistributedMamdr direct(mc_, &ds_, BaseConfig());
   ASSERT_TRUE(direct.Train().ok());
-  const double direct_auc = direct.AverageTestAuc();
-  EXPECT_GT(direct_auc, 0.52);
+  const std::vector<double> direct_aucs = direct.EvaluateTest();
+  EXPECT_GT(direct.AverageTestAuc(), 0.52);
 
   NetHarness harness(layout_, is_embedding_, /*network_faults=*/false,
                      /*shard_crashes=*/false, "net_chaos_clean");
   auto net = RunNet(&harness);
-  EXPECT_NEAR(net->AverageTestAuc(), direct_auc, 0.01);
+  const std::vector<double> net_aucs = net->EvaluateTest();
+  ASSERT_EQ(net_aucs.size(), direct_aucs.size());
+  for (size_t d = 0; d < direct_aucs.size(); ++d) {
+    EXPECT_EQ(net_aucs[d], direct_aucs[d]) << "domain " << d;
+  }
   EXPECT_EQ(harness.TotalProxyStats().relay_errors, 0u);
 }
 

@@ -232,17 +232,6 @@ TEST(MetaInterpolateTest, BetaZeroRestoresSnapshot) {
   EXPECT_FLOAT_EQ(p.value().at(0), 4.0f);
 }
 
-TEST(WriteMetaGradTest, GradPointsFromCurrentToSnapshot) {
-  Var p(Tensor::FromVector({10.0f}), true);
-  std::vector<Tensor> snap{Tensor::FromVector({4.0f})};
-  WriteMetaGrad({p}, snap);
-  // Descending this gradient with lr beta reproduces Eq. 3.
-  EXPECT_FLOAT_EQ(p.grad().at(0), -6.0f);
-  Sgd opt({p}, 0.5f);
-  opt.Step();
-  EXPECT_FLOAT_EQ(p.value().at(0), 13.0f);  // moved further along (p - snap)
-}
-
 TEST(FlattenTest, RoundTrip) {
   std::vector<Tensor> tensors{Tensor::FromVector({1, 2}),
                               Tensor::FromMatrix({{3, 4}, {5, 6}})};

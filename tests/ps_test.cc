@@ -8,6 +8,7 @@
 #include "optim/param_snapshot.h"
 #include "optim/sgd.h"
 #include "ps/distributed_mamdr.h"
+#include "tensor/step_buffers.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -65,8 +66,9 @@ class CountingPsClient : public PsClient {
 TEST(ParameterServerTest, PullDenseSkipsEmbeddings) {
   std::vector<Tensor> params{Tensor({2, 2}, 1.0f), Tensor({4, 3}, 2.0f)};
   ParameterServer server(params, {false, true});
+  DirectPsClient client(&server);
   std::vector<Tensor> out{Tensor({2, 2}), Tensor({4, 3})};
-  server.PullDense(&out);
+  ASSERT_TRUE(client.PullDense(&out).ok());
   EXPECT_FLOAT_EQ(out[0].at(0), 1.0f);
   EXPECT_FLOAT_EQ(out[1].at(0), 0.0f);  // embedding untouched
   EXPECT_EQ(server.stats().bytes_pulled, 4u * 4u);
@@ -75,32 +77,50 @@ TEST(ParameterServerTest, PullDenseSkipsEmbeddings) {
 TEST(ParameterServerTest, PullRowsCopiesOnlyRequested) {
   std::vector<Tensor> params{Tensor::FromMatrix({{1, 1}, {2, 2}, {3, 3}})};
   ParameterServer server(params, {true});
+  // The server hands back packed rows in request order...
+  float packed[4] = {0, 0, 0, 0};
+  server.ReadRows(0, {2, 0}, packed);
+  EXPECT_FLOAT_EQ(packed[0], 3.0f);
+  EXPECT_FLOAT_EQ(packed[2], 1.0f);
+  EXPECT_EQ(server.stats().rows_pulled, 2u);
+  EXPECT_EQ(server.stats().bytes_pulled, 2u * 2u * 4u);
+  // ...and the client scatters them into the matching rows only.
+  DirectPsClient client(&server);
   Tensor local({3, 2});
-  server.PullRows(0, {2}, &local);
+  ASSERT_TRUE(client.PullRows(0, {2}, &local).ok());
   EXPECT_FLOAT_EQ(local.at(2, 0), 3.0f);
   EXPECT_FLOAT_EQ(local.at(0, 0), 0.0f);
-  EXPECT_EQ(server.stats().rows_pulled, 1u);
-  EXPECT_EQ(server.stats().bytes_pulled, 2u * 4u);
+  EXPECT_EQ(server.stats().rows_pulled, 3u);
 }
 
 TEST(ParameterServerTest, PushDenseDeltaAppliesEquation3) {
   std::vector<Tensor> params{Tensor({2}, 1.0f)};
   ParameterServer server(params, {false});
-  std::vector<Tensor> delta{Tensor({2}, 4.0f)};
-  server.PushDenseDelta(delta, 0.5f);  // 1 + 0.5*4 = 3
-  auto snap = server.SnapshotAll();
-  EXPECT_FLOAT_EQ(snap[0].at(0), 3.0f);
+  const Tensor delta({2}, 4.0f);
+  server.WriteDense({0}, {delta.data()}, 0.5f, PsWrite::kEq3);  // 1+0.5*4
+  EXPECT_FLOAT_EQ(server.SnapshotAll()[0].at(0), 3.0f);
+  server.WriteDense({0}, {delta.data()}, 0.5f, PsWrite::kRestore);
+  EXPECT_FLOAT_EQ(server.SnapshotAll()[0].at(0), 4.0f);  // beta ignored
+  EXPECT_EQ(server.stats().bytes_pushed, 2u * 2u * 4u);
 }
 
 TEST(ParameterServerTest, PushRowDeltasIsSparse) {
   std::vector<Tensor> params{Tensor({3, 2}, 1.0f)};
   ParameterServer server(params, {true});
+  DirectPsClient client(&server);
   Tensor delta({3, 2}, 2.0f);
-  server.PushRowDeltas(0, {1}, delta, 1.0f);
+  ASSERT_TRUE(client.PushRowDeltas(0, {1}, delta, 1.0f).ok());
   auto snap = server.SnapshotAll();
   EXPECT_FLOAT_EQ(snap[0].at(1, 0), 3.0f);
   EXPECT_FLOAT_EQ(snap[0].at(0, 0), 1.0f);  // other rows untouched
   EXPECT_EQ(server.stats().rows_pushed, 1u);
+  // A restore write assigns the packed row and counts as a row push.
+  const float row[2] = {7.0f, 8.0f};
+  server.WriteRows(0, {2}, row, 1.0f, PsWrite::kRestore);
+  snap = server.SnapshotAll();
+  EXPECT_FLOAT_EQ(snap[0].at(2, 1), 8.0f);
+  EXPECT_FLOAT_EQ(snap[0].at(1, 0), 3.0f);
+  EXPECT_EQ(server.stats().rows_pushed, 2u);
 }
 
 TEST(ParameterServerTest, ServerOwnsItsState) {
@@ -109,6 +129,17 @@ TEST(ParameterServerTest, ServerOwnsItsState) {
   params[0].at(0) = 99.0f;  // mutating caller state must not affect server
   auto snap = server.SnapshotAll();
   EXPECT_FLOAT_EQ(snap[0].at(0), 1.0f);
+}
+
+TEST(DirectPsClientTest, ConstructionAllocatesNoTensors) {
+  // The client validates against the server's own layout; building it must
+  // not copy a single parameter.
+  std::vector<Tensor> params{Tensor({2, 2}, 1.0f), Tensor({50, 8}, 2.0f)};
+  ParameterServer server(params, {false, true});
+  const int64_t before = ThreadTensorAllocations();
+  DirectPsClient client(&server);
+  EXPECT_EQ(ThreadTensorAllocations() - before, 0);
+  EXPECT_EQ(client.num_params(), 2);
 }
 
 TEST(EmbeddingCacheTest, MissesThenHits) {
@@ -204,8 +235,9 @@ TEST_F(DistributedTest, CacheHitRateIsHigh) {
   DistributedMamdr dist(mc_, &ds_, MakeConfig(1, true));
   ASSERT_TRUE(dist.Train().ok());
   uint64_t hits = 0, misses = 0;
-  for (int64_t p = 0; p < dist.server()->num_params(); ++p) {
-    if (!dist.server()->is_embedding(p)) continue;
+  const PsLayout& layout = dist.server()->layout();
+  for (int64_t p = 0; p < layout.num_params(); ++p) {
+    if (!layout.is_embedding(p)) continue;
     hits += dist.worker(0)->cache(p).stats().hits;
     misses += dist.worker(0)->cache(p).stats().misses;
   }

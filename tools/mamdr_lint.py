@@ -102,8 +102,8 @@ the offending line):
                   dropped on the floor. ``[[nodiscard]]`` catches the direct
                   form at compile time, but not calls through an interface
                   that predates the annotation or void wrappers; the linter
-                  closes that gap. Legitimate drops (e.g. forwarding to the
-                  void ParameterServer methods) carry the allow comment.
+                  closes that gap. A legitimate drop carries the allow
+                  comment.
                   Heuristic: only flags single-line statements (the call
                   starts the line, parentheses balance, line ends with ;) so
                   continuation lines of MAMDR_RETURN_IF_ERROR/assignments

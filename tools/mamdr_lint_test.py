@@ -113,7 +113,7 @@ class RawRandRule(unittest.TestCase):
         self.assertEqual(rules(findings), ["raw-rand", "raw-rand"])
 
     def test_bench_and_tools_exempt(self):
-        for path in ("bench/bench_engine.cpp", "tools/mamdr_datagen.cc"):
+        for path in ("bench/bench_kernels.cpp", "tools/mamdr_datagen.cc"):
             findings = mamdr_lint.lint_text(path, "int r = rand();\n")
             self.assertEqual(rules(findings), [], path)
 
@@ -327,7 +327,7 @@ class NativeMutexRule(unittest.TestCase):
     def test_tests_and_bench_also_covered(self):
         # Unlike raw-rand, the rule has no tools/bench exemption: a raw
         # mutex in a test deadlocks just as invisibly.
-        for path in ("tests/foo_test.cc", "bench/bench_engine.cpp",
+        for path in ("tests/foo_test.cc", "bench/bench_kernels.cpp",
                      "tools/mamdr_run.cc"):
             findings = mamdr_lint.lint_text(path, "  std::mutex m;\n")
             self.assertEqual(rules(findings), ["native-mutex"], path)
